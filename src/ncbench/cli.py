@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -18,23 +19,14 @@ import jsonschema
 from . import hypergeom as hg
 from .graphs import Cpdag, Dag, ExtensionCapExceeded, GraphError, skeleton
 from .io import GraphFile, ParseError, align_to, parse_graph, write_graph
-from .metrics import adjacency_confusion, full_report
+from .metrics import adjacency_confusion, check_metric_names, full_report
 from .pc import CiTestError
-from .pipeline import PipelineConfig, run_study, single_truth_nc
+from .pipeline import DEFAULT_METRICS, PipelineConfig, run_study, single_truth_nc
 from .random_graphs import RngSeed, max_edges, sample_er_cpdag, sample_er_dag
 from .sem import SemConfig, simulate_from_dag, to_csv
 
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
-
-COMPARE_METRICS = (
-    "shd",
-    "adjacency_precision",
-    "adjacency_recall",
-    "orientation_precision",
-    "orientation_recall",
-    "vstructure_recovery",
-)
 
 
 def _load_schema(name):
@@ -120,10 +112,11 @@ def cmd_fit_test(args):
 
 
 def cmd_compare(args):
+    metrics = args.metrics.split(",") if args.metrics else list(DEFAULT_METRICS)
+    check_metric_names(metrics)
     truth = _graph_arg(args.truth, args.format, "dag")
     est = align_to(truth, _graph_arg(args.est, args.format, args.est_kind))
     report = full_report(truth, est)
-    metrics = args.metrics.split(",") if args.metrics else list(COMPARE_METRICS)
     out = {
         "schema_version": 1,
         "d": report.d,
@@ -180,7 +173,7 @@ def _pipeline_config_from_file(path):
 def cmd_pipeline(args):
     cfg = _pipeline_config_from_file(args.config)
     if args.seed is not None:
-        cfg = PipelineConfig(**{**_cfg_dict(cfg), "seed": args.seed})
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     result = run_study(cfg)
     payload = result.to_dict()
     jsonschema.validate(payload, _load_schema("study-result.schema.json"))
@@ -209,22 +202,6 @@ def cmd_pipeline(args):
         print(f"{name}: p = {'undefined' if p is None else format(p, '.3f')}")
     print(f"wrote {summary_path} and {csv_path}")
     return 0
-
-
-def _cfg_dict(cfg):
-    return {
-        "b": cfg.b,
-        "d": cfg.d,
-        "m_true": cfg.m_true,
-        "n": cfg.n,
-        "alpha": cfg.alpha,
-        "metrics": cfg.metrics,
-        "nc_kind": cfg.nc_kind,
-        "seed": cfg.seed,
-        "weight_range": cfg.weight_range,
-        "variance_range": cfg.variance_range,
-        "sid_cap": cfg.sid_cap,
-    }
 
 
 def _fmt(v):

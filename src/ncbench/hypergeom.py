@@ -17,9 +17,6 @@ _EXACT_LIMIT = 60
 
 METRICS = ("precision", "recall", "f1", "npv", "specificity")
 
-# Metrics where smaller values are favorable (none of the adjacency five).
-SMALLER_FAVORABLE = frozenset()
-
 
 class DegenerateParamsError(ValueError):
     """Requested quantity has an empty denominator for these parameters."""

@@ -20,6 +20,19 @@ from .hypergeom import METRICS, ConfusionCounts, MetricValue, metric_from_counts
 # Direction conventions for negative-control comparisons.
 SMALLER_IS_BETTER = frozenset({"shd", "sid_lower", "sid_upper"})
 
+# Every name compute_metric evaluates.
+METRIC_NAMES = frozenset(
+    {"shd", "vstructure_recovery", "sid_lower", "sid_upper"}
+    | {f"{kind}_{metric}" for kind in ("adjacency", "orientation") for metric in METRICS}
+)
+
+
+def check_metric_names(names):
+    """Raise ValueError naming the first name compute_metric does not know."""
+    for name in names:
+        if name not in METRIC_NAMES:
+            raise ValueError(f"unknown metric {name!r}")
+
 
 @dataclass(frozen=True)
 class SidBounds:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .graphs import Cpdag, Dag, skeleton, with_labels
 from .hypergeom import MetricValue
-from .metrics import SMALLER_IS_BETTER, compute_metric
+from .metrics import SMALLER_IS_BETTER, check_metric_names, compute_metric
 from .pc import PcConfig, pc
 from .random_graphs import RngSeed, sample_er_cpdag, sample_er_dag
 from .sem import SemConfig, draw_sem, simulate
@@ -45,6 +45,7 @@ class PipelineConfig:
             raise ValueError("replication count must be at least 1")
         if self.nc_kind not in ("dag", "cpdag"):
             raise ValueError("nc_kind must be 'dag' or 'cpdag'")
+        check_metric_names(self.metrics)
 
 
 @dataclass

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ncbench
 from ncbench.cli import EXIT_INPUT, EXIT_NUMERICAL, main
 
 from conftest import DATA_DIR
@@ -152,6 +157,25 @@ class TestCompare:
             ]
         )
         assert open(env_path).read() == open(explicit_path).read()
+
+    def test_unknown_metric_rejected(self, capsys):
+        rc = main(
+            ["compare", "--truth", TRUTH, "--est", EST, "--metrics", "shd,adjacency_precsion"]
+        )
+        assert rc == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "'adjacency_precsion'" in captured.err
+        assert captured.out == ""
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(ncbench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, ncbench.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestPipeline:

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from ncbench.graphs import Dag, all_dags, dag_to_cpdag
 from ncbench.pc import CiTestError, FisherZTest, PcConfig, fisher_z_test, pc
 from ncbench.random_graphs import RngSeed, sample_er_dag
 from ncbench.sem import SemConfig, simulate_from_dag
+
+pc_module = importlib.import_module("ncbench.pc")
 
 
 def _gaussian_pair(n, r, seed):
@@ -60,6 +63,61 @@ class TestFisherZ:
         data = simulate_from_dag(g, SemConfig(n=5000, seed=RngSeed(4)))
         assert fisher_z_test(data, 0, 2, []) < 0.01
         assert fisher_z_test(data, 0, 2, [1]) > 0.05
+
+
+class PerCallFisherZ:
+    """PC's CI test through the per-call reference fisher_z_test."""
+
+    def __init__(self, data, alpha):
+        self.data = np.asarray(data, dtype=float)
+        self.alpha = alpha
+        self.d = self.data.shape[1]
+
+    def independent(self, i, j, z):
+        return fisher_z_test(self.data, i, j, z) >= self.alpha
+
+
+def _study_data(d, m_true, rep):
+    stream = 100 * d + rep
+    g = sample_er_dag(d, m_true, RngSeed(20 + m_true, stream))
+    return simulate_from_dag(g, SemConfig(n=400, seed=RngSeed(21 + m_true, stream)))
+
+
+class TestFisherZEngine:
+    @pytest.mark.parametrize("d,m_true", [(5, 4), (10, 15), (10, 30)])
+    def test_pc_matches_per_call_reference(self, d, m_true, monkeypatch):
+        for rep in range(8):
+            data = _study_data(d, m_true, rep)
+            engine = pc(data)
+            with monkeypatch.context() as m:
+                m.setattr(pc_module, "FisherZTest", PerCallFisherZ)
+                reference = pc(data)
+            assert engine.directed == reference.directed
+            assert engine.undirected == reference.undirected
+
+    def test_p_values_match_reference(self):
+        data = _study_data(10, 30, 0)
+        test = FisherZTest(data, 0.05)
+        gen = RngSeed(22).generator()
+        for size in range(5):
+            triples = []
+            for _ in range(20):
+                i, j, *s = (int(v) for v in gen.choice(10, size + 2, replace=False))
+                triples.append((min(i, j), max(i, j), frozenset(s)))
+            for (i, j, s), p in zip(triples, test.p_values(triples)):
+                assert p == pytest.approx(fisher_z_test(data, i, j, s), rel=1e-9, abs=1e-15)
+
+    def test_constant_column_raises(self):
+        data = _study_data(5, 4, 0)
+        data[:, 2] = 1.5
+        with pytest.raises(CiTestError):
+            pc(data)
+
+    def test_duplicated_column_raises(self):
+        data = _study_data(5, 4, 0)
+        data[:, 3] = data[:, 1]
+        with pytest.raises(CiTestError):
+            pc(data)
 
 
 class TestOraclePc:

@@ -53,6 +53,10 @@ class TestRunStudy:
         with pytest.raises(ValueError):
             PipelineConfig(b=1, d=5, m_true=4, nc_kind="pdag")
 
+    def test_unknown_metric_named_before_work(self):
+        with pytest.raises(ValueError, match="'adjacency_precsion'"):
+            PipelineConfig(b=1, d=5, m_true=4, metrics=("shd", "adjacency_precsion"))
+
     def test_perfect_algorithm_dominates(self):
         # an oracle that returns the truth itself: SHD 0, p_shd small
         def oracle(data, pc_cfg):
