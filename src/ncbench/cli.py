@@ -14,8 +14,6 @@ import os
 import sys
 from importlib import resources
 
-import jsonschema
-
 from . import hypergeom as hg
 from .graphs import Cpdag, Dag, ExtensionCapExceeded, GraphError, skeleton
 from .io import GraphFile, ParseError, align_to, parse_graph, write_graph
@@ -32,6 +30,14 @@ EXIT_NUMERICAL = 3
 def _load_schema(name):
     with resources.files("ncbench.schemas").joinpath(name).open() as fh:
         return json.load(fh)
+
+
+def _validate(payload, name):
+    """Check an output payload against a shipped schema. jsonschema is
+    imported here so that commands which validate nothing never load it."""
+    import jsonschema
+
+    jsonschema.validate(payload, _load_schema(name))
 
 
 def _default_seed():
@@ -116,7 +122,12 @@ def cmd_compare(args):
     check_metric_names(metrics)
     truth = _graph_arg(args.truth, args.format, "dag")
     est = align_to(truth, _graph_arg(args.est, args.format, args.est_kind))
-    report = full_report(truth, est)
+    want_sid = any(name.startswith("sid_") for name in metrics)
+    try:
+        report = full_report(truth, est, include_sid=want_sid)
+    except (GraphError, ExtensionCapExceeded):
+        # Improper CPDAG or too many extensions: the SID rows are MISSING.
+        report = full_report(truth, est)
     out = {
         "schema_version": 1,
         "d": report.d,
@@ -140,7 +151,7 @@ def cmd_compare(args):
             "direction": nc["direction"],
             "dropped": nc["dropped"],
         }
-    jsonschema.validate(out, _load_schema("compare-report.schema.json"))
+    _validate(out, "compare-report.schema.json")
     print(f"{'metric':<24}{'observed':>10}{'nc_mean':>10}{'p':>8}")
     for name, row in out["metrics"].items():
         obs = "missing" if row["observed"] is None else f"{row['observed']:.4f}"
@@ -155,6 +166,8 @@ def cmd_compare(args):
 def _pipeline_config_from_file(path):
     with open(path) as fh:
         raw = json.load(fh)
+    import jsonschema
+
     schema = _load_schema("pipeline-config.schema.json")
     validator = jsonschema.Draft202012Validator(schema)
     errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
@@ -176,7 +189,7 @@ def cmd_pipeline(args):
         cfg = dataclasses.replace(cfg, seed=args.seed)
     result = run_study(cfg)
     payload = result.to_dict()
-    jsonschema.validate(payload, _load_schema("study-result.schema.json"))
+    _validate(payload, "study-result.schema.json")
     os.makedirs(args.out_dir, exist_ok=True)
     summary_path = os.path.join(args.out_dir, "summary.json")
     _write_json(summary_path, payload)

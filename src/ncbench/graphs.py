@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from collections import deque
+from functools import cached_property
 
 
 class GraphError(ValueError):
@@ -91,19 +92,29 @@ class Dag:
     def m(self):
         return len(self.edges)
 
+    @cached_property
+    def _index(self):
+        """(parents, children): per-node index tuples, built on first use."""
+        parents = [[] for _ in range(self.d)]
+        children = [[] for _ in range(self.d)]
+        for i, j in self.edges:
+            parents[j].append(i)
+            children[i].append(j)
+        return tuple(map(tuple, parents)), tuple(map(tuple, children))
+
     def parents(self, v):
-        return frozenset(i for i, j in self.edges if j == v)
+        return frozenset(self._index[0][v])
 
     def children(self, v):
-        return frozenset(j for i, j in self.edges if i == v)
+        return frozenset(self._index[1][v])
 
     def descendants(self, v):
         """All nodes reachable from v by a directed path (excluding v)."""
+        children = self._index[1]
         out = set()
         stack = [v]
         while stack:
-            u = stack.pop()
-            for c in self.children(u):
+            for c in children[stack.pop()]:
                 if c not in out:
                     out.add(c)
                     stack.append(c)
@@ -119,7 +130,7 @@ class Dag:
         while queue:
             v = queue.popleft()
             order.append(v)
-            for c in sorted(self.children(v)):
+            for c in sorted(self._index[1][v]):
                 indeg[c] -= 1
                 if indeg[c] == 0:
                     queue.append(c)
@@ -169,9 +180,6 @@ class Cpdag:
     def m(self):
         return len(self.directed) + len(self.undirected)
 
-    def directed_parents(self, v):
-        return frozenset(i for i, j in self.directed if j == v)
-
 
 @dataclass(frozen=True, order=True)
 class VStructure:
@@ -213,10 +221,7 @@ def v_structures(g):
 
 
 def d_separated(g, i, j, z):
-    """True iff every path between i and j is blocked by z (standard d-separation).
-
-    Reachability search over (node, arrival-direction) states, Bayes-ball style.
-    """
+    """True iff every path between i and j is blocked by z (standard d-separation)."""
     if not isinstance(g, Dag):
         raise GraphError("d-separation is defined on DAGs")
     z = frozenset(z)
@@ -226,42 +231,52 @@ def d_separated(g, i, j, z):
         raise GraphError("i and j must differ")
     if i in z or j in z:
         raise GraphError("endpoints may not be in the conditioning set")
+    parents, children = g._index
+    return j not in d_connected(parents, children, i, z, stop=j)
 
+
+def d_connected(parents, children, source, z, stop=None):
+    """Nodes with an active path from `source` given z (source included).
+
+    `parents` and `children` are per-node index sequences of a DAG; z must not
+    contain `source`. Reachability search over (node, arrival-direction)
+    states, Bayes-ball style. The search ends early, with a partial set, once
+    it reaches `stop`.
+    """
     # Nodes with a descendant (or themselves) in z: colliders open iff in this set.
     anc_of_z = set(z)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in g.edges:
-            if b in anc_of_z and a not in anc_of_z:
-                anc_of_z.add(a)
-                changed = True
+    stack = list(z)
+    while stack:
+        for p in parents[stack.pop()]:
+            if p not in anc_of_z:
+                anc_of_z.add(p)
+                stack.append(p)
 
-    # States: (node, "up") entered via an edge out of the node (from a child),
-    # (node, "down") entered via an edge into the node (from a parent).
-    start = [(i, "up")]
-    visited = set(start)
-    queue = deque(start)
-    while queue:
-        v, direction = queue.popleft()
-        if v == j and v != i:
-            return False
-        if direction == "up":
+    # up: entered via an edge out of the node (from a child);
+    # down: entered via an edge into the node (from a parent).
+    up = {source}
+    down = set()
+    stack = [(source, True)]
+    while stack:
+        v, from_child = stack.pop()
+        if from_child:
             if v in z:
                 continue
-            moves = [(p, "up") for p in g.parents(v)]
-            moves += [(c, "down") for c in g.children(v)]
+            to_parents, to_children = parents[v], children[v]
         else:
-            moves = []
-            if v not in z:
-                moves += [(c, "down") for c in g.children(v)]
-            if v in anc_of_z:
-                moves += [(p, "up") for p in g.parents(v)]
-        for state in moves:
-            if state not in visited:
-                visited.add(state)
-                queue.append(state)
-    return True
+            to_parents = parents[v] if v in anc_of_z else ()
+            to_children = () if v in z else children[v]
+        for p in to_parents:
+            if p not in up:
+                up.add(p)
+                stack.append((p, True))
+        for c in to_children:
+            if c not in down:
+                down.add(c)
+                stack.append((c, False))
+        if stop in up or stop in down:
+            break
+    return up | down
 
 
 def _meek_close(d, skel, directed):
@@ -360,7 +375,7 @@ def enumerate_extensions(p, cap=10_000):
         # No 2-cycles, no directed cycle, no new fully-directed v-structure.
         if any((j, i) in directed for i, j in directed):
             return False
-        if not _is_acyclic_set(directed, p.d):
+        if not is_acyclic(directed, p.d):
             return False
         by_child = {}
         for i, j in directed:
@@ -399,24 +414,6 @@ def enumerate_extensions(p, cap=10_000):
     if not results:
         raise GraphError("graph admits no consistent DAG extension")
     return results
-
-
-def _is_acyclic_set(edges, d):
-    indeg = [0] * d
-    children = [[] for _ in range(d)]
-    for i, j in edges:
-        children[i].append(j)
-        indeg[j] += 1
-    queue = deque(v for v in range(d) if indeg[v] == 0)
-    seen = 0
-    while queue:
-        v = queue.popleft()
-        seen += 1
-        for c in children[v]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                queue.append(c)
-    return seen == d
 
 
 def with_labels(g, labels):

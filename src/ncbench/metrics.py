@@ -10,8 +10,9 @@ from .graphs import (
     Cpdag,
     Dag,
     GraphError,
-    enumerate_extensions,
+    d_connected,
     d_separated,
+    enumerate_extensions,
     skeleton,
     v_structures,
 )
@@ -168,33 +169,54 @@ def valid_adjustment(g, i, j, z):
     return d_separated(backdoor, i, j, z)
 
 
-def _sid_dag(truth, est):
-    """Ordered pairs (i, j) whose parent adjustment in `est` is invalid in `truth`."""
-    count = 0
-    desc = {v: truth.descendants(v) for v in range(truth.d)}
-    for i in range(truth.d):
-        pa = est.parents(i) if isinstance(est, Dag) else est.directed_parents(i)
-        for j in range(truth.d):
-            if i == j:
-                continue
-            if j in pa:
-                # Estimate claims a null effect of i on j; wrong iff j is
-                # actually a descendant of i.
-                if j in desc[i]:
-                    count += 1
-            elif not valid_adjustment(truth, i, j, pa):
-                count += 1
-    return count
+def _sid_terms(truth):
+    """Per-node SID term of `truth`: term(i, pa) counts the targets j != i
+    whose effect from i is misjudged by adjusting for the estimated parents pa.
+
+    Targets in pa are claimed to have no effect, which is wrong iff j is a
+    descendant of i. For every other target this is valid_adjustment's rule:
+    if pa holds a descendant of i, every such target counts; otherwise one
+    Bayes-ball pass from i, in the truth without i's outgoing edges and given
+    pa, counts the targets it reaches. Terms are memoized by (i, pa).
+    """
+    parents, children = truth._index
+    desc = [truth.descendants(v) for v in range(truth.d)]
+    memo = {}
+
+    def term(i, pa):
+        key = (i, pa)
+        if key not in memo:
+            wrong_null = len(pa & desc[i])
+            if wrong_null:
+                memo[key] = wrong_null + truth.d - 1 - len(pa)
+            else:
+                back_parents = list(parents)
+                for c in children[i]:
+                    back_parents[c] = tuple(p for p in parents[c] if p != i)
+                back_children = list(children)
+                back_children[i] = ()
+                reached = d_connected(back_parents, back_children, i, pa)
+                memo[key] = len(reached - pa) - 1  # i itself is in reached
+        return memo[key]
+
+    return term
+
+
+def _sid_dag(term, est):
+    """Ordered pairs (i, j) whose parent adjustment in the DAG `est` is invalid
+    in the truth behind `term`."""
+    return sum(term(i, est.parents(i)) for i in range(est.d))
 
 
 def sid(truth, est, cap=10_000):
     """SID of the estimate against a true DAG; (min, max) over the estimate's
     equivalence class when the estimate is a CPDAG."""
     _check_pair(truth, est)
+    term = _sid_terms(truth)
     if isinstance(est, Dag):
-        value = _sid_dag(truth, est)
+        value = _sid_dag(term, est)
         return SidBounds(value, value, True)
-    values = [_sid_dag(truth, ext) for ext in enumerate_extensions(est, cap)]
+    values = [_sid_dag(term, ext) for ext in enumerate_extensions(est, cap)]
     return SidBounds(min(values), max(values), False)
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Cpdag, Dag, skeleton, with_labels
+from .graphs import Cpdag, Dag, ExtensionCapExceeded, GraphError, skeleton, with_labels
 from .hypergeom import MetricValue
 from .metrics import SMALLER_IS_BETTER, check_metric_names, compute_metric
 from .pc import PcConfig, pc
@@ -132,6 +132,15 @@ def _summarize(values):
     }
 
 
+def _score(name, truth, est, sid_cap):
+    """One metric value, or None (MISSING) when the estimate cannot be scored:
+    an improper CPDAG or an equivalence class above the extension cap."""
+    try:
+        return compute_metric(name, truth, est, sid_cap).value
+    except (GraphError, ExtensionCapExceeded):
+        return None
+
+
 def run_study(cfg):
     """Steps 1-3 of the negative-control procedure, plus paired p-values.
 
@@ -160,8 +169,7 @@ def run_study(cfg):
         estimate = algorithm(data, pc_cfg)
         m_est = len(skeleton(estimate))
         algo_values = {
-            name: compute_metric(name, truth, estimate, cfg.sid_cap).value
-            for name in cfg.metrics
+            name: _score(name, truth, estimate, cfg.sid_cap) for name in cfg.metrics
         }
         replications.append(
             Replication(i, truth, estimate, None, m_est, algo_values, {})
@@ -179,8 +187,7 @@ def run_study(cfg):
             nc = sample_er_cpdag(cfg.d, m_nc, nc_rng)
         rep.nc = nc
         rep.nc_values = {
-            name: compute_metric(name, rep.truth, nc, cfg.sid_cap).value
-            for name in cfg.metrics
+            name: _score(name, rep.truth, nc, cfg.sid_cap) for name in cfg.metrics
         }
 
     summary = {}
@@ -207,7 +214,8 @@ def single_truth_nc(truth, estimate, metric, b=1000, seed=0, sid_cap=10_000):
 
     Draws b random graphs of the estimate's kind and edge count, scores each
     against the truth, and reports the observed value, NC mean, and the
-    fraction of NCs doing at least as well as the estimate.
+    fraction of NCs doing at least as well as the estimate. NC values that
+    are MISSING are dropped.
     """
     if b < 1:
         raise ValueError("need at least one negative control")
@@ -226,7 +234,7 @@ def single_truth_nc(truth, estimate, metric, b=1000, seed=0, sid_cap=10_000):
         else:
             nc = sample_er_cpdag(truth.d, m_est, rng)
         nc = with_labels(nc, truth.labels)
-        nc_values.append(compute_metric(metric, truth, nc, sid_cap).value)
+        nc_values.append(_score(metric, truth, nc, sid_cap))
     usable = [v for v in nc_values if v is not None]
     if not usable:
         raise ValueError("all negative-control values missing")

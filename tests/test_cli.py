@@ -8,6 +8,7 @@ import pytest
 
 import ncbench
 from ncbench.cli import EXIT_INPUT, EXIT_NUMERICAL, main
+from ncbench.metrics import METRIC_NAMES, sid
 
 from conftest import DATA_DIR
 
@@ -158,6 +159,63 @@ class TestCompare:
         )
         assert open(env_path).read() == open(explicit_path).read()
 
+    def test_sid_metrics_reported(self, tmp_path, five_node_truth, five_node_estimate):
+        out_path = str(tmp_path / "sid.json")
+        rc = main(
+            [
+                "compare",
+                "--truth",
+                TRUTH,
+                "--est",
+                EST,
+                "--metrics",
+                "sid_lower,sid_upper",
+                "--nc-reps",
+                "50",
+                "--json",
+                out_path,
+            ]
+        )
+        assert rc == 0
+        payload = json.loads(open(out_path).read())
+        bounds = sid(five_node_truth, five_node_estimate)
+        assert payload["metrics"]["sid_lower"]["observed"] == bounds.lower
+        assert payload["metrics"]["sid_upper"]["observed"] == bounds.upper
+        for name in ("sid_lower", "sid_upper"):
+            assert 0 <= payload["metrics"][name]["p"] <= 1
+            assert payload["metrics"][name]["nc_mean"] > 0
+
+    def test_improper_estimate_gives_missing_sid(self, tmp_path, capsys):
+        # A directed 3-cycle: a CPDAG with no DAG extension.
+        est = tmp_path / "cycle.csv"
+        est.write_text(
+            "from,to,type\nX1,X2,directed\nX2,X3,directed\nX3,X1,directed\nX4,X5,undirected\n"
+        )
+        out_path = str(tmp_path / "cmp.json")
+        rc = main(
+            [
+                "compare",
+                "--truth",
+                TRUTH,
+                "--est",
+                str(est),
+                "--est-kind",
+                "cpdag",
+                "--metrics",
+                "shd,sid_lower,sid_upper",
+                "--nc-reps",
+                "20",
+                "--json",
+                out_path,
+            ]
+        )
+        assert rc == 0
+        payload = json.loads(open(out_path).read())
+        assert payload["metrics"]["sid_lower"] == {"observed": None, "p": None}
+        assert payload["metrics"]["sid_upper"] == {"observed": None, "p": None}
+        assert payload["metrics"]["shd"]["observed"] is not None
+        assert "missing" in capsys.readouterr().out
+
     def test_unknown_metric_rejected(self, capsys):
         rc = main(
             ["compare", "--truth", TRUTH, "--est", EST, "--metrics", "shd,adjacency_precsion"]
@@ -169,13 +227,24 @@ class TestCompare:
 
 
 def test_cli_import_loads_no_scipy():
+    # Neither scipy nor jsonschema: only compare and pipeline validate JSON.
     src = str(Path(ncbench.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, ncbench.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        "import sys, ncbench.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_config_schema_lists_every_metric_name():
+    schema = json.loads(
+        (Path(ncbench.__file__).parent / "schemas" / "pipeline-config.schema.json").read_text()
+    )
+    assert set(schema["properties"]["metrics"]["items"]["enum"]) == METRIC_NAMES
 
 
 class TestPipeline:
@@ -214,6 +283,12 @@ class TestPipeline:
         assert rc == EXIT_INPUT
         err = capsys.readouterr().err
         assert "b" in err
+
+    def test_unknown_metric_in_config_rejected(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, metrics=["shd", "sid_lowr"])
+        rc = main(["pipeline", "--config", cfg, "--out-dir", str(tmp_path / "o")])
+        assert rc == EXIT_INPUT
+        assert "'sid_lowr'" in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = self._config(tmp_path, replications=10)

@@ -18,6 +18,7 @@ from ncbench.graphs import (
     skeleton,
     v_structures,
 )
+from ncbench.random_graphs import RngSeed, sample_er_dag
 
 
 class TestIsAcyclic:
@@ -56,6 +57,23 @@ class TestDagInvariants:
         g = Dag(4, frozenset({(0, 1), (1, 2)}))
         assert g.descendants(0) == {1, 2}
         assert g.descendants(3) == frozenset()
+
+    def test_indexed_queries_match_edge_scans(self):
+        gen = RngSeed(80).generator()
+        for d in range(1, 12):
+            for _ in range(6):
+                g = sample_er_dag(d, int(gen.integers(0, d * (d - 1) // 2 + 1)), gen)
+                for v in range(d):
+                    assert g.parents(v) == frozenset(i for i, j in g.edges if j == v)
+                    assert g.children(v) == frozenset(j for i, j in g.edges if i == v)
+                    # Fixed point of "children of the set found so far".
+                    desc = {j for i, j in g.edges if i == v}
+                    while True:
+                        grown = desc | {j for i, j in g.edges if i in desc}
+                        if grown == desc:
+                            break
+                        desc = grown
+                    assert g.descendants(v) == desc
 
 
 class TestCpdagInvariants:

@@ -22,7 +22,23 @@ from ncbench.metrics import (
     valid_adjustment,
     vstructure_recovery,
 )
-from ncbench.random_graphs import RngSeed, sample_er_dag
+from ncbench.random_graphs import RngSeed, sample_er_cpdag, sample_er_dag
+
+
+def reference_sid(truth, est):
+    """SID by its definition: one valid_adjustment check per ordered pair."""
+    count = 0
+    for i, j in itertools.permutations(range(truth.d), 2):
+        pa = est.parents(i)
+        if j in pa:
+            count += j in truth.descendants(i)
+        else:
+            count += not valid_adjustment(truth, i, j, pa)
+    return count
+
+
+def _reversed(g):
+    return Dag(g.d, frozenset((j, i) for i, j in g.edges))
 
 
 class TestAdjacencyConfusion:
@@ -186,6 +202,40 @@ class TestSid:
                 assert bounds.upper == max(values)
                 for v in values:
                     assert bounds.lower <= v <= bounds.upper
+
+
+class TestSidEquivalence:
+    """The per-node reachability SID equals the per-pair definition."""
+
+    def test_dag_estimates_match_reference(self):
+        gen = RngSeed(70).generator()
+        pairs = 0
+        descendant_parents = 0
+        for d in range(2, 10):
+            m_max = d * (d - 1) // 2
+            for _ in range(25):
+                truth = sample_er_dag(d, int(gen.integers(0, m_max + 1)), gen)
+                est = sample_er_dag(d, int(gen.integers(0, m_max + 1)), gen)
+                for candidate in (est, _reversed(truth)):
+                    expected = reference_sid(truth, candidate)
+                    assert sid(truth, candidate) == SidBounds(expected, expected, True)
+                    pairs += 1
+                    descendant_parents += any(
+                        candidate.parents(i) & truth.descendants(i) for i in range(d)
+                    )
+        assert pairs >= 200
+        # Estimates whose parent set of some node holds a true descendant.
+        assert descendant_parents >= 100
+
+    def test_cpdag_bounds_match_reference_over_extensions(self):
+        gen = RngSeed(71).generator()
+        for d in range(2, 7):
+            m_max = d * (d - 1) // 2
+            for _ in range(10):
+                truth = sample_er_dag(d, int(gen.integers(0, m_max + 1)), gen)
+                cp = sample_er_cpdag(d, int(gen.integers(0, m_max + 1)), gen)
+                values = [reference_sid(truth, ext) for ext in enumerate_extensions(cp)]
+                assert sid(truth, cp) == SidBounds(min(values), max(values), False)
 
 
 class TestFullReport:

@@ -106,6 +106,20 @@ class TestRunStudy:
                 "larger-favorable",
             )
 
+    def test_unscorable_sid_is_missing_not_fatal(self):
+        # Some PC outputs in this regime are improper CPDAGs with no DAG
+        # extension; their SID values become MISSING and the study completes.
+        cfg = PipelineConfig(
+            b=20, d=10, m_true=30, seed=7, metrics=("shd", "sid_lower", "sid_upper")
+        )
+        summary = run_study(cfg).summary
+        for name in ("sid_lower", "sid_upper"):
+            assert summary[name]["algorithm"]["missing"] > 0
+            assert summary[name]["dropped_pairs"] == summary[name]["algorithm"]["missing"]
+        shd_only = run_study(PipelineConfig(b=20, d=10, m_true=30, seed=7, metrics=("shd",)))
+        assert summary["shd"] == shd_only.summary["shd"]
+        assert summary["shd"]["algorithm"]["missing"] == 0
+
     def test_null_calibration(self):
         # "algorithm" that is itself a matched random draw: p-values for SHD
         # should be roughly uniform, so the rejection rate at 0.05 stays near 0.05
