@@ -122,12 +122,7 @@ def cmd_compare(args):
     check_metric_names(metrics)
     truth = _graph_arg(args.truth, args.format, "dag")
     est = align_to(truth, _graph_arg(args.est, args.format, args.est_kind))
-    want_sid = any(name.startswith("sid_") for name in metrics)
-    try:
-        report = full_report(truth, est, include_sid=want_sid)
-    except (GraphError, ExtensionCapExceeded):
-        # Improper CPDAG or too many extensions: the SID rows are MISSING.
-        report = full_report(truth, est)
+    report = full_report(truth, est, metrics)
     out = {
         "schema_version": 1,
         "d": report.d,
@@ -137,12 +132,15 @@ def cmd_compare(args):
         "est_kind": report.est_kind,
         "metrics": {},
     }
+    # A metric undefined for the estimate (0/0, or SID of an improper CPDAG)
+    # is reported MISSING; one set of NC draws scores all the others.
+    defined = [name for name in metrics if report[name].value is not None]
+    rows = single_truth_nc(truth, est, defined, b=args.nc_reps, seed=args.seed) if defined else {}
     for name in metrics:
-        observed = report[name].value if name in report.values else None
-        if observed is None:
+        if name not in rows:
             out["metrics"][name] = {"observed": None, "p": None}
             continue
-        nc = single_truth_nc(truth, est, name, b=args.nc_reps, seed=args.seed)
+        nc = rows[name]
         out["metrics"][name] = {
             "observed": nc["observed"],
             "nc_mean": nc["nc_mean"],

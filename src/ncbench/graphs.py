@@ -282,17 +282,25 @@ def d_connected(parents, children, source, z, stop=None):
 def _meek_close(d, skel, directed):
     """Close a set of directed orientations under the four Meek rules.
 
-    `directed` maps nothing; it is a set of (i, j) orientations over pairs in
-    `skel`. Returns the closed set. Undirected pairs are those in skel with
-    neither orientation present.
+    `skel` is a set of canonical (i < j) pairs and `directed` a set of (i, j)
+    orientations; pairs in skel with neither orientation present are
+    undirected. Returns the closed set. Each half-edge x - y is tested against
+    R1 to R4 in turn, reading per-node parent, child and adjacency sets that
+    grow as orientations are added.
     """
     directed = set(directed)
-
-    def oriented(i, j):
-        return (i, j) in directed
+    adj = [set() for _ in range(d)]
+    for a, b in skel:
+        adj[a].add(b)
+        adj[b].add(a)
+    pa = [set() for _ in range(d)]
+    ch = [set() for _ in range(d)]
+    for i, j in directed:
+        ch[i].add(j)
+        pa[j].add(i)
 
     def und(i, j):
-        return _adjacent(skel, i, j) and not oriented(i, j) and not oriented(j, i)
+        return j in adj[i] and j not in ch[i] and j not in pa[i]
 
     half_edges = [(a, b) for (a, b) in skel] + [(b, a) for (a, b) in skel]
     changed = True
@@ -301,41 +309,29 @@ def _meek_close(d, skel, directed):
         for x, y in half_edges:
             if not und(x, y):
                 continue
-            orient = False
+            adj_y, pa_y = adj[y], pa[y]
             # R1: z -> x - y with z, y non-adjacent  =>  x -> y
             # (y -> x would create a new v-structure at x)
-            for z in range(d):
-                if oriented(z, x) and z != y and not _adjacent(skel, z, y):
-                    orient = True
-                    break
+            orient = any(z != y and z not in adj_y for z in pa[x])
             # R2: x -> z -> y with x - y  =>  x -> y  (y -> x would be a cycle)
             if not orient:
-                for z in range(d):
-                    if oriented(x, z) and oriented(z, y):
-                        orient = True
-                        break
+                orient = not ch[x].isdisjoint(pa_y)
             # R3: x - z1 -> y, x - z2 -> y, z1, z2 non-adjacent  =>  x -> y
             if not orient:
-                pointing = [z for z in range(d) if oriented(z, y) and und(x, z)]
-                for z1, z2 in itertools.combinations(pointing, 2):
-                    if not _adjacent(skel, z1, z2):
-                        orient = True
-                        break
+                pointing = [z for z in pa_y if und(x, z)]
+                orient = any(
+                    z2 not in adj[z1] for z1, z2 in itertools.combinations(pointing, 2)
+                )
             # R4: x ~ z1, z1 -> z2 -> y with z1, y non-adjacent  =>  x -> y
             if not orient:
-                for z1 in range(d):
-                    if z1 in (x, y) or not _adjacent(skel, x, z1):
-                        continue
-                    if _adjacent(skel, z1, y):
-                        continue
-                    for z2 in range(d):
-                        if oriented(z1, z2) and oriented(z2, y):
-                            orient = True
-                            break
-                    if orient:
-                        break
+                orient = any(
+                    z1 != y and z1 not in adj_y and not ch[z1].isdisjoint(pa_y)
+                    for z1 in adj[x]
+                )
             if orient:
                 directed.add((x, y))
+                ch[x].add(y)
+                pa_y.add(x)
                 changed = True
     return directed
 

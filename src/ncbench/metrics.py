@@ -3,12 +3,12 @@ v-structure recovery, and SID with bounds for CPDAG estimates."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .graphs import (
     Cpdag,
     Dag,
+    ExtensionCapExceeded,
     GraphError,
     d_connected,
     d_separated,
@@ -21,15 +21,18 @@ from .hypergeom import METRICS, ConfusionCounts, MetricValue, metric_from_counts
 # Direction conventions for negative-control comparisons.
 SMALLER_IS_BETTER = frozenset({"shd", "sid_lower", "sid_upper"})
 
-# Every name compute_metric evaluates.
-METRIC_NAMES = frozenset(
-    {"shd", "vstructure_recovery", "sid_lower", "sid_upper"}
-    | {f"{kind}_{metric}" for kind in ("adjacency", "orientation") for metric in METRICS}
+# Every name full_report evaluates, in report order; the SID bounds come last.
+_REPORT_NAMES = (
+    *(f"{kind}_{metric}" for kind in ("adjacency", "orientation") for metric in METRICS),
+    "shd",
+    "vstructure_recovery",
 )
+_SID_NAMES = ("sid_lower", "sid_upper")
+METRIC_NAMES = frozenset(_REPORT_NAMES + _SID_NAMES)
 
 
 def check_metric_names(names):
-    """Raise ValueError naming the first name compute_metric does not know."""
+    """Raise ValueError naming the first name full_report does not know."""
     for name in names:
         if name not in METRIC_NAMES:
             raise ValueError(f"unknown metric {name!r}")
@@ -70,18 +73,6 @@ def _check_pair(truth, est):
         raise GraphError("node label mismatch between truth and estimate")
 
 
-def adjacency_confusion(truth, est):
-    """Classify all d(d-1)/2 unordered pairs by skeleton membership."""
-    _check_pair(truth, est)
-    m_max = truth.d * (truth.d - 1) // 2
-    skel_t = skeleton(truth)
-    skel_e = skeleton(est)
-    tp = len(skel_t & skel_e)
-    fp = len(skel_e - skel_t)
-    fn = len(skel_t - skel_e)
-    return ConfusionCounts(tp, fp, fn, m_max - tp - fp - fn)
-
-
 def _endpoint_marks(g, i, j):
     """Marks at (i, j)'s two endpoints: 'arrow' or 'tail' at i and at j."""
     directed = g.edges if isinstance(g, Dag) else g.directed
@@ -92,6 +83,47 @@ def _endpoint_marks(g, i, j):
     return "tail", "tail"
 
 
+def _compare_pairs(truth, est):
+    """(adjacency confusion, orientation confusion, SHD) from one pass over
+    the pairs adjacent in both skeletons.
+
+    A pair adjacent in one skeleton only costs SHD one unit; a pair adjacent
+    in both costs one unit iff its endpoint marks differ, which is exactly a
+    directed-vs-reversed or directed-vs-undirected mismatch.
+    """
+    _check_pair(truth, est)
+    skel_t = skeleton(truth)
+    skel_e = skeleton(est)
+    common = skel_t & skel_e
+    tp = len(common)
+    fp = len(skel_e) - tp
+    fn = len(skel_t) - tp
+    m_max = truth.d * (truth.d - 1) // 2
+    adjacency = ConfusionCounts(tp, fp, fn, m_max - tp - fp - fn)
+    o_tp = o_fp = o_fn = o_tn = 0
+    mismatched = 0
+    for i, j in common:
+        marks_t = _endpoint_marks(truth, i, j)
+        marks_e = _endpoint_marks(est, i, j)
+        mismatched += marks_t != marks_e
+        for mt, me in zip(marks_t, marks_e):
+            if mt == "arrow" and me == "arrow":
+                o_tp += 1
+            elif mt == "tail" and me == "tail":
+                o_tn += 1
+            elif me == "arrow":
+                o_fp += 1
+            else:
+                o_fn += 1
+    orientation = ConfusionCounts(o_tp, o_fp, o_fn, o_tn)
+    return adjacency, orientation, fp + fn + mismatched
+
+
+def adjacency_confusion(truth, est):
+    """Classify all d(d-1)/2 unordered pairs by skeleton membership."""
+    return _compare_pairs(truth, est)[0]
+
+
 def orientation_confusion(truth, est):
     """Endpoint classification over edges present in both skeletons.
 
@@ -99,47 +131,13 @@ def orientation_confusion(truth, est):
     tail: FP; estimated tail over a true arrowhead: FN. Undirected CPDAG
     edges contribute two tails.
     """
-    _check_pair(truth, est)
-    tp = fp = fn = tn = 0
-    for i, j in skeleton(truth) & skeleton(est):
-        marks_t = _endpoint_marks(truth, i, j)
-        marks_e = _endpoint_marks(est, i, j)
-        for mt, me in zip(marks_t, marks_e):
-            if mt == "arrow" and me == "arrow":
-                tp += 1
-            elif mt == "tail" and me == "tail":
-                tn += 1
-            elif me == "arrow":
-                fp += 1
-            else:
-                fn += 1
-    return ConfusionCounts(tp, fp, fn, tn)
-
-
-def _edge_type(g, pair):
-    """None, 'undirected', or the ordered pair for a directed edge."""
-    i, j = pair
-    directed = g.edges if isinstance(g, Dag) else g.directed
-    if (i, j) in directed:
-        return (i, j)
-    if (j, i) in directed:
-        return (j, i)
-    if not isinstance(g, Dag) and pair in g.undirected:
-        return "undirected"
-    return None
+    return _compare_pairs(truth, est)[1]
 
 
 def shd(truth, est):
     """Structural Hamming distance: unit cost per addition, removal, or
     orientation mismatch (directed-vs-reversed or directed-vs-undirected)."""
-    _check_pair(truth, est)
-    dist = 0
-    for pair in itertools.combinations(range(truth.d), 2):
-        a = _edge_type(truth, pair)
-        b = _edge_type(est, pair)
-        if a != b:
-            dist += 1
-    return dist
+    return _compare_pairs(truth, est)[2]
 
 
 def vstructure_recovery(truth, est):
@@ -220,46 +218,46 @@ def sid(truth, est, cap=10_000):
     return SidBounds(min(values), max(values), False)
 
 
-def full_report(truth, est, include_sid=False, sid_cap=10_000):
-    """All comparison metrics for one truth/estimate pair."""
-    _check_pair(truth, est)
+def full_report(truth, est, metrics=None, include_sid=False, sid_cap=10_000):
+    """Named metric values for one truth/estimate pair, each computed once.
+
+    `metrics` lists the names to report; the default is every name except the
+    SID bounds, which include_sid adds. Both confusion tables and SHD come
+    from one pass over the skeletons, and sid() runs at most once for both
+    bounds. When the estimate has no DAG extension, or more than sid_cap of
+    them, the SID values are MISSING and every other value is kept.
+    """
+    if metrics is None:
+        metrics = _REPORT_NAMES + (_SID_NAMES if include_sid else ())
+    check_metric_names(metrics)
+    adjacency, orientation, distance = _compare_pairs(truth, est)
+    confusions = {"adjacency": adjacency, "orientation": orientation}
+    bounds = None
+    if any(name in _SID_NAMES for name in metrics):
+        try:
+            bounds = sid(truth, est, sid_cap)
+        except (GraphError, ExtensionCapExceeded):
+            pass
     values = {}
-    adj = adjacency_confusion(truth, est)
-    for metric in METRICS:
-        values[f"adjacency_{metric}"] = metric_from_counts(metric, adj)
-    ori = orientation_confusion(truth, est)
-    for metric in ("precision", "recall"):
-        mv = metric_from_counts(metric, ori)
-        values[f"orientation_{metric}"] = MetricValue(f"orientation_{metric}", mv.value)
-    values["shd"] = MetricValue("shd", float(shd(truth, est)))
-    values["vstructure_recovery"] = vstructure_recovery(truth, est)
-    if include_sid:
-        bounds = sid(truth, est, sid_cap)
-        values["sid_lower"] = MetricValue("sid_lower", float(bounds.lower))
-        values["sid_upper"] = MetricValue("sid_upper", float(bounds.upper))
+    for name in metrics:
+        if name == "shd":
+            value = float(distance)
+        elif name == "vstructure_recovery":
+            value = vstructure_recovery(truth, est).value
+        elif name in _SID_NAMES:
+            if bounds is None:
+                value = None
+            else:
+                value = float(bounds.lower if name == "sid_lower" else bounds.upper)
+        else:
+            kind, metric = name.split("_", 1)
+            value = metric_from_counts(metric, confusions[kind]).value
+        values[name] = MetricValue(name, value)
     return MetricReport(
         values=values,
         d=truth.d,
-        m_true=len(skeleton(truth)),
-        m_est=len(skeleton(est)),
+        m_true=adjacency.tp + adjacency.fn,
+        m_est=adjacency.tp + adjacency.fp,
         truth_kind="dag" if isinstance(truth, Dag) else "cpdag",
         est_kind="dag" if isinstance(est, Dag) else "cpdag",
     )
-
-
-def compute_metric(name, truth, est, sid_cap=10_000):
-    """Evaluate a single named metric (one of full_report's keys)."""
-    if name == "shd":
-        return MetricValue("shd", float(shd(truth, est)))
-    if name == "vstructure_recovery":
-        return vstructure_recovery(truth, est)
-    if name.startswith("adjacency_"):
-        mv = metric_from_counts(name.removeprefix("adjacency_"), adjacency_confusion(truth, est))
-        return MetricValue(name, mv.value)
-    if name.startswith("orientation_"):
-        mv = metric_from_counts(name.removeprefix("orientation_"), orientation_confusion(truth, est))
-        return MetricValue(name, mv.value)
-    if name in ("sid_lower", "sid_upper"):
-        bounds = sid(truth, est, sid_cap)
-        return MetricValue(name, float(bounds.lower if name == "sid_lower" else bounds.upper))
-    raise ValueError(f"unknown metric {name!r}")

@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Cpdag, Dag, ExtensionCapExceeded, GraphError, skeleton, with_labels
-from .hypergeom import MetricValue
-from .metrics import SMALLER_IS_BETTER, check_metric_names, compute_metric
+from . import metrics as _metrics
+from .graphs import Cpdag, Dag, skeleton, with_labels
+from .metrics import SMALLER_IS_BETTER, check_metric_names
 from .pc import PcConfig, pc
 from .random_graphs import RngSeed, sample_er_cpdag, sample_er_dag
 from .sem import SemConfig, draw_sem, simulate
@@ -132,13 +132,11 @@ def _summarize(values):
     }
 
 
-def _score(name, truth, est, sid_cap):
-    """One metric value, or None (MISSING) when the estimate cannot be scored:
-    an improper CPDAG or an equivalence class above the extension cap."""
-    try:
-        return compute_metric(name, truth, est, sid_cap).value
-    except (GraphError, ExtensionCapExceeded):
-        return None
+def _values(truth, est, metrics, sid_cap):
+    """{name: value or None (MISSING)} for one scoring pass. Called through
+    the metrics module so that a wrapper on metrics.full_report sees it."""
+    report = _metrics.full_report(truth, est, metrics, sid_cap=sid_cap)
+    return {name: mv.value for name, mv in report.values.items()}
 
 
 def run_study(cfg):
@@ -168,9 +166,7 @@ def run_study(cfg):
         data = simulate(model, cfg.n, rep_rng)
         estimate = algorithm(data, pc_cfg)
         m_est = len(skeleton(estimate))
-        algo_values = {
-            name: _score(name, truth, estimate, cfg.sid_cap) for name in cfg.metrics
-        }
+        algo_values = _values(truth, estimate, cfg.metrics, cfg.sid_cap)
         replications.append(
             Replication(i, truth, estimate, None, m_est, algo_values, {})
         )
@@ -186,9 +182,7 @@ def run_study(cfg):
         else:
             nc = sample_er_cpdag(cfg.d, m_nc, nc_rng)
         rep.nc = nc
-        rep.nc_values = {
-            name: _score(name, rep.truth, nc, cfg.sid_cap) for name in cfg.metrics
-        }
+        rep.nc_values = _values(rep.truth, nc, cfg.metrics, cfg.sid_cap)
 
     summary = {}
     for name in cfg.metrics:
@@ -209,24 +203,27 @@ def run_study(cfg):
     return StudyResult(cfg, replications, summary)
 
 
-def single_truth_nc(truth, estimate, metric, b=1000, seed=0, sid_cap=10_000):
+def single_truth_nc(truth, estimate, metrics, b=1000, seed=0, sid_cap=10_000):
     """Negative-control evaluation against a single known truth.
 
     Draws b random graphs of the estimate's kind and edge count, scores each
-    against the truth, and reports the observed value, NC mean, and the
-    fraction of NCs doing at least as well as the estimate. NC values that
-    are MISSING are dropped.
+    against the truth once for every name in `metrics`, and returns
+    {name: row}. A row holds the observed value, the NC mean and 95% interval,
+    and the fraction of NCs doing at least as well as the estimate. MISSING
+    NC values are dropped; a metric MISSING on every draw gets no mean,
+    interval or p. Raises ValueError when a metric is undefined for the
+    estimate itself.
     """
     if b < 1:
         raise ValueError("need at least one negative control")
-    observed = compute_metric(metric, truth, estimate, sid_cap).value
-    if observed is None:
-        raise ValueError(f"{metric} is undefined for the observed estimate")
+    observed = _values(truth, estimate, metrics, sid_cap)
+    for name in metrics:
+        if observed[name] is None:
+            raise ValueError(f"{name} is undefined for the observed estimate")
     m_est = len(skeleton(estimate))
     kind = "dag" if isinstance(estimate, Dag) else "cpdag"
     master = RngSeed(seed)
-    direction = _metric_direction(metric)
-    nc_values = []
+    nc_values = {name: [] for name in metrics}
     for i in range(b):
         rng = master.child(i)
         if kind == "dag":
@@ -234,25 +231,25 @@ def single_truth_nc(truth, estimate, metric, b=1000, seed=0, sid_cap=10_000):
         else:
             nc = sample_er_cpdag(truth.d, m_est, rng)
         nc = with_labels(nc, truth.labels)
-        nc_values.append(_score(metric, truth, nc, sid_cap))
-    usable = [v for v in nc_values if v is not None]
-    if not usable:
-        raise ValueError("all negative-control values missing")
-    if direction == "smaller-favorable":
-        hits = sum(v <= observed for v in usable)
-    else:
-        hits = sum(v >= observed for v in usable)
-    return {
-        "metric": metric,
-        "observed": observed,
-        "m_est": m_est,
-        "nc_kind": kind,
-        "nc_mean": float(np.mean(usable)),
-        "nc_ci": [
-            float(np.quantile(usable, 0.025)),
-            float(np.quantile(usable, 0.975)),
-        ],
-        "p": hits / len(usable),
-        "dropped": len(nc_values) - len(usable),
-        "direction": direction,
-    }
+        for name, value in _values(truth, nc, metrics, sid_cap).items():
+            nc_values[name].append(value)
+    rows = {}
+    for name in metrics:
+        direction = _metric_direction(name)
+        nc = _summarize(nc_values[name])
+        try:
+            p, _ = paired_p([observed[name]] * b, nc_values[name], direction)
+        except ValueError:
+            p = None  # MISSING on every draw
+        rows[name] = {
+            "metric": name,
+            "observed": observed[name],
+            "m_est": m_est,
+            "nc_kind": kind,
+            "nc_mean": nc["mean"],
+            "nc_ci": nc["ci"],
+            "p": p,
+            "dropped": nc["missing"],
+            "direction": direction,
+        }
+    return rows

@@ -233,7 +233,7 @@ def test_criterion_09_sachs_fixtures(capsys):
     est = align_to(
         truth, parse_graph(GraphFile(f"{DATA_DIR}/sachs_pc_estimate.csv", kind="cpdag"))
     )
-    nc = single_truth_nc(truth, est, "shd", b=1000, seed=5)
+    nc = single_truth_nc(truth, est, ("shd",), b=1000, seed=5)["shd"]
     elapsed = time.perf_counter() - start
     checks = [
         shd(truth, empty) == 20,

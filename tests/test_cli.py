@@ -8,7 +8,8 @@ import pytest
 
 import ncbench
 from ncbench.cli import EXIT_INPUT, EXIT_NUMERICAL, main
-from ncbench.metrics import METRIC_NAMES, sid
+from ncbench.hypergeom import metric_from_counts
+from ncbench.metrics import METRIC_NAMES, orientation_confusion, sid
 
 from conftest import DATA_DIR
 
@@ -184,6 +185,18 @@ class TestCompare:
         for name in ("sid_lower", "sid_upper"):
             assert 0 <= payload["metrics"][name]["p"] <= 1
             assert payload["metrics"][name]["nc_mean"] > 0
+
+    def test_orientation_metrics_reported(self, tmp_path, five_node_truth, five_node_estimate):
+        out_path = str(tmp_path / "ori.json")
+        names = ("orientation_f1", "orientation_npv", "orientation_specificity")
+        args = ["compare", "--truth", TRUTH, "--est", EST, "--metrics", ",".join(names)]
+        assert main(args + ["--nc-reps", "50", "--json", out_path]) == 0
+        payload = json.loads(open(out_path).read())
+        ori = orientation_confusion(five_node_truth, five_node_estimate)
+        for name in names:
+            expected = metric_from_counts(name.removeprefix("orientation_"), ori).value
+            assert payload["metrics"][name]["observed"] == expected
+            assert payload["metrics"][name]["p"] is not None
 
     def test_improper_estimate_gives_missing_sid(self, tmp_path, capsys):
         # A directed 3-cycle: a CPDAG with no DAG extension.

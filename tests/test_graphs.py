@@ -10,6 +10,7 @@ from ncbench.graphs import (
     ExtensionCapExceeded,
     GraphError,
     VStructure,
+    _meek_close,
     all_dags,
     d_separated,
     dag_to_cpdag,
@@ -251,6 +252,92 @@ class TestDagToCpdag:
             directed, undirected = brute_force_cpdag(g, population)
             assert cp.directed == directed
             assert cp.undirected == undirected
+
+
+def reference_meek_close(d, skel, directed):
+    """The Meek closure by a scan over all d nodes per rule: the reference
+    for the indexed _meek_close, which must make every decision in the same
+    order and so return the same set for any input."""
+    directed = set(directed)
+
+    def adjacent(i, j):
+        return (min(i, j), max(i, j)) in skel
+
+    def oriented(i, j):
+        return (i, j) in directed
+
+    def und(i, j):
+        return adjacent(i, j) and not oriented(i, j) and not oriented(j, i)
+
+    half_edges = [(a, b) for (a, b) in skel] + [(b, a) for (a, b) in skel]
+    changed = True
+    while changed:
+        changed = False
+        for x, y in half_edges:
+            if not und(x, y):
+                continue
+            orient = False
+            for z in range(d):  # R1
+                if oriented(z, x) and z != y and not adjacent(z, y):
+                    orient = True
+                    break
+            if not orient:  # R2
+                for z in range(d):
+                    if oriented(x, z) and oriented(z, y):
+                        orient = True
+                        break
+            if not orient:  # R3
+                pointing = [z for z in range(d) if oriented(z, y) and und(x, z)]
+                for z1, z2 in itertools.combinations(pointing, 2):
+                    if not adjacent(z1, z2):
+                        orient = True
+                        break
+            if not orient:  # R4
+                for z1 in range(d):
+                    if z1 in (x, y) or not adjacent(x, z1) or adjacent(z1, y):
+                        continue
+                    for z2 in range(d):
+                        if oriented(z1, z2) and oriented(z2, y):
+                            orient = True
+                            break
+                    if orient:
+                        break
+            if orient:
+                directed.add((x, y))
+                changed = True
+    return directed
+
+
+class TestMeekClose:
+    def test_matches_node_scan_reference(self):
+        # Random skeletons with random partial orientations: consistent or
+        # not (cycles, both orientations of a pair), plus v-structure seeds
+        # as dag_to_cpdag and enumerate_extensions pass them.
+        gen = RngSeed(91).generator()
+        closed_more = 0
+        for trial in range(2400):
+            d = 2 + trial % 12
+            m_max = d * (d - 1) // 2
+            g = sample_er_dag(d, int(gen.integers(0, m_max + 1)), gen)
+            skel = skeleton(g)
+            if trial % 3 == 0:
+                seed_edges = {(vs.a, vs.b) for vs in v_structures(g)}
+                seed_edges |= {(vs.c, vs.b) for vs in v_structures(g)}
+            else:
+                keep = gen.random()
+                seed_edges = set()
+                for i, j in sorted(skel):
+                    u = gen.random()
+                    if u < keep / 2:
+                        seed_edges.add((i, j))
+                    elif u < keep:
+                        seed_edges.add((j, i))
+                    elif u < keep + 0.05:
+                        seed_edges |= {(i, j), (j, i)}
+            closed = _meek_close(d, skel, seed_edges)
+            assert closed == reference_meek_close(d, skel, seed_edges)
+            closed_more += closed != seed_edges
+        assert closed_more > 500  # the rules fired, not just passed inputs through
 
 
 class TestEnumerateExtensions:

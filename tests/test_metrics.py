@@ -11,10 +11,10 @@ from ncbench.graphs import (
     enumerate_extensions,
     skeleton,
 )
+from ncbench import metrics
 from ncbench.metrics import (
     SidBounds,
     adjacency_confusion,
-    compute_metric,
     full_report,
     orientation_confusion,
     shd,
@@ -22,6 +22,7 @@ from ncbench.metrics import (
     valid_adjustment,
     vstructure_recovery,
 )
+from ncbench.hypergeom import metric_from_counts
 from ncbench.random_graphs import RngSeed, sample_er_cpdag, sample_er_dag
 
 
@@ -114,6 +115,27 @@ class TestShd:
         a = Dag(2, frozenset({(0, 1)}))
         b = Cpdag(2, frozenset(), frozenset({(0, 1)}))
         assert shd(a, b) == 1
+
+    def test_matches_per_pair_reference(self):
+        # SHD by its definition: compare the edge type of every node pair.
+        def edge_type(g, i, j):
+            directed = g.edges if isinstance(g, Dag) else g.directed
+            if (i, j) in directed or (j, i) in directed:
+                return (i, j) if (i, j) in directed else (j, i)
+            return "undirected" if (i, j) in skeleton(g) else None
+
+        gen = RngSeed(42).generator()
+        for _ in range(200):
+            d = int(gen.integers(2, 9))
+            m_max = d * (d - 1) // 2
+            a = sample_er_dag(d, int(gen.integers(0, m_max + 1)), gen)
+            b = sample_er_cpdag(d, int(gen.integers(0, m_max + 1)), gen)
+            for x, y in ((a, b), (b, a), (a, dag_to_cpdag(a))):
+                expected = sum(
+                    edge_type(x, i, j) != edge_type(y, i, j)
+                    for i, j in itertools.combinations(range(d), 2)
+                )
+                assert shd(x, y) == expected
 
     def test_axioms_on_random_triples(self):
         gen = RngSeed(40).generator()
@@ -258,6 +280,35 @@ class TestFullReport:
         assert rep["adjacency_recall"].value == 0.0
 
 
-def test_compute_metric_unknown_name(five_node_truth):
+    def test_sid_enumerates_once_for_both_bounds(self, five_node_truth, monkeypatch):
+        calls = []
+        original = metrics.enumerate_extensions
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "enumerate_extensions", counting)
+        est = dag_to_cpdag(five_node_truth)
+        rep = full_report(five_node_truth, est, ("sid_lower", "sid_upper"))
+        assert len(calls) == 1
+        bounds = sid(five_node_truth, est)
+        assert (rep["sid_lower"].value, rep["sid_upper"].value) == (bounds.lower, bounds.upper)
+
+    def test_sid_failure_leaves_other_values(self, five_node_truth):
+        cycle = Cpdag(5, frozenset({(0, 1), (1, 2), (2, 0)}), frozenset({(3, 4)}))
+        rep = full_report(five_node_truth, cycle, ("shd", "sid_lower", "sid_upper"))
+        assert rep["sid_lower"].missing and rep["sid_upper"].missing
+        assert rep["shd"].value == float(shd(five_node_truth, cycle))
+
+    def test_requested_names_in_order(self, five_node_truth, five_node_estimate):
+        names = ("shd", "orientation_npv", "adjacency_f1")
+        rep = full_report(five_node_truth, five_node_estimate, names)
+        assert tuple(rep.values) == names
+        ori = orientation_confusion(five_node_truth, five_node_estimate)
+        assert rep["orientation_npv"].value == metric_from_counts("npv", ori).value
+
+
+def test_full_report_unknown_name(five_node_truth):
     with pytest.raises(ValueError):
-        compute_metric("nope", five_node_truth, five_node_truth)
+        full_report(five_node_truth, five_node_truth, ("nope",))

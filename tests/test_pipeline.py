@@ -1,10 +1,13 @@
 import json
 
 import jsonschema
+import numpy as np
 import pytest
 
-from ncbench.graphs import Dag, skeleton
+from ncbench.graphs import Dag, skeleton, with_labels
 from ncbench.hypergeom import HyperParams, expected_metric
+from ncbench.io import GraphFile, align_to, parse_graph
+from ncbench.metrics import SMALLER_IS_BETTER, full_report
 from ncbench.pipeline import (
     DEFAULT_METRICS,
     PipelineConfig,
@@ -13,7 +16,9 @@ from ncbench.pipeline import (
     single_truth_nc,
 )
 from ncbench.cli import _load_schema
-from ncbench.random_graphs import RngSeed, sample_er_dag
+from ncbench.random_graphs import RngSeed, sample_er_cpdag, sample_er_dag
+
+from conftest import DATA_DIR
 
 
 class TestPairedP:
@@ -148,31 +153,31 @@ class TestRunStudy:
 
 class TestSingleTruthNc:
     def test_perfect_estimate_small_p(self, five_node_truth):
-        out = single_truth_nc(five_node_truth, five_node_truth, "shd", b=200, seed=1)
+        out = single_truth_nc(five_node_truth, five_node_truth, ("shd",), b=200, seed=1)["shd"]
         assert out["observed"] == 0.0
         assert out["p"] < 0.05
 
     def test_nc_mean_matches_exact_null(self, five_node_truth, five_node_estimate):
         # adjacency recall of a matched random DAG has closed-form mean m_est/m_max
         out = single_truth_nc(
-            five_node_truth, five_node_estimate, "adjacency_recall", b=2000, seed=2
-        )
+            five_node_truth, five_node_estimate, ("adjacency_recall",), b=2000, seed=2
+        )["adjacency_recall"]
         expected = expected_metric("recall", HyperParams(10, 8, 7))
         assert out["nc_mean"] == pytest.approx(expected, abs=0.02)
         assert out["m_est"] == 7
 
     def test_determinism(self, five_node_truth, five_node_estimate):
-        a = single_truth_nc(five_node_truth, five_node_estimate, "shd", b=50, seed=3)
-        b = single_truth_nc(five_node_truth, five_node_estimate, "shd", b=50, seed=3)
+        a = single_truth_nc(five_node_truth, five_node_estimate, ("shd",), b=50, seed=3)["shd"]
+        b = single_truth_nc(five_node_truth, five_node_estimate, ("shd",), b=50, seed=3)["shd"]
         assert a == b
 
     def test_bad_b(self, five_node_truth):
         with pytest.raises(ValueError):
-            single_truth_nc(five_node_truth, five_node_truth, "shd", b=0)
+            single_truth_nc(five_node_truth, five_node_truth, ("shd",), b=0)
 
     def test_missing_observed_raises(self, five_node_truth):
         with pytest.raises(ValueError):
-            single_truth_nc(five_node_truth, Dag(5), "adjacency_precision", b=10)
+            single_truth_nc(five_node_truth, Dag(5), ("adjacency_precision",), b=10)
 
     def test_labeled_truth(self, five_node_truth, five_node_estimate):
         from ncbench.graphs import with_labels
@@ -181,11 +186,63 @@ class TestSingleTruthNc:
         out = single_truth_nc(
             with_labels(five_node_truth, labels),
             with_labels(five_node_estimate, labels),
-            "shd",
+            ("shd",),
             b=50,
             seed=4,
-        )
+        )["shd"]
         plain = single_truth_nc(
-            five_node_truth, five_node_estimate, "shd", b=50, seed=4
-        )
+            five_node_truth, five_node_estimate, ("shd",), b=50, seed=4
+        )["shd"]
         assert out == plain
+
+    def test_all_missing_metric_keeps_the_others(self):
+        # The one NC edge of seed 0 is 2 -> 0, which misses the pair (0, 1), so
+        # no orientation is shared and orientation precision is 0/0.
+        truth = Dag(4, frozenset({(0, 1)}))
+        assert skeleton(sample_er_dag(4, 1, RngSeed(0).child(0))) != skeleton(truth)
+        out = single_truth_nc(truth, truth, ("orientation_precision", "shd"), b=1, seed=0)
+        row = out["orientation_precision"]
+        assert row["observed"] == 1.0
+        assert (row["nc_mean"], row["nc_ci"], row["p"], row["dropped"]) == (
+            None,
+            [None, None],
+            None,
+            1,
+        )
+        assert out["shd"]["p"] == 0.0 and out["shd"]["dropped"] == 0
+
+
+def per_metric_nc(truth, est, name, b, seed):
+    """One metric's single-truth NC row from its own b draws, scored one name
+    at a time: the reference for the shared draws of single_truth_nc."""
+    observed = full_report(truth, est, (name,))[name].value
+    m_est = len(skeleton(est))
+    values = []
+    for i in range(b):
+        nc = with_labels(sample_er_cpdag(truth.d, m_est, RngSeed(seed).child(i)), truth.labels)
+        values.append(full_report(truth, nc, (name,))[name].value)
+    usable = [v for v in values if v is not None]
+    if name in SMALLER_IS_BETTER:
+        hits = sum(v <= observed for v in usable)
+    else:
+        hits = sum(v >= observed for v in usable)
+    return {
+        "observed": observed,
+        "nc_mean": float(np.mean(usable)),
+        "nc_ci": [float(np.quantile(usable, 0.025)), float(np.quantile(usable, 0.975))],
+        "p": hits / len(usable),
+        "dropped": b - len(usable),
+    }
+
+
+def test_shared_draws_match_per_metric_draws():
+    truth = parse_graph(GraphFile(f"{DATA_DIR}/sachs_truth.csv"))
+    est = align_to(
+        truth, parse_graph(GraphFile(f"{DATA_DIR}/sachs_pc_estimate.csv", kind="cpdag"))
+    )
+    names = DEFAULT_METRICS + ("sid_lower", "sid_upper")
+    out = single_truth_nc(truth, est, names, b=200, seed=11)
+    assert list(out) == list(names)
+    for name in names:
+        row = {key: out[name][key] for key in ("observed", "nc_mean", "nc_ci", "p", "dropped")}
+        assert row == per_metric_nc(truth, est, name, b=200, seed=11), name
