@@ -24,6 +24,7 @@ from .hypergeom import (
     metric_quantile,
     pmf,
     quantile,
+    skeleton_fit_log10_p,
     skeleton_fit_test,
 )
 from .io import GraphFile, ParseError, parse_graph, write_graph

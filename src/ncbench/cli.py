@@ -100,8 +100,9 @@ def cmd_fit_test(args):
     m_est = len(skeleton(est))
     params = hg.HyperParams(m_max, m_true, m_est)
     p = hg.skeleton_fit_test(conf.tp, params)
+    log10_p = hg.skeleton_fit_log10_p(conf.tp, params)
     print(f"m_max={m_max} m_true={m_true} m_est={m_est} tp_obs={conf.tp}")
-    print(f"p = {p:.6g}")
+    print(f"p = {p:.6g} log10_p = {log10_p:.6g}")
     if args.json:
         _write_json(
             args.json,
@@ -112,6 +113,7 @@ def cmd_fit_test(args):
                 "m_est": m_est,
                 "tp_obs": conf.tp,
                 "p": p,
+                "log10_p": log10_p,
             },
         )
     return 0

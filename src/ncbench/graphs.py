@@ -413,10 +413,10 @@ def enumerate_extensions(p, cap=10_000):
 
 
 def with_labels(g, labels):
-    """Same graph structure with a different label tuple."""
+    """Same graph structure with a different label tuple; None gives the defaults."""
     if isinstance(g, Dag):
-        return Dag(g.d, g.edges, tuple(labels))
-    return Cpdag(g.d, g.directed, g.undirected, tuple(labels))
+        return Dag(g.d, g.edges, labels)
+    return Cpdag(g.d, g.directed, g.undirected, labels)
 
 
 def all_dags(d):

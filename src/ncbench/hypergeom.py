@@ -3,17 +3,14 @@
 Conditional on (m_max, m_true, m_est) the TP count of a uniformly placed
 skeleton follows HyperGeom(m_max, m_true, m_est). Everything here is exact:
 closed-form expectations, quantile transforms for the five adjacency
-metrics, and the one-sided skeleton-fit test.
+metrics, and the one-sided skeleton-fit test, each float a correctly rounded
+ratio of integers at every size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-
-# Exact integer arithmetic below this; log-factorial accumulation above.
-_EXACT_LIMIT = 60
 
 METRICS = ("precision", "recall", "f1", "npv", "specificity")
 
@@ -73,52 +70,40 @@ class MetricValue:
         return self.value is None
 
 
-def _log_comb(n, k):
-    if k < 0 or k > n:
-        return -math.inf
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+def _terms(p, stop):
+    """Yield (k, C(m_max, m_est) * P(TP = k)) for support points k < stop, exactly."""
+    other, lo = p.m_max - p.m_true, p.support.start
+    a, b = math.comb(p.m_true, lo), math.comb(other, p.m_est - lo)
+    for k in range(lo, min(stop, p.support.stop)):
+        yield k, a * b
+        # C(n, i) * (n - i) == C(n, i + 1) * (i + 1), so each // is exact.
+        a = a * (p.m_true - k) // (k + 1)
+        b = b * (p.m_est - k) // (other - p.m_est + k + 1)
 
 
 def pmf(k, p):
     """P(TP = k) under HyperGeom(m_max, m_true, m_est); 0 outside the support."""
     if k not in p.support:
         return 0.0
-    if p.m_max <= _EXACT_LIMIT:
-        num = math.comb(p.m_true, k) * math.comb(p.m_max - p.m_true, p.m_est - k)
-        return float(Fraction(num, math.comb(p.m_max, p.m_est)))
-    logp = (
-        _log_comb(p.m_true, k)
-        + _log_comb(p.m_max - p.m_true, p.m_est - k)
-        - _log_comb(p.m_max, p.m_est)
-    )
-    return math.exp(logp)
+    num = math.comb(p.m_true, k) * math.comb(p.m_max - p.m_true, p.m_est - k)
+    return num / math.comb(p.m_max, p.m_est)
 
 
 def cdf(k, p):
     """P(TP <= k)."""
-    if k < p.support.start:
-        return 0.0
-    if k >= p.support.stop - 1:
-        return 1.0
-    if p.m_max <= _EXACT_LIMIT:
-        denom = math.comb(p.m_max, p.m_est)
-        num = sum(
-            math.comb(p.m_true, i) * math.comb(p.m_max - p.m_true, p.m_est - i)
-            for i in p.support
-            if i <= k
-        )
-        return float(Fraction(num, denom))
-    return min(1.0, sum(pmf(i, p) for i in p.support if i <= k))
+    return sum(term for _, term in _terms(p, k + 1)) / math.comb(p.m_max, p.m_est)
 
 
 def quantile(level, p):
-    """Smallest k in the support with CDF(k) >= level."""
+    """Smallest k in the support with CDF(k) >= level; CDF(last k) is exactly 1."""
     if not (0 < level < 1):
         raise ValueError("level must be strictly between 0 and 1")
-    for k in p.support:
-        if cdf(k, p) >= level - 1e-12:
+    denom = math.comb(p.m_max, p.m_est)
+    num = 0
+    for k, term in _terms(p, p.support.stop):
+        num += term
+        if num / denom >= level - 1e-12:
             return k
-    return p.support.stop - 1
 
 
 def expected_tp(p):
@@ -195,8 +180,8 @@ def metric_quantile(metric, level, p):
     return (p.m_max - p.m_est - p.m_true + q) / den
 
 
-def skeleton_fit_test(tp_obs, p):
-    """One-sided exact p-value P(TP >= tp_obs) for the random-placement null."""
+def _upper_tail(tp_obs, p):
+    """Integers (num, denom) with P(TP >= tp_obs) = num / denom; walks k < tp_obs."""
     if p.m_est == 0:
         raise DegenerateParamsError(
             "skeleton fit test is undefined for an empty estimate (m_est = 0)"
@@ -205,12 +190,17 @@ def skeleton_fit_test(tp_obs, p):
         raise ValueError(
             f"tp_obs={tp_obs} inconsistent with m_true={p.m_true}, m_est={p.m_est}"
         )
-    if p.m_max <= _EXACT_LIMIT:
-        denom = math.comb(p.m_max, p.m_est)
-        num = sum(
-            math.comb(p.m_true, k) * math.comb(p.m_max - p.m_true, p.m_est - k)
-            for k in p.support
-            if k >= tp_obs
-        )
-        return float(Fraction(num, denom))
-    return min(1.0, sum(pmf(k, p) for k in p.support if k >= tp_obs))
+    denom = math.comb(p.m_max, p.m_est)
+    return denom - sum(term for _, term in _terms(p, tp_obs)), denom
+
+
+def skeleton_fit_test(tp_obs, p):
+    """One-sided exact p-value P(TP >= tp_obs) for the random-placement null."""
+    num, denom = _upper_tail(tp_obs, p)
+    return num / denom
+
+
+def skeleton_fit_log10_p(tp_obs, p):
+    """log10 of the skeleton-fit p-value; finite where the float p underflows to 0."""
+    num, denom = _upper_tail(tp_obs, p)
+    return math.log10(num) - math.log10(denom)

@@ -222,6 +222,8 @@ def single_truth_nc(truth, estimate, metrics, b=1000, seed=0, sid_cap=10_000):
             raise ValueError(f"{name} is undefined for the observed estimate")
     m_est = len(skeleton(estimate))
     kind = "dag" if isinstance(estimate, Dag) else "cpdag"
+    # Draws carry default labels; metrics ignore labels, so relabel the truth once.
+    plain_truth = with_labels(truth, None)
     master = RngSeed(seed)
     nc_values = {name: [] for name in metrics}
     for i in range(b):
@@ -230,8 +232,7 @@ def single_truth_nc(truth, estimate, metrics, b=1000, seed=0, sid_cap=10_000):
             nc = sample_er_dag(truth.d, m_est, rng)
         else:
             nc = sample_er_cpdag(truth.d, m_est, rng)
-        nc = with_labels(nc, truth.labels)
-        for name, value in _values(truth, nc, metrics, sid_cap).items():
+        for name, value in _values(plain_truth, nc, metrics, sid_cap).items():
             nc_values[name].append(value)
     rows = {}
     for name in metrics:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -66,6 +67,7 @@ class TestFitTest:
         out = capsys.readouterr().out
         assert rc == 0
         assert "tp_obs=6" in out
+        assert "log10_p = " in out
 
     def test_json(self, tmp_path):
         out_path = str(tmp_path / "fit.json")
@@ -74,6 +76,7 @@ class TestFitTest:
         payload = json.loads(open(out_path).read())
         assert payload["m_true"] == 8 and payload["m_est"] == 7
         assert 0 < payload["p"] <= 1
+        assert payload["log10_p"] == pytest.approx(math.log10(payload["p"]))
 
     def test_missing_file(self, capsys):
         rc = main(["fit-test", "--truth", TRUTH, "--est", "/nonexistent.csv"])
@@ -240,12 +243,14 @@ class TestCompare:
 
 
 def test_cli_import_loads_no_scipy():
-    # Neither scipy nor jsonschema: only compare and pipeline validate JSON.
+    # Neither scipy nor jsonschema (only compare and pipeline validate JSON),
+    # nor fractions: the exact null is plain integer arithmetic.
     src = str(Path(ncbench.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = (
         "import sys, ncbench.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')))"
+        "print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('scipy', 'jsonschema', 'fractions')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

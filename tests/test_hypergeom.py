@@ -18,6 +18,7 @@ from ncbench.hypergeom import (
     metric_quantile,
     pmf,
     quantile,
+    skeleton_fit_log10_p,
     skeleton_fit_test,
 )
 
@@ -35,12 +36,20 @@ class TestPmf:
     def test_normalization(self):
         assert sum(pmf(k, P587) for k in range(11)) == pytest.approx(1.0, abs=1e-14)
 
-    def test_log_space_path_matches_scipy(self):
+    def test_matches_scipy(self):
         p = HyperParams(231, 30, 30)
         for k in p.support:
             assert pmf(k, p) == pytest.approx(
                 scipy_hypergeom.pmf(k, 231, 30, 30), rel=1e-10
             )
+        dense = HyperParams(124750, 5000, 4000)
+        reference = scipy_hypergeom.pmf(list(dense.support), 124750, 5000, 4000)
+        checked = 0
+        for k, ref in zip(dense.support, reference):
+            if ref > 1e-300:
+                assert pmf(k, dense) == pytest.approx(ref, rel=1e-9)
+                checked += 1
+        assert checked > 500
 
     def test_support_bounds(self):
         p = HyperParams(10, 8, 7)
@@ -48,7 +57,7 @@ class TestPmf:
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 40), st.data())
+@given(st.one_of(st.integers(1, 40), st.integers(61, 400)), st.data())
 def test_pmf_normalizes_for_any_params(m_max, data):
     m_true = data.draw(st.integers(0, m_max))
     m_est = data.draw(st.integers(0, m_max))
@@ -56,6 +65,50 @@ def test_pmf_normalizes_for_any_params(m_max, data):
     total = sum(pmf(k, p) for k in p.support)
     assert total == pytest.approx(1.0, abs=1e-12)
     assert all(pmf(k, p) >= 0 for k in p.support)
+
+
+def _exact_term(k, p):
+    """C(m_max, m_est) * P(TP = k) by direct math.comb."""
+    return math.comb(p.m_true, k) * math.comb(p.m_max - p.m_true, p.m_est - k)
+
+
+class TestExactness:
+    # Every value is the correctly rounded float of the exact integer ratio,
+    # here up to d = 100 (m_max = 4950).
+    @pytest.mark.parametrize(
+        "p",
+        [
+            HyperParams(61, 20, 15),
+            HyperParams(231, 30, 30),
+            HyperParams(231, 200, 190),
+            HyperParams(1225, 49, 60),
+            HyperParams(4950, 99, 120),
+        ],
+    )
+    def test_pmf_cdf_and_fit_test_are_correctly_rounded(self, p):
+        den = math.comb(p.m_max, p.m_est)
+        below = 0
+        for k in p.support:
+            term = _exact_term(k, p)
+            assert pmf(k, p) == float(Fraction(term, den)), k
+            assert skeleton_fit_test(k, p) == float(Fraction(den - below, den)), k
+            below += term
+            assert cdf(k, p) == float(Fraction(below, den)), k
+        assert below == den
+
+    def test_dense_tail_below_float_range(self):
+        p = HyperParams(124750, 5000, 4000)
+        # Upper tail from k = 800 by the term ratio, which divides exactly.
+        k, term, tail = 800, _exact_term(800, p), 0
+        while term:
+            tail += term
+            term = term * (p.m_true - k) * (p.m_est - k)
+            term //= (k + 1) * (p.m_max - p.m_true - p.m_est + k + 1)
+            k += 1
+        expected = math.log10(tail) - math.log10(math.comb(p.m_max, p.m_est))
+        assert expected == pytest.approx(-326.9063, abs=1e-4)
+        assert skeleton_fit_test(800, p) == 0.0
+        assert skeleton_fit_log10_p(800, p) == pytest.approx(expected, abs=1e-6)
 
 
 class TestQuantile:
