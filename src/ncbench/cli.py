@@ -15,7 +15,7 @@ import sys
 from importlib import resources
 
 from . import hypergeom as hg
-from .graphs import Cpdag, Dag, ExtensionCapExceeded, GraphError, skeleton
+from .graphs import ExtensionCapExceeded, GraphError, skeleton
 from .io import GraphFile, ParseError, align_to, parse_graph, write_graph
 from .metrics import adjacency_confusion, check_metric_names, full_report
 from .pc import CiTestError
@@ -130,8 +130,8 @@ def cmd_compare(args):
         "d": report.d,
         "m_true": report.m_true,
         "m_est": report.m_est,
-        "truth_kind": report.truth_kind,
-        "est_kind": report.est_kind,
+        "truth_kind": truth.kind,
+        "est_kind": est.kind,
         "metrics": {},
     }
     # A metric undefined for the estimate (0/0, or SID of an improper CPDAG)

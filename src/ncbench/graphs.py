@@ -2,12 +2,15 @@
 
 Nodes are positional indices 0..d-1 internally; labels are only attached
 for I/O. All functions here are pure and operate on immutable graphs.
+Both graph kinds expose the same edge view: `directed` (for a Dag, the same
+frozenset as `edges`), `undirected` (empty for a Dag) and `kind` ("dag" or
+"cpdag"), so code that only reads edges never asks which kind it holds.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from collections import deque
 from functools import cached_property
 
@@ -57,36 +60,54 @@ def is_acyclic(edges, d):
     return seen == d
 
 
+def _checked_edges(g, directed, undirected=frozenset()):
+    """Normalize g's labels and edge sets in place after the checks Dag and
+    Cpdag share; returns (directed, undirected) as frozensets of int pairs,
+    undirected pairs in canonical (i < j) order."""
+    if g.d < 1:
+        raise GraphError("d must be positive")
+    directed = frozenset((int(i), int(j)) for i, j in directed)
+    undirected = frozenset(
+        (min(int(i), int(j)), max(int(i), int(j))) for i, j in undirected
+    )
+    labels = tuple(g.labels) if g.labels is not None else _default_labels(g.d)
+    if len(labels) != g.d or len(set(labels)) != g.d:
+        raise GraphError("labels must be d distinct strings")
+    object.__setattr__(g, "labels", labels)
+    _check_nodes(g.d, (v for e in itertools.chain(directed, undirected) for v in e))
+    for i, j in itertools.chain(directed, undirected):
+        if i == j:
+            raise GraphError(f"self-loop at node {i}")
+    pairs = {(min(i, j), max(i, j)) for i, j in directed}
+    if len(pairs) != len(directed):
+        raise GraphError("both orientations present for some pair")
+    if not pairs.isdisjoint(undirected):
+        raise GraphError("pair appears both directed and undirected")
+    return directed, undirected
+
+
 @dataclass(frozen=True)
 class Dag:
-    """Directed acyclic graph over d labeled nodes."""
+    """Directed acyclic graph over d labeled nodes.
+
+    Shares Cpdag's edge view: `directed` is the same frozenset as `edges`,
+    `undirected` is empty and `kind` is "dag".
+    """
 
     d: int
     edges: frozenset = field(default_factory=frozenset)
     labels: tuple = None
+    directed: frozenset = field(init=False, repr=False, compare=False)
+
+    undirected = frozenset()
+    kind = "dag"
 
     def __post_init__(self):
-        if self.d < 1:
-            raise GraphError("d must be positive")
-        edges = frozenset((int(i), int(j)) for i, j in self.edges)
-        object.__setattr__(self, "edges", edges)
-        labels = self.labels if self.labels is not None else _default_labels(self.d)
-        labels = tuple(labels)
-        if len(labels) != self.d or len(set(labels)) != self.d:
-            raise GraphError("labels must be d distinct strings")
-        object.__setattr__(self, "labels", labels)
-        for i, j in edges:
-            if i == j:
-                raise GraphError(f"self-loop at node {i}")
-        _check_nodes(self.d, (v for e in edges for v in e))
-        seen_pairs = set()
-        for i, j in edges:
-            pair = (min(i, j), max(i, j))
-            if pair in seen_pairs:
-                raise GraphError(f"both orientations present for pair {pair}")
-            seen_pairs.add(pair)
+        edges, _ = _checked_edges(self, self.edges)
         if not is_acyclic(edges, self.d):
             raise GraphError("edge set contains a directed cycle")
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "directed", edges)
 
     @property
     def m(self):
@@ -150,31 +171,12 @@ class Cpdag:
     undirected: frozenset = field(default_factory=frozenset)
     labels: tuple = None
 
+    kind = "cpdag"
+
     def __post_init__(self):
-        if self.d < 1:
-            raise GraphError("d must be positive")
-        directed = frozenset((int(i), int(j)) for i, j in self.directed)
-        undirected = frozenset(
-            (min(int(i), int(j)), max(int(i), int(j))) for i, j in self.undirected
-        )
+        directed, undirected = _checked_edges(self, self.directed, self.undirected)
         object.__setattr__(self, "directed", directed)
         object.__setattr__(self, "undirected", undirected)
-        labels = self.labels if self.labels is not None else _default_labels(self.d)
-        labels = tuple(labels)
-        if len(labels) != self.d or len(set(labels)) != self.d:
-            raise GraphError("labels must be d distinct strings")
-        object.__setattr__(self, "labels", labels)
-        _check_nodes(self.d, (v for e in directed | undirected for v in e))
-        pairs = set()
-        for i, j in itertools.chain(directed, undirected):
-            if i == j:
-                raise GraphError(f"self-loop at node {i}")
-        for i, j in directed:
-            pairs.add((min(i, j), max(i, j)))
-        if len(pairs) != len(directed):
-            raise GraphError("both orientations present for some pair")
-        if pairs & undirected:
-            raise GraphError("pair appears both directed and undirected")
 
     @property
     def m(self):
@@ -196,8 +198,6 @@ class VStructure:
 
 def skeleton(g):
     """Unordered adjacent pairs of a Dag or Cpdag."""
-    if isinstance(g, Dag):
-        return frozenset((min(i, j), max(i, j)) for i, j in g.edges)
     return frozenset((min(i, j), max(i, j)) for i, j in g.directed) | g.undirected
 
 
@@ -205,19 +205,23 @@ def _adjacent(skel, i, j):
     return (min(i, j), max(i, j)) in skel
 
 
-def v_structures(g):
-    """All v-structures of a Dag or Cpdag (only fully directed colliders count)."""
-    directed = g.edges if isinstance(g, Dag) else g.directed
-    skel = skeleton(g)
+def _colliders(directed, skel):
+    """Yield (a, c, b) for each a -> b <- c in `directed` with a < c and
+    (a, c) not in the skeleton `skel`."""
     by_child = {}
     for i, j in directed:
         by_child.setdefault(j, []).append(i)
-    out = set()
     for b, pars in by_child.items():
         for a, c in itertools.combinations(sorted(pars), 2):
-            if not _adjacent(skel, a, c):
-                out.add(VStructure(a, c, b))
-    return frozenset(out)
+            if (a, c) not in skel:
+                yield a, c, b
+
+
+def v_structures(g):
+    """All v-structures of a Dag or Cpdag (only fully directed colliders count)."""
+    return frozenset(
+        VStructure(a, c, b) for a, c, b in _colliders(g.directed, skeleton(g))
+    )
 
 
 def d_separated(g, i, j, z):
@@ -344,10 +348,10 @@ def dag_to_cpdag(g):
     """
     skel = skeleton(g)
     directed = set()
-    for vs in v_structures(g):
+    for a, c, b in _colliders(g.directed, skel):
         # Both collider edges are compelled with their DAG orientation.
-        directed.add((vs.a, vs.b))
-        directed.add((vs.c, vs.b))
+        directed.add((a, b))
+        directed.add((c, b))
     directed = _meek_close(g.d, skel, directed)
     # Meek closure can only re-derive orientations consistent with g.
     undirected = frozenset(
@@ -364,24 +368,14 @@ def enumerate_extensions(p, cap=10_000):
     raises ExtensionCapExceeded beyond `cap` results.
     """
     skel = skeleton(p)
-    base_vs = v_structures(p)
+    base_vs = set(_colliders(p.directed, skel))
     results = []
 
     def valid_partial(directed):
-        # No 2-cycles, no directed cycle, no new fully-directed v-structure.
-        if any((j, i) in directed for i, j in directed):
-            return False
-        if not is_acyclic(directed, p.d):
-            return False
-        by_child = {}
-        for i, j in directed:
-            by_child.setdefault(j, []).append(i)
-        for b, pars in by_child.items():
-            for a, c in itertools.combinations(sorted(pars), 2):
-                if not _adjacent(skel, a, c):
-                    if VStructure(a, c, b) not in base_vs:
-                        return False
-        return True
+        # No directed cycle (2-cycles included), no new v-structure.
+        return is_acyclic(directed, p.d) and base_vs.issuperset(
+            _colliders(directed, skel)
+        )
 
     def recurse(directed):
         undecided = [
@@ -414,9 +408,7 @@ def enumerate_extensions(p, cap=10_000):
 
 def with_labels(g, labels):
     """Same graph structure with a different label tuple; None gives the defaults."""
-    if isinstance(g, Dag):
-        return Dag(g.d, g.edges, labels)
-    return Cpdag(g.d, g.directed, g.undirected, labels)
+    return replace(g, labels=labels)
 
 
 def all_dags(d):

@@ -113,71 +113,56 @@ def expected_tp(p):
     return p.m_est * p.m_true / p.m_max
 
 
+# The one definition of the five adjacency metrics: metric -> (a, b, den) as
+# a function of (m_max, m_true, m_est), with metric = (a * TP + b) / den,
+# since TN = TP + m_max - m_true - m_est.
+_LINEAR = {
+    "precision": lambda n, t, e: (1, 0, e),
+    "recall": lambda n, t, e: (1, 0, t),
+    "f1": lambda n, t, e: (2, 0, e + t),
+    "npv": lambda n, t, e: (1, n - t - e, n - e),
+    "specificity": lambda n, t, e: (1, n - t - e, n - t),
+}
+
+
+def _linear(metric, m_max, m_true, m_est):
+    if metric not in _LINEAR:
+        raise ValueError(f"unknown metric {metric!r}")
+    return _LINEAR[metric](m_max, m_true, m_est)
+
+
 def metric_from_counts(metric, c):
     """Evaluate one of the five adjacency metrics on a confusion table."""
-    if metric == "precision":
-        num, den = c.tp, c.tp + c.fp
-    elif metric == "recall":
-        num, den = c.tp, c.tp + c.fn
-    elif metric == "f1":
-        num, den = 2 * c.tp, 2 * c.tp + c.fp + c.fn
-    elif metric == "npv":
-        num, den = c.tn, c.tn + c.fn
-    elif metric == "specificity":
-        num, den = c.tn, c.tn + c.fp
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
+    a, b, den = _linear(metric, c.total, c.tp + c.fn, c.tp + c.fp)
     if den == 0:
         return MetricValue(metric, None)
-    return MetricValue(metric, num / den)
+    return MetricValue(metric, (a * c.tp + b) / den)
 
 
-def _check_denominator(metric, p):
+def _linear_params(metric, p):
+    """_linear for the null's parameters; raises when the metric is undefined."""
     if p.m_max == 0:
         raise DegenerateParamsError("m_max must be positive")
-    dens = {
-        "precision": p.m_est,
-        "recall": p.m_true,
-        "f1": p.m_est + p.m_true,
-        "npv": p.m_max - p.m_est,
-        "specificity": p.m_max - p.m_true,
-    }
-    if metric not in dens:
-        raise ValueError(f"unknown metric {metric!r}")
-    if dens[metric] == 0:
+    a, b, den = _linear(metric, p.m_max, p.m_true, p.m_est)
+    if den == 0:
         raise DegenerateParamsError(
             f"{metric} is undefined for m_max={p.m_max}, "
             f"m_true={p.m_true}, m_est={p.m_est}"
         )
-    return dens[metric]
+    return a, b, den
 
 
 def expected_metric(metric, p):
-    """Closed-form expectation of the metric under random guessing."""
-    _check_denominator(metric, p)
-    if metric == "precision":
-        return p.m_true / p.m_max
-    if metric == "recall":
-        return p.m_est / p.m_max
-    if metric == "f1":
-        return 2 * p.m_est * p.m_true / (p.m_max * (p.m_est + p.m_true))
-    if metric == "npv":
-        return 1 - p.m_true / p.m_max
-    return 1 - p.m_est / p.m_max
+    """Closed-form expectation of the metric under random guessing:
+    (a * E(TP) + b) / den with E(TP) = m_est * m_true / m_max."""
+    a, b, den = _linear_params(metric, p)
+    return (a * p.m_est * p.m_true + b * p.m_max) / (den * p.m_max)
 
 
 def metric_quantile(metric, level, p):
     """Quantile of the metric: the monotone TP transform applied to quantile(level)."""
-    den = _check_denominator(metric, p)
-    q = quantile(level, p)
-    if metric == "precision":
-        return q / p.m_est
-    if metric == "recall":
-        return q / p.m_true
-    if metric == "f1":
-        return 2 * q / (p.m_est + p.m_true)
-    # NPV and specificity share the numerator, with different denominators.
-    return (p.m_max - p.m_est - p.m_true + q) / den
+    a, b, den = _linear_params(metric, p)
+    return (a * quantile(level, p) + b) / den
 
 
 def _upper_tail(tp_obs, p):

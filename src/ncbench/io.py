@@ -47,7 +47,7 @@ def _build(kind, labels, directed, undirected, path):
     return Cpdag(d, dir_idx, und_idx, tuple(labels))
 
 
-def _parse_edge_list(path, kind):
+def _parse_edge_list(path):
     labels = []
     seen = set()
     directed = []
@@ -88,7 +88,7 @@ def _parse_edge_list(path, kind):
     return labels, directed, undirected
 
 
-def _parse_adjacency_matrix(path, kind):
+def _parse_adjacency_matrix(path):
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
     if not rows:
@@ -133,9 +133,9 @@ def _parse_adjacency_matrix(path, kind):
 def parse_graph(gf):
     """Read a GraphFile into a Dag or Cpdag; labels come from the file."""
     if gf.format == "edge-list":
-        labels, directed, undirected = _parse_edge_list(gf.path, gf.kind)
+        labels, directed, undirected = _parse_edge_list(gf.path)
     else:
-        labels, directed, undirected = _parse_adjacency_matrix(gf.path, gf.kind)
+        labels, directed, undirected = _parse_adjacency_matrix(gf.path)
     return _build(gf.kind, labels, directed, undirected, gf.path)
 
 
@@ -145,27 +145,17 @@ def write_graph(g, path, fmt="edge-list"):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["from", "to", "type"])
-            directed = g.edges if isinstance(g, Dag) else g.directed
-            rows = [
-                (g.labels[i], g.labels[j], "directed") for i, j in sorted(directed)
-            ]
-            if not isinstance(g, Dag):
-                rows += [
-                    (g.labels[i], g.labels[j], "undirected")
-                    for i, j in sorted(g.undirected)
-                ]
-            for row in sorted(rows):
-                writer.writerow(row)
+            rows = [(g.labels[i], g.labels[j], "directed") for i, j in g.directed]
+            rows += [(g.labels[i], g.labels[j], "undirected") for i, j in g.undirected]
+            writer.writerows(sorted(rows))
     elif fmt == "adjacency-matrix":
         d = g.d
         mat = [[0] * d for _ in range(d)]
-        directed = g.edges if isinstance(g, Dag) else g.directed
-        for i, j in directed:
+        for i, j in g.directed:
             mat[i][j] = 1
-        if not isinstance(g, Dag):
-            for i, j in g.undirected:
-                mat[i][j] = 1
-                mat[j][i] = 1
+        for i, j in g.undirected:
+            mat[i][j] = 1
+            mat[j][i] = 1
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([""] + list(g.labels))
@@ -187,15 +177,8 @@ def align_to(reference, g):
             f"node sets differ: only in reference {only_ref}, only in other {only_g}"
         )
     remap = {old: reference.labels.index(lab) for old, lab in enumerate(g.labels)}
+    directed = frozenset((remap[i], remap[j]) for i, j in g.directed)
     if isinstance(g, Dag):
-        return Dag(
-            g.d,
-            frozenset((remap[i], remap[j]) for i, j in g.edges),
-            reference.labels,
-        )
-    return Cpdag(
-        g.d,
-        frozenset((remap[i], remap[j]) for i, j in g.directed),
-        frozenset((remap[i], remap[j]) for i, j in g.undirected),
-        reference.labels,
-    )
+        return Dag(g.d, directed, reference.labels)
+    undirected = frozenset((remap[i], remap[j]) for i, j in g.undirected)
+    return Cpdag(g.d, directed, undirected, reference.labels)

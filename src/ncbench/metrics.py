@@ -3,10 +3,9 @@ v-structure recovery, and SID with bounds for CPDAG estimates."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graphs import (
-    Cpdag,
     Dag,
     ExtensionCapExceeded,
     GraphError,
@@ -59,8 +58,6 @@ class MetricReport:
     d: int
     m_true: int
     m_est: int
-    truth_kind: str = "dag"
-    est_kind: str = "dag"
 
     def __getitem__(self, name):
         return self.values[name]
@@ -71,16 +68,6 @@ def _check_pair(truth, est):
         raise GraphError(f"node count mismatch: {truth.d} vs {est.d}")
     if truth.labels != est.labels:
         raise GraphError("node label mismatch between truth and estimate")
-
-
-def _endpoint_marks(g, i, j):
-    """Marks at (i, j)'s two endpoints: 'arrow' or 'tail' at i and at j."""
-    directed = g.edges if isinstance(g, Dag) else g.directed
-    if (i, j) in directed:
-        return "tail", "arrow"
-    if (j, i) in directed:
-        return "arrow", "tail"
-    return "tail", "tail"
 
 
 def _compare_pairs(truth, est):
@@ -103,15 +90,16 @@ def _compare_pairs(truth, est):
     o_tp = o_fp = o_fn = o_tn = 0
     mismatched = 0
     for i, j in common:
-        marks_t = _endpoint_marks(truth, i, j)
-        marks_e = _endpoint_marks(est, i, j)
+        # Arrowhead marks at i and at j; a tail wherever there is none.
+        marks_t = ((j, i) in truth.directed, (i, j) in truth.directed)
+        marks_e = ((j, i) in est.directed, (i, j) in est.directed)
         mismatched += marks_t != marks_e
         for mt, me in zip(marks_t, marks_e):
-            if mt == "arrow" and me == "arrow":
+            if mt and me:
                 o_tp += 1
-            elif mt == "tail" and me == "tail":
+            elif not (mt or me):
                 o_tn += 1
-            elif me == "arrow":
+            elif me:
                 o_fp += 1
             else:
                 o_fn += 1
@@ -258,6 +246,4 @@ def full_report(truth, est, metrics=None, include_sid=False, sid_cap=10_000):
         d=truth.d,
         m_true=adjacency.tp + adjacency.fn,
         m_est=adjacency.tp + adjacency.fp,
-        truth_kind="dag" if isinstance(truth, Dag) else "cpdag",
-        est_kind="dag" if isinstance(est, Dag) else "cpdag",
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Cpdag, Dag, VStructure, _adjacent, _meek_close, d_separated
+from .graphs import Cpdag, Dag, _adjacent, _meek_close, d_separated
 
 
 class CiTestError(RuntimeError):
@@ -237,7 +237,5 @@ def pc(data_or_graph, cfg=None):
     # orientations of any such pair (conservative, documented behavior).
     two_cycles = {(i, j) for (i, j) in directed if (j, i) in directed}
     directed -= two_cycles
-    undirected = frozenset(
-        p for p in skel if p not in {(min(i, j), max(i, j)) for i, j in directed}
-    )
-    return Cpdag(d, frozenset(directed), undirected)
+    oriented = {(min(i, j), max(i, j)) for i, j in directed}
+    return Cpdag(d, frozenset(directed), skel - oriented)

@@ -4,16 +4,18 @@ edge count) and the single-truth variant for real-data applications."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import metrics as _metrics
-from .graphs import Cpdag, Dag, skeleton, with_labels
+from .graphs import Dag, skeleton, with_labels
 from .metrics import SMALLER_IS_BETTER, check_metric_names
 from .pc import PcConfig, pc
 from .random_graphs import RngSeed, sample_er_cpdag, sample_er_dag
-from .sem import SemConfig, draw_sem, simulate
+from .sem import (
+    DEFAULT_VARIANCE_RANGE, DEFAULT_WEIGHT_RANGE, SemConfig, draw_sem, simulate
+)
 
 DEFAULT_METRICS = (
     "shd",
@@ -35,8 +37,8 @@ class PipelineConfig:
     metrics: tuple = DEFAULT_METRICS
     nc_kind: str = "cpdag"  # matches the algorithm's output kind
     seed: int = 0
-    weight_range: tuple = (0.5, 2.0)
-    variance_range: tuple = (0.5, 1.5)
+    weight_range: tuple = DEFAULT_WEIGHT_RANGE
+    variance_range: tuple = DEFAULT_VARIANCE_RANGE
     sid_cap: int = 10_000
     algorithm: object = None  # callable(data, PcConfig) -> Dag | Cpdag; PC if None
 
@@ -151,17 +153,15 @@ def run_study(cfg):
     master = RngSeed(cfg.seed)
     algorithm = cfg.algorithm or (lambda data, pc_cfg: pc(data, pc_cfg))
     pc_cfg = PcConfig(alpha=cfg.alpha)
+    sem_cfg = SemConfig(
+        n=cfg.n, weight_range=cfg.weight_range, variance_range=cfg.variance_range
+    )
 
     replications = []
     m_ests = []
     for i in range(cfg.b):
         rep_rng = master.child(i)
         truth = sample_er_dag(cfg.d, cfg.m_true, rep_rng)
-        sem_cfg = SemConfig(
-            n=cfg.n,
-            weight_range=cfg.weight_range,
-            variance_range=cfg.variance_range,
-        )
         model = draw_sem(truth, sem_cfg, rep_rng)
         data = simulate(model, cfg.n, rep_rng)
         estimate = algorithm(data, pc_cfg)
@@ -221,14 +221,13 @@ def single_truth_nc(truth, estimate, metrics, b=1000, seed=0, sid_cap=10_000):
         if observed[name] is None:
             raise ValueError(f"{name} is undefined for the observed estimate")
     m_est = len(skeleton(estimate))
-    kind = "dag" if isinstance(estimate, Dag) else "cpdag"
     # Draws carry default labels; metrics ignore labels, so relabel the truth once.
     plain_truth = with_labels(truth, None)
     master = RngSeed(seed)
     nc_values = {name: [] for name in metrics}
     for i in range(b):
         rng = master.child(i)
-        if kind == "dag":
+        if estimate.kind == "dag":
             nc = sample_er_dag(truth.d, m_est, rng)
         else:
             nc = sample_er_cpdag(truth.d, m_est, rng)
@@ -246,7 +245,7 @@ def single_truth_nc(truth, estimate, metrics, b=1000, seed=0, sid_cap=10_000):
             "metric": name,
             "observed": observed[name],
             "m_est": m_est,
-            "nc_kind": kind,
+            "nc_kind": estimate.kind,
             "nc_mean": nc["mean"],
             "nc_ci": nc["ci"],
             "p": p,

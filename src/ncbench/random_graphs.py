@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Cpdag, Dag, dag_to_cpdag
+from .graphs import Dag, dag_to_cpdag
 
 
 @dataclass(frozen=True)

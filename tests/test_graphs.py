@@ -18,6 +18,7 @@ from ncbench.graphs import (
     is_acyclic,
     skeleton,
     v_structures,
+    with_labels,
 )
 from ncbench.random_graphs import RngSeed, sample_er_dag
 
@@ -85,6 +86,33 @@ class TestCpdagInvariants:
     def test_undirected_canonicalized(self):
         p = Cpdag(3, frozenset(), frozenset({(2, 0)}))
         assert p.undirected == frozenset({(0, 2)})
+
+
+class TestEdgeView:
+    # A Dag reads like the Cpdag with the same edges, all directed.
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dag_matches_its_all_directed_cpdag(self, seed, tmp_path):
+        from ncbench.io import write_graph
+        from ncbench.metrics import full_report
+
+        gen = RngSeed(seed).generator()
+        truth = sample_er_dag(7, 9, gen)
+        g = sample_er_dag(7, int(gen.integers(1, 15)), gen)
+        c = Cpdag(g.d, g.edges, frozenset(), g.labels)
+        assert (g.directed, g.undirected, g.kind) == (g.edges, frozenset(), "dag")
+        assert c.kind == "cpdag"
+        assert skeleton(g) == skeleton(c)
+        assert v_structures(g) == v_structures(c)
+        for fmt in ("edge-list", "adjacency-matrix"):
+            write_graph(g, tmp_path / "g.csv", fmt)
+            write_graph(c, tmp_path / "c.csv", fmt)
+            assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
+        assert full_report(truth, g).values == full_report(truth, c).values
+        labels = tuple("ABCDEFG")
+        assert type(with_labels(g, labels)) is Dag
+        assert type(with_labels(c, labels)) is Cpdag
+        assert with_labels(g, labels).directed == g.directed
+        assert with_labels(c, labels).labels == labels
 
 
 class TestSkeleton:

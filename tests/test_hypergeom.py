@@ -96,6 +96,32 @@ class TestExactness:
             assert cdf(k, p) == float(Fraction(below, den)), k
         assert below == den
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            HyperParams(10, 8, 7),
+            HyperParams(61, 20, 15),
+            HyperParams(231, 200, 190),
+            HyperParams(1225, 49, 60),
+            HyperParams(4950, 99, 120),
+        ],
+    )
+    def test_expected_metrics_are_correctly_rounded(self, p):
+        # E(metric) = sum over k of P(TP = k) * metric(k), in exact arithmetic.
+        den = math.comb(p.m_max, p.m_est)
+        exact = dict.fromkeys(METRICS, Fraction(0))
+        for k in p.support:
+            fp, fn = p.m_est - k, p.m_true - k
+            tn = p.m_max - p.m_true - p.m_est + k
+            weight = Fraction(_exact_term(k, p), den)
+            exact["precision"] += weight * Fraction(k, k + fp)
+            exact["recall"] += weight * Fraction(k, k + fn)
+            exact["f1"] += weight * Fraction(2 * k, 2 * k + fp + fn)
+            exact["npv"] += weight * Fraction(tn, tn + fn)
+            exact["specificity"] += weight * Fraction(tn, tn + fp)
+        for metric in METRICS:
+            assert expected_metric(metric, p) == float(exact[metric]), metric
+
     def test_dense_tail_below_float_range(self):
         p = HyperParams(124750, 5000, 4000)
         # Upper tail from k = 800 by the term ratio, which divides exactly.

@@ -119,9 +119,8 @@ class TestShd:
     def test_matches_per_pair_reference(self):
         # SHD by its definition: compare the edge type of every node pair.
         def edge_type(g, i, j):
-            directed = g.edges if isinstance(g, Dag) else g.directed
-            if (i, j) in directed or (j, i) in directed:
-                return (i, j) if (i, j) in directed else (j, i)
+            if (i, j) in g.directed or (j, i) in g.directed:
+                return (i, j) if (i, j) in g.directed else (j, i)
             return "undirected" if (i, j) in skeleton(g) else None
 
         gen = RngSeed(42).generator()
