@@ -62,15 +62,18 @@ def cmd_expect(args):
     level = args.level
     lo_q, hi_q = (1 - level) / 2, 1 - (1 - level) / 2
     metrics = [args.metric] if args.metric else list(hg.METRICS)
+    # One support walk per level, shared by every metric's TP transform.
+    median, lo, hi = (hg.quantile(q, params) for q in (0.5, lo_q, hi_q))
     rows = []
     for metric in metrics:
+        value = hg.tp_transform(metric, params)
         rows.append(
             {
                 "metric": metric,
                 "expected": hg.expected_metric(metric, params),
-                "median": hg.metric_quantile(metric, 0.5, params),
-                "ci_lower": hg.metric_quantile(metric, lo_q, params),
-                "ci_upper": hg.metric_quantile(metric, hi_q, params),
+                "median": value(median),
+                "ci_lower": value(lo),
+                "ci_upper": value(hi),
             }
         )
     print(f"m_max={m_max} m_true={args.m_true} m_est={args.m_est} level={level}")

@@ -2,6 +2,9 @@
 
 Nodes are positional indices 0..d-1 internally; labels are only attached
 for I/O. All functions here are pure and operate on immutable graphs.
+Each graph is checked in one pass at construction, which keeps what the
+checks compute: its skeleton and, for a Dag, its per-node parent and child
+index and its topological order. Queries read these and never rebuild them.
 Both graph kinds expose the same edge view: `directed` (for a Dag, the same
 frozenset as `edges`), `undirected` (empty for a Dag) and `kind` ("dag" or
 "cpdag"), so code that only reads edges never asks which kind it holds.
@@ -11,8 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from collections import deque
-from functools import cached_property
+from typing import NamedTuple
 
 
 class GraphError(ValueError):
@@ -40,30 +42,36 @@ def _check_nodes(d, nodes):
             raise GraphError(f"node index {v} out of range for d={d}")
 
 
+def _kahn(children):
+    """Kahn's topological sort over per-node child lists: ready nodes start in
+    ascending order and each node releases its children in ascending order.
+    The order is shorter than len(children) iff the graph has a cycle."""
+    indeg = [0] * len(children)
+    for cs in children:
+        for c in cs:
+            indeg[c] += 1
+    order = [v for v, n in enumerate(indeg) if n == 0]
+    for v in order:  # order is also the FIFO queue: appended nodes come in turn
+        for c in sorted(children[v]):
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                order.append(c)
+    return order
+
+
 def is_acyclic(edges, d):
     """True iff the directed edges over nodes 0..d-1 admit a topological order."""
     _check_nodes(d, (v for e in edges for v in e))
-    indeg = [0] * d
     children = [[] for _ in range(d)]
     for i, j in edges:
         children[i].append(j)
-        indeg[j] += 1
-    queue = deque(v for v in range(d) if indeg[v] == 0)
-    seen = 0
-    while queue:
-        v = queue.popleft()
-        seen += 1
-        for c in children[v]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                queue.append(c)
-    return seen == d
+    return len(_kahn(children)) == d
 
 
 def _checked_edges(g, directed, undirected=frozenset()):
     """Normalize g's labels and edge sets in place after the checks Dag and
-    Cpdag share; returns (directed, undirected) as frozensets of int pairs,
-    undirected pairs in canonical (i < j) order."""
+    Cpdag share, and set g._skeleton; returns (directed, undirected) as
+    frozensets of int pairs, undirected pairs in canonical (i < j) order."""
     if g.d < 1:
         raise GraphError("d must be positive")
     directed = frozenset((int(i), int(j)) for i, j in directed)
@@ -78,11 +86,12 @@ def _checked_edges(g, directed, undirected=frozenset()):
     for i, j in itertools.chain(directed, undirected):
         if i == j:
             raise GraphError(f"self-loop at node {i}")
-    pairs = {(min(i, j), max(i, j)) for i, j in directed}
+    pairs = frozenset((min(i, j), max(i, j)) for i, j in directed)
     if len(pairs) != len(directed):
         raise GraphError("both orientations present for some pair")
     if not pairs.isdisjoint(undirected):
         raise GraphError("pair appears both directed and undirected")
+    object.__setattr__(g, "_skeleton", pairs | undirected)
     return directed, undirected
 
 
@@ -98,30 +107,32 @@ class Dag:
     edges: frozenset = field(default_factory=frozenset)
     labels: tuple = None
     directed: frozenset = field(init=False, repr=False, compare=False)
+    _skeleton: frozenset = field(init=False, repr=False, compare=False)
+    _index: tuple = field(init=False, repr=False, compare=False)
+    _order: tuple = field(init=False, repr=False, compare=False)
 
     undirected = frozenset()
     kind = "dag"
 
     def __post_init__(self):
         edges, _ = _checked_edges(self, self.edges)
-        if not is_acyclic(edges, self.d):
+        parents = [[] for _ in range(self.d)]
+        children = [[] for _ in range(self.d)]
+        for i, j in edges:
+            parents[j].append(i)
+            children[i].append(j)
+        order = _kahn(children)
+        if len(order) != self.d:
             raise GraphError("edge set contains a directed cycle")
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "directed", edges)
+        index = tuple(map(tuple, parents)), tuple(map(tuple, children))
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_order", tuple(order))
 
     @property
     def m(self):
         return len(self.edges)
-
-    @cached_property
-    def _index(self):
-        """(parents, children): per-node index tuples, built on first use."""
-        parents = [[] for _ in range(self.d)]
-        children = [[] for _ in range(self.d)]
-        for i, j in self.edges:
-            parents[j].append(i)
-            children[i].append(j)
-        return tuple(map(tuple, parents)), tuple(map(tuple, children))
 
     def parents(self, v):
         return frozenset(self._index[0][v])
@@ -143,19 +154,7 @@ class Dag:
         return frozenset(out)
 
     def topological_order(self):
-        indeg = {v: 0 for v in range(self.d)}
-        for _, j in self.edges:
-            indeg[j] += 1
-        queue = deque(sorted(v for v in range(self.d) if indeg[v] == 0))
-        order = []
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for c in sorted(self._index[1][v]):
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
-        return order
+        return list(self._order)
 
 
 @dataclass(frozen=True)
@@ -170,6 +169,7 @@ class Cpdag:
     directed: frozenset = field(default_factory=frozenset)
     undirected: frozenset = field(default_factory=frozenset)
     labels: tuple = None
+    _skeleton: frozenset = field(init=False, repr=False, compare=False)
 
     kind = "cpdag"
 
@@ -183,22 +183,17 @@ class Cpdag:
         return len(self.directed) + len(self.undirected)
 
 
-@dataclass(frozen=True, order=True)
-class VStructure:
+class VStructure(NamedTuple):
     """Collider a -> b <- c with a, c non-adjacent; (a, c) in canonical order."""
 
     a: int
     c: int
     b: int
 
-    def __post_init__(self):
-        if self.a > self.c:
-            raise GraphError("v-structure parents must be in canonical order")
-
 
 def skeleton(g):
-    """Unordered adjacent pairs of a Dag or Cpdag."""
-    return frozenset((min(i, j), max(i, j)) for i, j in g.directed) | g.undirected
+    """Unordered adjacent pairs of a Dag or Cpdag, as kept at construction."""
+    return g._skeleton
 
 
 def _adjacent(skel, i, j):
@@ -219,9 +214,7 @@ def _colliders(directed, skel):
 
 def v_structures(g):
     """All v-structures of a Dag or Cpdag (only fully directed colliders count)."""
-    return frozenset(
-        VStructure(a, c, b) for a, c, b in _colliders(g.directed, skeleton(g))
-    )
+    return frozenset(map(VStructure._make, _colliders(g.directed, skeleton(g))))
 
 
 def d_separated(g, i, j, z):

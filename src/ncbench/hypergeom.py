@@ -159,10 +159,16 @@ def expected_metric(metric, p):
     return (a * p.m_est * p.m_true + b * p.m_max) / (den * p.m_max)
 
 
-def metric_quantile(metric, level, p):
-    """Quantile of the metric: the monotone TP transform applied to quantile(level)."""
+def tp_transform(metric, p):
+    """The metric as a monotone function of TP under the null's parameters;
+    raises when the metric is undefined for them."""
     a, b, den = _linear_params(metric, p)
-    return (a * quantile(level, p) + b) / den
+    return lambda tp: (a * tp + b) / den
+
+
+def metric_quantile(metric, level, p):
+    """Quantile of the metric: the TP transform applied to quantile(level)."""
+    return tp_transform(metric, p)(quantile(level, p))
 
 
 def _upper_tail(tp_obs, p):

@@ -1,7 +1,9 @@
 """Graph file ingestion and export.
 
 Two formats:
-  - edge list CSV with header ``from,to,type``, type in {directed, undirected};
+  - edge list CSV with header ``from,to,type``, type in {directed, undirected},
+    plus a ``label,,node`` row (empty ``to`` cell) for each node that no edge
+    names, so a graph with isolated nodes keeps its node count;
   - adjacency matrix CSV: labels in the header row and the first column,
     entry (i, j)=1 with (j, i)=0 means i -> j, symmetric 1s mean undirected.
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from .graphs import Cpdag, Dag, GraphError, is_acyclic
+from .graphs import Cpdag, Dag, GraphError, skeleton
 
 
 class ParseError(ValueError):
@@ -41,9 +43,10 @@ def _build(kind, labels, directed, undirected, path):
     if kind == "dag":
         if und_idx:
             raise ParseError(f"{path}: undirected edges not allowed in a dag file")
-        if not is_acyclic(dir_idx, d):
-            raise ParseError(f"{path}: declared dag contains a cycle")
-        return Dag(d, dir_idx, tuple(labels))
+        try:
+            return Dag(d, dir_idx, tuple(labels))
+        except GraphError as exc:
+            raise ParseError(f"{path}: declared dag: {exc}") from exc
     return Cpdag(d, dir_idx, und_idx, tuple(labels))
 
 
@@ -71,6 +74,11 @@ def _parse_edge_list(path):
                 raise ParseError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
             a, b, typ = (c.strip() for c in row)
             typ = typ.lower()
+            if typ == "node":
+                if b:
+                    raise ParseError(f"{path}:{lineno}: a node row needs an empty 'to' cell")
+                note(a)
+                continue
             if typ not in ("directed", "undirected"):
                 raise ParseError(f"{path}:{lineno}: unknown edge type {typ!r}")
             if a == b:
@@ -147,6 +155,8 @@ def write_graph(g, path, fmt="edge-list"):
             writer.writerow(["from", "to", "type"])
             rows = [(g.labels[i], g.labels[j], "directed") for i, j in g.directed]
             rows += [(g.labels[i], g.labels[j], "undirected") for i, j in g.undirected]
+            linked = {v for e in skeleton(g) for v in e}
+            rows += [(lab, "", "node") for v, lab in enumerate(g.labels) if v not in linked]
             writer.writerows(sorted(rows))
     elif fmt == "adjacency-matrix":
         d = g.d

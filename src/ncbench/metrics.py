@@ -206,17 +206,17 @@ def sid(truth, est, cap=10_000):
     return SidBounds(min(values), max(values), False)
 
 
-def full_report(truth, est, metrics=None, include_sid=False, sid_cap=10_000):
+def full_report(truth, est, metrics=None, sid_cap=10_000):
     """Named metric values for one truth/estimate pair, each computed once.
 
     `metrics` lists the names to report; the default is every name except the
-    SID bounds, which include_sid adds. Both confusion tables and SHD come
-    from one pass over the skeletons, and sid() runs at most once for both
-    bounds. When the estimate has no DAG extension, or more than sid_cap of
+    SID bounds, which a caller requests by name. Both confusion tables and SHD
+    come from one pass over the skeletons, and sid() runs at most once for
+    both bounds. When the estimate has no DAG extension, or more than sid_cap of
     them, the SID values are MISSING and every other value is kept.
     """
     if metrics is None:
-        metrics = _REPORT_NAMES + (_SID_NAMES if include_sid else ())
+        metrics = _REPORT_NAMES
     check_metric_names(metrics)
     adjacency, orientation, distance = _compare_pairs(truth, est)
     confusions = {"adjacency": adjacency, "orientation": orientation}

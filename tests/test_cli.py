@@ -82,6 +82,17 @@ class TestFitTest:
         rc = main(["fit-test", "--truth", TRUTH, "--est", "/nonexistent.csv"])
         assert rc == EXIT_INPUT
 
+    def test_sampled_graph_keeps_isolated_nodes(self, tmp_path, capsys):
+        # Five edges over ten nodes leave some nodes isolated; m_max must
+        # still be C(10, 2) = 45, so the exact p-value is 1 / C(45, 5).
+        path = str(tmp_path / "t.csv")
+        assert main(["sample", "--d", "10", "--m", "5", "--seed", "1", "--out", path]) == 0
+        capsys.readouterr()
+        assert main(["fit-test", "--truth", path, "--est", path]) == 0
+        out = capsys.readouterr().out
+        assert "m_max=45 m_true=5 m_est=5 tp_obs=5" in out
+        assert f"p = {1 / math.comb(45, 5):.6g}" in out
+
 
 class TestCompare:
     def test_report_and_schema(self, tmp_path, capsys):

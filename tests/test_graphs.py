@@ -1,4 +1,5 @@
 import itertools
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from ncbench.graphs import (
     ExtensionCapExceeded,
     GraphError,
     VStructure,
+    _colliders,
     _meek_close,
     all_dags,
     d_separated,
@@ -20,7 +22,7 @@ from ncbench.graphs import (
     v_structures,
     with_labels,
 )
-from ncbench.random_graphs import RngSeed, sample_er_dag
+from ncbench.random_graphs import RngSeed, sample_er_cpdag, sample_er_dag
 
 
 class TestIsAcyclic:
@@ -54,6 +56,36 @@ class TestDagInvariants:
     def test_rejects_bad_labels(self):
         with pytest.raises(GraphError):
             Dag(2, frozenset(), labels=("a", "a"))
+
+    @pytest.mark.parametrize("kind", [Dag, Cpdag])
+    def test_out_of_range_node_named(self, kind):
+        with pytest.raises(GraphError, match="node index 7 out of range for d=3"):
+            kind(3, frozenset({(0, 7)}))
+        with pytest.raises(GraphError, match="node index -1 out of range"):
+            kind(3, frozenset({(-1, 2)}))
+
+    def test_topological_order_is_sorted_kahn(self):
+        def sorted_kahn(g):
+            # Ready nodes in ascending order, children released in ascending order.
+            indeg = {v: 0 for v in range(g.d)}
+            for _, j in g.edges:
+                indeg[j] += 1
+            queue = deque(sorted(v for v in range(g.d) if indeg[v] == 0))
+            order = []
+            while queue:
+                v = queue.popleft()
+                order.append(v)
+                for c in sorted(j for i, j in g.edges if i == v):
+                    indeg[c] -= 1
+                    if indeg[c] == 0:
+                        queue.append(c)
+            return order
+
+        gen = RngSeed(81).generator()
+        for d in range(1, 31):
+            for _ in range(4):
+                g = sample_er_dag(d, int(gen.integers(0, d * (d - 1) // 2 + 1)), gen)
+                assert g.topological_order() == sorted_kahn(g)
 
     def test_descendants(self):
         g = Dag(4, frozenset({(0, 1), (1, 2)}))
@@ -123,6 +155,17 @@ class TestSkeleton:
         assert len(skeleton(five_node_truth)) == 8
         assert len(skeleton(five_node_estimate)) == 7
 
+    def test_matches_edge_scan(self):
+        gen = RngSeed(82).generator()
+        for d in range(1, 16):
+            for _ in range(4):
+                m = int(gen.integers(0, d * (d - 1) // 2 + 1))
+                for g in (sample_er_dag(d, m, gen), sample_er_cpdag(d, m, gen)):
+                    scan = {(min(i, j), max(i, j)) for i, j in g.directed}
+                    scan |= {(min(i, j), max(i, j)) for i, j in g.undirected}
+                    assert skeleton(g) == scan
+                    assert type(skeleton(g)) is frozenset
+
 
 class TestVStructures:
     def test_simple_collider(self):
@@ -147,6 +190,17 @@ class TestVStructures:
     def test_cpdag_needs_both_edges_directed(self):
         p = Cpdag(3, frozenset({(0, 2)}), frozenset({(1, 2)}))
         assert v_structures(p) == frozenset()
+
+    def test_fields_match_colliders(self):
+        gen = RngSeed(83).generator()
+        for d in range(3, 12):
+            for _ in range(4):
+                g = sample_er_dag(d, int(gen.integers(0, d * (d - 1) // 2 + 1)), gen)
+                vs = v_structures(g)
+                assert {(v.a, v.c, v.b) for v in vs} == set(_colliders(g.directed, skeleton(g)))
+                for v in vs:
+                    assert type(v) is VStructure and v.a < v.c
+                    assert (v.a, v.b) in g.edges and (v.c, v.b) in g.edges
 
 
 def _paths(g, i, j):

@@ -33,6 +33,29 @@ class TestEdgeList:
         back = parse_graph(GraphFile(out, kind="cpdag"))
         assert back.directed == g.directed and back.undirected == g.undirected
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Dag(5, frozenset({(3, 1)}), labels=tuple("ABCDE")),
+            Cpdag(5, frozenset({(4, 2)}), frozenset({(0, 2)}), labels=tuple("ABCDE")),
+            Dag(3),
+        ],
+        ids=["dag", "cpdag", "no-edges"],
+    )
+    def test_round_trip_keeps_isolated_nodes(self, tmp_path, g):
+        out = str(tmp_path / "iso.csv")
+        write_graph(g, out)
+        back = align_to(g, parse_graph(GraphFile(out, kind=g.kind)))
+        assert back == g
+
+    def test_node_row(self, tmp_path):
+        path = _write(tmp_path, "from,to,type\nA,B,directed\nC,,node\n")
+        g = parse_graph(GraphFile(path))
+        assert g.labels == ("A", "B", "C") and g.edges == frozenset({(0, 1)})
+        path = _write(tmp_path, "from,to,type\nA,B,node\n")
+        with pytest.raises(ParseError, match="empty 'to' cell"):
+            parse_graph(GraphFile(path))
+
     def test_bad_header(self, tmp_path):
         path = _write(tmp_path, "source,target\nA,B\n")
         with pytest.raises(ParseError, match="header"):
