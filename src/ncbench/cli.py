@@ -2,6 +2,8 @@
 
 Commands: expect, fit-test, compare, pipeline, sample, simulate-data.
 Exit codes: 0 success, 2 input error, 3 numerical/enumeration error.
+A `pipeline` config file holds PipelineConfig fields, which it checks; the
+shipped JSON schemas document the file formats and are not read at run time.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import dataclasses
 import json
 import os
 import sys
-from importlib import resources
 
 from . import hypergeom as hg
 from .graphs import ExtensionCapExceeded, GraphError, skeleton
@@ -27,21 +28,12 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
-def _load_schema(name):
-    with resources.files("ncbench.schemas").joinpath(name).open() as fh:
-        return json.load(fh)
-
-
-def _validate(payload, name):
-    """Check an output payload against a shipped schema. jsonschema is
-    imported here so that commands which validate nothing never load it."""
-    import jsonschema
-
-    jsonschema.validate(payload, _load_schema(name))
-
-
 def _default_seed():
-    return int(os.environ.get("NCBENCH_SEED", "0"))
+    value = os.environ.get("NCBENCH_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"NCBENCH_SEED must be an integer, got {value!r}") from None
 
 
 def _graph_arg(path, fmt, kind):
@@ -141,20 +133,10 @@ def cmd_compare(args):
     # is reported MISSING; one set of NC draws scores all the others.
     defined = [name for name in metrics if report[name].value is not None]
     rows = single_truth_nc(truth, est, defined, b=args.nc_reps, seed=args.seed) if defined else {}
+    keys = ("observed", "nc_mean", "nc_ci", "p", "direction", "dropped")
     for name in metrics:
-        if name not in rows:
-            out["metrics"][name] = {"observed": None, "p": None}
-            continue
-        nc = rows[name]
-        out["metrics"][name] = {
-            "observed": nc["observed"],
-            "nc_mean": nc["nc_mean"],
-            "nc_ci": nc["nc_ci"],
-            "p": nc["p"],
-            "direction": nc["direction"],
-            "dropped": nc["dropped"],
-        }
-    _validate(out, "compare-report.schema.json")
+        row = rows.get(name, {"observed": None, "p": None})
+        out["metrics"][name] = {key: row[key] for key in keys if key in row}
     print(f"{'metric':<24}{'observed':>10}{'nc_mean':>10}{'p':>8}")
     for name, row in out["metrics"].items():
         obs = "missing" if row["observed"] is None else f"{row['observed']:.4f}"
@@ -169,20 +151,13 @@ def cmd_compare(args):
 def _pipeline_config_from_file(path):
     with open(path) as fh:
         raw = json.load(fh)
-    import jsonschema
-
-    schema = _load_schema("pipeline-config.schema.json")
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
-    if errors:
-        msgs = "; ".join(
-            f"{'/'.join(str(p) for p in e.absolute_path) or '<root>'}: {e.message}"
-            for e in errors
-        )
-        raise ParseError(f"config schema violation: {msgs}")
-    for key in ("weight_range", "variance_range", "metrics"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path}: config must be a JSON object")
+    fields = [f for f in dataclasses.fields(PipelineConfig) if f.name != "algorithm"]
+    unknown = sorted(raw.keys() - {f.name for f in fields})
+    missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in raw]
+    if unknown or missing:
+        raise ParseError(f"{path}: unknown keys {unknown}, missing keys {missing}")
     return PipelineConfig(**raw)
 
 
@@ -191,11 +166,9 @@ def cmd_pipeline(args):
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     result = run_study(cfg)
-    payload = result.to_dict()
-    _validate(payload, "study-result.schema.json")
     os.makedirs(args.out_dir, exist_ok=True)
     summary_path = os.path.join(args.out_dir, "summary.json")
-    _write_json(summary_path, payload)
+    _write_json(summary_path, result.to_dict())
     csv_path = os.path.join(args.out_dir, "replications.csv")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -322,9 +295,9 @@ def _write_json(path, payload):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "seed") and args.seed is None and args.command in ("sample", "simulate-data", "compare"):
-        args.seed = _default_seed()
     try:
+        if args.command in ("sample", "simulate-data", "compare") and args.seed is None:
+            args.seed = _default_seed()
         return args.func(args)
     except (ParseError, GraphError, hg.DegenerateParamsError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

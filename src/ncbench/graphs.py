@@ -12,6 +12,7 @@ frozenset as `edges`), `undirected` (empty for a Dag) and `kind` ("dag" or
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -32,6 +33,7 @@ class ExtensionCapExceeded(RuntimeError):
         )
 
 
+@functools.cache
 def _default_labels(d):
     return tuple(f"X{i + 1}" for i in range(d))
 
@@ -415,6 +417,8 @@ def all_dags(d):
                 edges.add((i, j))
             elif s == 1:
                 edges.add((j, i))
-        if is_acyclic(edges, d):
+        try:
             out.append(Dag(d, frozenset(edges)))
+        except GraphError:  # a directed cycle
+            pass
     return out

@@ -33,8 +33,9 @@ METRIC_NAMES = frozenset(_REPORT_NAMES + _SID_NAMES)
 def check_metric_names(names):
     """Raise ValueError naming the first name full_report does not know."""
     for name in names:
-        if name not in METRIC_NAMES:
-            raise ValueError(f"unknown metric {name!r}")
+        if not isinstance(name, str) or name not in METRIC_NAMES:
+            known = ", ".join(sorted(METRIC_NAMES))
+            raise ValueError(f"unknown metric {name!r}; metrics are {known}")
 
 
 @dataclass(frozen=True)

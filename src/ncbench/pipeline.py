@@ -4,7 +4,8 @@ edge count) and the single-truth variant for real-data applications."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -12,7 +13,7 @@ from . import metrics as _metrics
 from .graphs import Dag, skeleton, with_labels
 from .metrics import SMALLER_IS_BETTER, check_metric_names
 from .pc import PcConfig, pc
-from .random_graphs import RngSeed, sample_er_cpdag, sample_er_dag
+from .random_graphs import RngSeed, max_edges, sample_er_cpdag, sample_er_dag
 from .sem import (
     DEFAULT_VARIANCE_RANGE, DEFAULT_WEIGHT_RANGE, SemConfig, draw_sem, simulate
 )
@@ -27,8 +28,17 @@ DEFAULT_METRICS = (
 )
 
 
+def _check_type(name, value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):
+        noun = "an integer" if kind is numbers.Integral else "a number"
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
+    """A study config, checked in full at construction; SemConfig, PcConfig and
+    RngSeed check their fields. The shipped config schema documents the rules."""
+
     b: int
     d: int
     m_true: int
@@ -43,11 +53,30 @@ class PipelineConfig:
     algorithm: object = None  # callable(data, PcConfig) -> Dag | Cpdag; PC if None
 
     def __post_init__(self):
-        if self.b < 1:
-            raise ValueError("replication count must be at least 1")
+        for name in ("b", "d", "m_true", "n", "seed", "sid_cap"):
+            _check_type(name, getattr(self, name), numbers.Integral)
+        for name, low in (("b", 1), ("d", 2), ("m_true", 0), ("sid_cap", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}")
+        if self.m_true > max_edges(self.d):
+            raise ValueError(f"m_true must be at most d(d-1)/2 = {max_edges(self.d)}")
+        _check_type("alpha", self.alpha, numbers.Real)
+        for name in ("weight_range", "variance_range"):
+            pair = getattr(self, name)
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ValueError(f"{name} must be two numbers, got {pair!r}")
+            for value in pair:
+                _check_type(f"{name} entry", value, numbers.Real)
+            object.__setattr__(self, name, tuple(pair))
         if self.nc_kind not in ("dag", "cpdag"):
             raise ValueError("nc_kind must be 'dag' or 'cpdag'")
+        if not isinstance(self.metrics, (list, tuple)) or not self.metrics:
+            raise ValueError("metrics must be a non-empty list of metric names")
         check_metric_names(self.metrics)
+        object.__setattr__(self, "metrics", tuple(self.metrics))
+        PcConfig(alpha=self.alpha)
+        SemConfig(n=self.n, weight_range=self.weight_range, variance_range=self.variance_range)
+        RngSeed(self.seed)
 
 
 @dataclass
@@ -76,16 +105,9 @@ class StudyResult:
         return {
             "schema_version": 1,
             "config": {
-                "b": cfg.b,
-                "d": cfg.d,
-                "m_true": cfg.m_true,
-                "n": cfg.n,
-                "alpha": cfg.alpha,
-                "metrics": list(cfg.metrics),
-                "nc_kind": cfg.nc_kind,
-                "seed": cfg.seed,
-                "weight_range": list(cfg.weight_range),
-                "variance_range": list(cfg.variance_range),
+                f.name: getattr(cfg, f.name)
+                for f in fields(cfg)
+                if f.name not in ("sid_cap", "algorithm")
             },
             "summary": self.summary,
             "methods_note": self.methods_note,

@@ -25,11 +25,11 @@ class SemConfig:
         lo, hi = self.weight_range
         vlo, vhi = self.variance_range
         if not (0 < lo <= hi):
-            raise ValueError("weight range must satisfy 0 < lo <= hi")
+            raise ValueError("weight_range must satisfy 0 < lo <= hi")
         if not (0 < vlo <= vhi):
-            raise ValueError("variance range must satisfy 0 < vlo <= vhi")
+            raise ValueError("variance_range must satisfy 0 < lo <= hi")
         if self.n < 1:
-            raise ValueError("sample size must be at least 1")
+            raise ValueError("sample size n must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,18 @@
+import json
 from pathlib import Path
 
 import pytest
 
 from ncbench.graphs import Dag
 
-DATA_DIR = str(Path(__file__).resolve().parent.parent / "src" / "ncbench" / "data")
+PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "ncbench"
+DATA_DIR = str(PACKAGE_DIR / "data")
+
+
+def load_schema(name):
+    """Load a shipped JSON schema. The program never reads the schemas; the
+    tests check its inputs and outputs against them."""
+    return json.loads((PACKAGE_DIR / "schemas" / name).read_text())
 
 
 @pytest.fixture

@@ -5,14 +5,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 import ncbench
-from ncbench.cli import EXIT_INPUT, EXIT_NUMERICAL, main
+import ncbench.pipeline
+from ncbench.cli import EXIT_INPUT, EXIT_NUMERICAL, _pipeline_config_from_file, main
 from ncbench.hypergeom import metric_from_counts
 from ncbench.metrics import METRIC_NAMES, orientation_confusion, sid
+from ncbench.pipeline import PipelineConfig
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, load_schema
 
 TRUTH = f"{DATA_DIR}/five_node_truth.csv"
 EST = f"{DATA_DIR}/five_node_estimate.csv"
@@ -114,6 +117,7 @@ class TestCompare:
         )
         assert rc == 0
         payload = json.loads(open(out_path).read())
+        jsonschema.validate(payload, load_schema("compare-report.schema.json"))
         assert payload["m_true"] == 8 and payload["m_est"] == 7
         assert "shd" in payload["metrics"]
         assert 0 <= payload["metrics"]["shd"]["p"] <= 1
@@ -173,6 +177,12 @@ class TestCompare:
             ]
         )
         assert open(env_path).read() == open(explicit_path).read()
+
+    def test_malformed_env_seed_is_an_input_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("NCBENCH_SEED", "abc")
+        rc = main(["sample", "--d", "4", "--m", "2", "--out", str(tmp_path / "s.csv")])
+        assert rc == EXIT_INPUT
+        assert "NCBENCH_SEED" in capsys.readouterr().err
 
     def test_sid_metrics_reported(self, tmp_path, five_node_truth, five_node_estimate):
         out_path = str(tmp_path / "sid.json")
@@ -238,6 +248,7 @@ class TestCompare:
         )
         assert rc == 0
         payload = json.loads(open(out_path).read())
+        jsonschema.validate(payload, load_schema("compare-report.schema.json"))
         assert payload["metrics"]["sid_lower"] == {"observed": None, "p": None}
         assert payload["metrics"]["sid_upper"] == {"observed": None, "p": None}
         assert payload["metrics"]["shd"]["observed"] is not None
@@ -254,8 +265,8 @@ class TestCompare:
 
 
 def test_cli_import_loads_no_scipy():
-    # Neither scipy nor jsonschema (only compare and pipeline validate JSON),
-    # nor fractions: the exact null is plain integer arithmetic.
+    # Neither scipy nor jsonschema (test dependencies only), nor fractions:
+    # the exact null is plain integer arithmetic.
     src = str(Path(ncbench.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = (
@@ -269,11 +280,127 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_config_schema_lists_every_metric_name():
-    schema = json.loads(
-        (Path(ncbench.__file__).parent / "schemas" / "pipeline-config.schema.json").read_text()
+def test_compare_and_pipeline_run_without_jsonschema(tmp_path):
+    # numpy is the only runtime dependency: a None entry in sys.modules makes
+    # `import jsonschema` raise ImportError in the child.
+    src = str(Path(ncbench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys\n"
+        "sys.modules['jsonschema'] = None\n"
+        "try:\n    import jsonschema\nexcept ImportError:\n    pass\n"
+        "else:\n    sys.exit('jsonschema is importable')\n"
+        "from ncbench.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
     )
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"b": 2, "d": 5, "m_true": 5, "n": 60, "seed": 1}))
+    sachs = [f"{DATA_DIR}/sachs_truth.csv", f"{DATA_DIR}/sachs_pc_estimate.csv"]
+    runs = [
+        ["compare", "--truth", sachs[0], "--est", sachs[1], "--est-kind", "cpdag",
+         "--nc-reps", "100", "--seed", "0", "--json", str(tmp_path / "cmp.json")],
+        ["pipeline", "--config", str(cfg), "--out-dir", str(tmp_path / "out")],
+    ]
+    for argv in runs:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+    jsonschema.validate(
+        json.loads((tmp_path / "cmp.json").read_text()), load_schema("compare-report.schema.json")
+    )
+    assert (tmp_path / "out" / "summary.json").exists()
+
+
+def test_config_schema_lists_every_metric_name():
+    schema = load_schema("pipeline-config.schema.json")
     assert set(schema["properties"]["metrics"]["items"]["enum"]) == METRIC_NAMES
+
+
+# The config agreement table: PipelineConfig (through the `pipeline --config`
+# loader) and the shipped schema must give every config the same verdict.
+BASE_CONFIG = {"b": 1, "d": 3, "m_true": 2}
+RANGES = (
+    [[0.5, 2.0], [1, 1]],
+    [[0.5], [0.5, 1, 2], [0, 1], [-1, 1], ["a", 1], [True, 1], "1,2", None],
+)
+FIELD_VALUES = {  # field -> (valid values, invalid values)
+    "b": ([1, 7], ["4", True, None, 1.5, 0, -1]),
+    "d": ([3, 12], ["5", True, 2.5, 1, 0]),
+    "m_true": ([0, 3], ["1", True, 0.5, -1]),
+    "n": ([1, 400], ["60", True, 60.5, 0]),
+    "alpha": ([0.05, 0.999], ["0.05", True, None, 0, 1, 1.5, -0.1]),
+    "metrics": (
+        [["shd"], sorted(METRIC_NAMES)],
+        ["shd", [], ["shd", "sid_lowr"], [1], [True], None],
+    ),
+    "nc_kind": (["dag", "cpdag"], ["pdag", "DAG", 1, True, None]),
+    "seed": ([0, 2**64 - 1], ["3", True, -1, 2**64, 1.5]),
+    "weight_range": RANGES,
+    "variance_range": RANGES,
+    "sid_cap": ([1, 10_000], ["5", True, 0, 2.5]),
+}
+# Rejected by PipelineConfig although the schema accepts them: the rules the
+# schema's description names because JSON Schema cannot state them.
+SCHEMA_EXCEPTIONS = [
+    *({field: 4.0} for field in ("b", "d", "m_true", "n", "seed", "sid_cap")),
+    {"m_true": 4},  # d = 3 has 3 pairs
+    {"weight_range": [2.0, 0.5]},
+    {"variance_range": [1.5, 0.5]},
+]
+
+
+def _agreement_cases():
+    """(config, the field a rejection must name, or None for a valid config)."""
+    for field, (valid, invalid) in FIELD_VALUES.items():
+        for value in valid:
+            yield {**BASE_CONFIG, field: value}, None
+        for value in invalid:
+            yield {**BASE_CONFIG, field: value}, field
+    yield {**BASE_CONFIG, "replications": 3}, "replications"
+    yield {**BASE_CONFIG, "algorithm": "pc"}, "algorithm"
+    for field in BASE_CONFIG:
+        yield {k: v for k, v in BASE_CONFIG.items() if k != field}, field
+    for root in ([], "config", 1, None):
+        yield root, "object"
+
+
+def _rejection_names_field(raw, field, tmp_path, capsys, monkeypatch):
+    """Run `pipeline` on a config that must be rejected: exit 2, the field
+    named on stderr, and no truth drawn or PC run before the rejection."""
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a rejected config reached the study")
+
+    monkeypatch.setattr(ncbench.pipeline, "sample_er_dag", must_not_run)
+    monkeypatch.setattr(ncbench.pipeline, "pc", must_not_run)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    rc = main(["pipeline", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_INPUT
+    assert field in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("raw, field", list(_agreement_cases()), ids=json.dumps)
+def test_config_loader_agrees_with_schema(raw, field, tmp_path, capsys, monkeypatch):
+    schema = jsonschema.Draft202012Validator(load_schema("pipeline-config.schema.json"))
+    assert schema.is_valid(raw) == (field is None)
+    if field is None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert isinstance(_pipeline_config_from_file(str(path)), PipelineConfig)
+    else:
+        _rejection_names_field(raw, field, tmp_path, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("change", SCHEMA_EXCEPTIONS, ids=json.dumps)
+def test_config_rules_beyond_the_schema(change, tmp_path, capsys, monkeypatch):
+    raw = {**BASE_CONFIG, **change}
+    assert jsonschema.Draft202012Validator(load_schema("pipeline-config.schema.json")).is_valid(raw)
+    [field] = change
+    _rejection_names_field(raw, field, tmp_path, capsys, monkeypatch)
 
 
 class TestPipeline:
@@ -290,6 +417,7 @@ class TestPipeline:
         rc = main(["pipeline", "--config", cfg, "--out-dir", out_dir])
         assert rc == 0
         summary = json.loads(open(f"{out_dir}/summary.json").read())
+        jsonschema.validate(summary, load_schema("study-result.schema.json"))
         assert summary["schema_version"] == 1
         assert "shd" in summary["summary"]
         lines = open(f"{out_dir}/replications.csv").read().splitlines()

@@ -57,6 +57,12 @@ class TestDagInvariants:
         with pytest.raises(GraphError):
             Dag(2, frozenset(), labels=("a", "a"))
 
+    @pytest.mark.parametrize("d, count", [(1, 1), (2, 3), (3, 25), (4, 543)])
+    def test_all_dags_counts_labeled_dags(self, d, count):
+        # OEIS A003024: the number of labeled DAGs on d nodes.
+        dags = all_dags(d)
+        assert len(dags) == len(set(dags)) == count
+
     @pytest.mark.parametrize("kind", [Dag, Cpdag])
     def test_out_of_range_node_named(self, kind):
         with pytest.raises(GraphError, match="node index 7 out of range for d=3"):

@@ -15,10 +15,9 @@ from ncbench.pipeline import (
     run_study,
     single_truth_nc,
 )
-from ncbench.cli import _load_schema
 from ncbench.random_graphs import RngSeed, sample_er_cpdag, sample_er_dag
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, load_schema
 
 
 class TestPairedP:
@@ -98,7 +97,7 @@ class TestRunStudy:
         cfg = PipelineConfig(b=5, d=5, m_true=5, n=60, seed=12)
         doc = run_study(cfg).to_dict()
         jsonschema.validate(
-            json.loads(json.dumps(doc)), _load_schema("study-result.schema.json")
+            json.loads(json.dumps(doc)), load_schema("study-result.schema.json")
         )
 
     def test_all_default_metrics_present(self):
