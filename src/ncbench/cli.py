@@ -261,7 +261,7 @@ def build_parser():
         "--threads",
         type=int,
         default=1,
-        help="worker hint; results are identical for any value",
+        help="accepted and ignored: a study runs in one process for now",
     )
     p.set_defaults(func=cmd_pipeline)
 

@@ -8,6 +8,12 @@ index and its topological order. Queries read these and never rebuild them.
 Both graph kinds expose the same edge view: `directed` (for a Dag, the same
 frozenset as `edges`), `undirected` (empty for a Dag) and `kind` ("dag" or
 "cpdag"), so code that only reads edges never asks which kind it holds.
+A graph's v-structures are computed on first request and kept with it.
+A Dag is completed to its CPDAG by Chickering's compelled-edge labelling
+(Chickering 1995, "A transformational characterization of equivalent
+Bayesian network structures", UAI): one pass over the kept topological
+order. The Meek rules close the partial orientations of PC and of
+extension enumeration.
 """
 
 from __future__ import annotations
@@ -70,6 +76,15 @@ def is_acyclic(edges, d):
     return len(_kahn(children)) == d
 
 
+class _Graph:
+    """What Dag and Cpdag keep beyond their dataclass fields, which alone
+    decide eq, hash and repr."""
+
+    @functools.cached_property
+    def _v_structures(self):
+        return frozenset(map(VStructure._make, _colliders(self.directed, self._skeleton)))
+
+
 def _checked_edges(g, directed, undirected=frozenset()):
     """Normalize g's labels and edge sets in place after the checks Dag and
     Cpdag share, and set g._skeleton; returns (directed, undirected) as
@@ -98,7 +113,7 @@ def _checked_edges(g, directed, undirected=frozenset()):
 
 
 @dataclass(frozen=True)
-class Dag:
+class Dag(_Graph):
     """Directed acyclic graph over d labeled nodes.
 
     Shares Cpdag's edge view: `directed` is the same frozenset as `edges`,
@@ -160,7 +175,7 @@ class Dag:
 
 
 @dataclass(frozen=True)
-class Cpdag:
+class Cpdag(_Graph):
     """Partially directed graph: directed plus undirected edges, no mixed pairs.
 
     Ingested external outputs may be improper (not a valid equivalence-class
@@ -215,8 +230,9 @@ def _colliders(directed, skel):
 
 
 def v_structures(g):
-    """All v-structures of a Dag or Cpdag (only fully directed colliders count)."""
-    return frozenset(map(VStructure._make, _colliders(g.directed, skeleton(g))))
+    """All v-structures of a Dag or Cpdag (only fully directed colliders
+    count), computed on the first call and kept by the graph."""
+    return g._v_structures
 
 
 def d_separated(g, i, j, z):
@@ -279,7 +295,9 @@ def d_connected(parents, children, source, z, stop=None):
 
 
 def _meek_close(d, skel, directed):
-    """Close a set of directed orientations under the four Meek rules.
+    """Close a set of directed orientations under the four Meek rules; PC's
+    orientation phase and enumerate_extensions use it (dag_to_cpdag needs no
+    closure, see there).
 
     `skel` is a set of canonical (i < j) pairs and `directed` a set of (i, j)
     orientations; pairs in skel with neither orientation present are
@@ -336,23 +354,46 @@ def _meek_close(d, skel, directed):
 
 
 def dag_to_cpdag(g):
-    """Completed partially directed graph of g's Markov equivalence class.
+    """Completed partially directed graph of the Dag g's Markov equivalence
+    class: its compelled edges stay directed, its reversible ones undirected.
 
-    Keep the skeleton, direct v-structure edges, close under the Meek rules,
-    leave the rest undirected.
+    Chickering's (1995) Find-Compelled, one pass over g's kept topological
+    order. For each node y with parents, let x be the parent latest in that
+    order; every edge into x is labelled by then. A compelled w -> x with w
+    not a parent of y compels every edge into y. Otherwise each such w -> y
+    is compelled, and the rest of y's edges are compelled iff some parent of
+    y other than x is not a parent of x, else reversible.
     """
-    skel = skeleton(g)
-    directed = set()
-    for a, c, b in _colliders(g.directed, skel):
-        # Both collider edges are compelled with their DAG orientation.
-        directed.add((a, b))
-        directed.add((c, b))
-    directed = _meek_close(g.d, skel, directed)
-    # Meek closure can only re-derive orientations consistent with g.
-    undirected = frozenset(
-        p for p in skel if (p[0], p[1]) not in directed and (p[1], p[0]) not in directed
-    )
-    return Cpdag(g.d, frozenset(directed), undirected, g.labels)
+    if not isinstance(g, Dag):
+        raise GraphError("dag_to_cpdag completes a Dag")
+    parents = g._index[0]
+    position = [0] * g.d
+    for k, v in enumerate(g._order):
+        position[v] = k
+    compelled = [()] * g.d  # per node, its parents along compelled edges
+    directed, undirected = [], []
+    for y in g._order:
+        pa_y = parents[y]
+        if not pa_y:
+            continue
+        x = max(pa_y, key=position.__getitem__)
+        pa_x = parents[x]
+        compelled_y = []
+        for w in compelled[x]:
+            if w not in pa_y:
+                compelled_y = pa_y
+                break
+            compelled_y.append(w)
+        else:
+            if any(z != x and z not in pa_x for z in pa_y):
+                compelled_y = pa_y
+        compelled[y] = compelled_y
+        for z in pa_y:
+            if z in compelled_y:
+                directed.append((z, y))
+            else:
+                undirected.append((z, y) if z < y else (y, z))
+    return Cpdag(g.d, frozenset(directed), frozenset(undirected), g.labels)
 
 
 def enumerate_extensions(p, cap=10_000):

@@ -5,6 +5,7 @@ edge count) and the single-truth variant for real-data applications."""
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -32,6 +33,10 @@ def _check_type(name, value, kind):
     if not isinstance(value, kind) or isinstance(value, bool):
         noun = "an integer" if kind is numbers.Integral else "a number"
         raise ValueError(f"{name} must be {noun}, got {value!r}")
+    # json.load reads Infinity, NaN, 1e999 (as inf) and integers past float
+    # range; NaN fails the comparison, and no int is converted to a float.
+    if kind is numbers.Real and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +112,7 @@ class StudyResult:
             "config": {
                 f.name: getattr(cfg, f.name)
                 for f in fields(cfg)
-                if f.name not in ("sid_cap", "algorithm")
+                if f.name != "algorithm"
             },
             "summary": self.summary,
             "methods_note": self.methods_note,

@@ -7,6 +7,7 @@ and orients it along a uniformly random total order, so conditional on
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -42,6 +43,13 @@ def max_edges(d):
     return d * (d - 1) // 2
 
 
+@functools.cache
+def _pairs(d):
+    """The unordered node pairs (i < j) in lexicographic order; sample_er_dag
+    indexes them, so their order is part of every seeded draw."""
+    return tuple(itertools.combinations(range(d), 2))
+
+
 def sample_er_dag(d, m, rng):
     """DAG with exactly m edges: uniform skeleton, uniform-order orientation."""
     mmax = max_edges(d)
@@ -50,7 +58,7 @@ def sample_er_dag(d, m, rng):
     gen = rng.generator() if isinstance(rng, RngSeed) else rng
     order = gen.permutation(d)
     rank = {int(v): pos for pos, v in enumerate(order)}
-    pairs = list(itertools.combinations(range(d), 2))
+    pairs = _pairs(d)
     chosen = gen.choice(len(pairs), size=m, replace=False)
     edges = set()
     for idx in chosen:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,12 +23,10 @@ class SemConfig:
     seed: RngSeed = field(default_factory=lambda: RngSeed(0))
 
     def __post_init__(self):
-        lo, hi = self.weight_range
-        vlo, vhi = self.variance_range
-        if not (0 < lo <= hi):
-            raise ValueError("weight_range must satisfy 0 < lo <= hi")
-        if not (0 < vlo <= vhi):
-            raise ValueError("variance_range must satisfy 0 < lo <= hi")
+        for name in ("weight_range", "variance_range"):
+            lo, hi = getattr(self, name)
+            if not (0 < lo <= hi <= sys.float_info.max):
+                raise ValueError(f"{name} must satisfy 0 < lo <= hi, both finite")
         if self.n < 1:
             raise ValueError("sample size n must be at least 1")
 

@@ -322,14 +322,14 @@ def test_config_schema_lists_every_metric_name():
 BASE_CONFIG = {"b": 1, "d": 3, "m_true": 2}
 RANGES = (
     [[0.5, 2.0], [1, 1]],
-    [[0.5], [0.5, 1, 2], [0, 1], [-1, 1], ["a", 1], [True, 1], "1,2", None],
+    [[0.5], [0.5, 1, 2], [0, 1], [-1, 1], [-math.inf, 1], ["a", 1], [True, 1], "1,2", None],
 )
 FIELD_VALUES = {  # field -> (valid values, invalid values)
     "b": ([1, 7], ["4", True, None, 1.5, 0, -1]),
     "d": ([3, 12], ["5", True, 2.5, 1, 0]),
     "m_true": ([0, 3], ["1", True, 0.5, -1]),
     "n": ([1, 400], ["60", True, 60.5, 0]),
-    "alpha": ([0.05, 0.999], ["0.05", True, None, 0, 1, 1.5, -0.1]),
+    "alpha": ([0.05, 0.999], ["0.05", True, None, 0, 1, 1.5, -0.1, math.inf, -math.inf]),
     "metrics": (
         [["shd"], sorted(METRIC_NAMES)],
         ["shd", [], ["shd", "sid_lowr"], [1], [True], None],
@@ -341,12 +341,20 @@ FIELD_VALUES = {  # field -> (valid values, invalid values)
     "sid_cap": ([1, 10_000], ["5", True, 0, 2.5]),
 }
 # Rejected by PipelineConfig although the schema accepts them: the rules the
-# schema's description names because JSON Schema cannot state them.
+# schema's description names because JSON Schema cannot state them. JSON has
+# no non-finite numbers, but json.load reads Infinity and NaN, which the
+# schema's bounds let through.
 SCHEMA_EXCEPTIONS = [
     *({field: 4.0} for field in ("b", "d", "m_true", "n", "seed", "sid_cap")),
     {"m_true": 4},  # d = 3 has 3 pairs
     {"weight_range": [2.0, 0.5]},
     {"variance_range": [1.5, 0.5]},
+    {"alpha": math.nan},
+    {"weight_range": [1, math.inf]},
+    {"weight_range": [math.nan, 1]},
+    {"variance_range": [0.5, math.inf]},
+    {"variance_range": [1, math.nan]},
+    {"weight_range": [1, 10**400]},  # an int past float range
 ]
 
 

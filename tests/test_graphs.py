@@ -197,6 +197,18 @@ class TestVStructures:
         p = Cpdag(3, frozenset({(0, 2)}), frozenset({(1, 2)}))
         assert v_structures(p) == frozenset()
 
+    def test_kept_set_is_outside_eq_hash_and_repr(self):
+        g = Dag(3, frozenset({(0, 2), (1, 2)}), labels=("a", "b", "c"))
+        for graph in (g, dag_to_cpdag(g)):
+            before = repr(graph), hash(graph)
+            vs = v_structures(graph)
+            assert vs == {VStructure(0, 1, 2)} and v_structures(graph) is vs
+            assert (repr(graph), hash(graph)) == before
+            copy = with_labels(graph, graph.labels)
+            assert "_v_structures" in vars(graph) and "_v_structures" not in vars(copy)
+            assert copy == graph and hash(copy) == hash(graph) and repr(copy) == repr(graph)
+            assert v_structures(with_labels(graph, None)) == vs
+
     def test_fields_match_colliders(self):
         gen = RngSeed(83).generator()
         for d in range(3, 12):
@@ -341,6 +353,40 @@ class TestDagToCpdag:
             assert cp.directed == directed
             assert cp.undirected == undirected
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_meek_construction_exhaustive(self, d):
+        for g in all_dags(d):
+            assert dag_to_cpdag(g) == meek_cpdag(g)
+
+    @pytest.mark.parametrize("density", [0.15, 0.6])
+    def test_matches_meek_construction_seeded(self, density):
+        gen = RngSeed(97).generator()
+        for d in range(5, 26):
+            for _ in range(12):
+                m = int(gen.binomial(d * (d - 1) // 2, density))
+                g = sample_er_dag(d, m, gen)
+                assert dag_to_cpdag(g) == meek_cpdag(g)
+
+    def test_keeps_labels_and_rejects_a_cpdag(self):
+        g = Dag(3, frozenset({(0, 1), (2, 1)}), labels=("a", "b", "c"))
+        assert dag_to_cpdag(g).labels == ("a", "b", "c")
+        with pytest.raises(GraphError):
+            dag_to_cpdag(dag_to_cpdag(g))
+
+
+def meek_cpdag(g):
+    """The construction dag_to_cpdag replaced: direct the v-structure edges,
+    close under the Meek rules, leave the rest undirected."""
+    skel = skeleton(g)
+    seeds = set()
+    for a, c, b in _colliders(g.directed, skel):
+        seeds |= {(a, b), (c, b)}
+    directed = _meek_close(g.d, skel, seeds)
+    undirected = frozenset(
+        p for p in skel if p not in directed and (p[1], p[0]) not in directed
+    )
+    return Cpdag(g.d, frozenset(directed), undirected, g.labels)
+
 
 def reference_meek_close(d, skel, directed):
     """The Meek closure by a scan over all d nodes per rule: the reference
@@ -399,8 +445,8 @@ def reference_meek_close(d, skel, directed):
 class TestMeekClose:
     def test_matches_node_scan_reference(self):
         # Random skeletons with random partial orientations: consistent or
-        # not (cycles, both orientations of a pair), plus v-structure seeds
-        # as dag_to_cpdag and enumerate_extensions pass them.
+        # not (cycles, both orientations of a pair), as PC and
+        # enumerate_extensions pass them, plus v-structure seeds of DAGs.
         gen = RngSeed(91).generator()
         closed_more = 0
         for trial in range(2400):

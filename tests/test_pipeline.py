@@ -94,11 +94,15 @@ class TestRunStudy:
         assert a.to_dict() == b.to_dict()
 
     def test_summary_schema(self):
-        cfg = PipelineConfig(b=5, d=5, m_true=5, n=60, seed=12)
+        cfg = PipelineConfig(b=5, d=5, m_true=5, n=60, seed=12, sid_cap=7)
         doc = run_study(cfg).to_dict()
-        jsonschema.validate(
-            json.loads(json.dumps(doc)), load_schema("study-result.schema.json")
-        )
+        schema = load_schema("study-result.schema.json")
+        jsonschema.validate(json.loads(json.dumps(doc)), schema)
+        assert doc["config"]["sid_cap"] == 7  # the cap that decided SID MISSING
+        assert "algorithm" not in doc["config"]
+        doc["config"]["sid_cap"] = 0
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, schema)
 
     def test_all_default_metrics_present(self):
         cfg = PipelineConfig(b=4, d=5, m_true=5, n=60, seed=13)

@@ -13,6 +13,12 @@ class TestSemConfig:
         with pytest.raises(ValueError):
             SemConfig(n=10, weight_range=(2.0, 1.0))
 
+    @pytest.mark.parametrize("name", ["weight_range", "variance_range"])
+    @pytest.mark.parametrize("pair", [(1.0, np.inf), (np.nan, 1.0), (1.0, np.nan), (1, 10**400)])
+    def test_non_finite_range(self, name, pair):
+        with pytest.raises(ValueError, match=name):
+            SemConfig(n=10, **{name: pair})
+
     def test_invalid_sample_size(self):
         with pytest.raises(ValueError):
             SemConfig(n=0)
