@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -85,16 +86,31 @@ class _Graph:
         return frozenset(map(VStructure._make, _colliders(self.directed, self._skeleton)))
 
 
+def _as_int(v, what):
+    """v as an int if it is a Python or numpy integer (not a bool)."""
+    if isinstance(v, numbers.Integral) and not isinstance(v, bool):
+        return int(v)
+    raise GraphError(f"{what} must be an integer, got {v!r}")
+
+
+def _int_pairs(pairs):
+    """`pairs` as a frozenset of int pairs; plain-int pairs pass unconverted."""
+    return frozenset(
+        (i, j) if type(i) is type(j) is int else (_as_int(i, "node"), _as_int(j, "node"))
+        for i, j in pairs
+    )
+
+
 def _checked_edges(g, directed, undirected=frozenset()):
-    """Normalize g's labels and edge sets in place after the checks Dag and
-    Cpdag share, and set g._skeleton; returns (directed, undirected) as
+    """Normalize g's d, labels and edge sets in place after the checks Dag
+    and Cpdag share, and set g._skeleton; returns (directed, undirected) as
     frozensets of int pairs, undirected pairs in canonical (i < j) order."""
+    if type(g.d) is not int:
+        object.__setattr__(g, "d", _as_int(g.d, "d"))
     if g.d < 1:
         raise GraphError("d must be positive")
-    directed = frozenset((int(i), int(j)) for i, j in directed)
-    undirected = frozenset(
-        (min(int(i), int(j)), max(int(i), int(j))) for i, j in undirected
-    )
+    directed = _int_pairs(directed)
+    undirected = frozenset((min(i, j), max(i, j)) for i, j in _int_pairs(undirected))
     labels = tuple(g.labels) if g.labels is not None else _default_labels(g.d)
     if len(labels) != g.d or len(set(labels)) != g.d:
         raise GraphError("labels must be d distinct strings")
@@ -213,13 +229,10 @@ def skeleton(g):
     return g._skeleton
 
 
-def _adjacent(skel, i, j):
-    return (min(i, j), max(i, j)) in skel
-
-
 def _colliders(directed, skel):
     """Yield (a, c, b) for each a -> b <- c in `directed` with a < c and
-    (a, c) not in the skeleton `skel`."""
+    (a, c) not in the skeleton `skel`. Given both orientations of every pair
+    in `skel`, it yields the unshielded triples a - b - c, as PC needs."""
     by_child = {}
     for i, j in directed:
         by_child.setdefault(j, []).append(i)

@@ -1,6 +1,9 @@
 """Reference PC algorithm: stable skeleton search, v-structure orientation
 from separating sets, and Meek-rule closure.
 
+The skeleton phase tests each (i, j, S) triple at most once; the v-structures
+come from the graph core's collider scan over the skeleton's half-edges.
+
 Two conditional-independence backends: a Fisher-z test for vanishing partial
 correlations on Gaussian data, and a d-separation oracle on a known DAG.
 """
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Cpdag, Dag, _adjacent, _meek_close, d_separated
+from .graphs import Cpdag, Dag, _colliders, _meek_close, d_separated
 
 
 class CiTestError(RuntimeError):
@@ -54,8 +57,6 @@ def fisher_z_test(data, i, j, z):
     _check_sample_size(n, len(z))
     idx = [i, j] + z
     cov = np.cov(data[:, idx], rowvar=False)
-    if cov.ndim == 0:
-        cov = cov.reshape(1, 1)
     try:
         prec = np.linalg.inv(cov)
     except np.linalg.LinAlgError as exc:
@@ -81,7 +82,7 @@ class FisherZTest:
     correlation of i, j given S comes from the inverse of the (|S|+2)
     correlation submatrix. prepare() evaluates a batch of triples with one
     stacked inverse per conditioning-set size; independent() decides one
-    triple, from the last prepared batch when it holds the triple.
+    triple of the last prepared batch, and only those.
     """
 
     def __init__(self, data, alpha):
@@ -122,17 +123,12 @@ class FisherZTest:
         return out
 
     def prepare(self, triples):
-        """Evaluate (i, j, S) triples with i < j and one set size, for
-        independent()."""
-        triples = list(triples)
+        """Evaluate a sequence of (i, j, S) triples with i < j and one set
+        size, for independent()."""
         self._prepared = dict(zip(triples, self.p_values(triples)))
 
     def independent(self, i, j, z):
-        key = (min(i, j), max(i, j), frozenset(z))
-        p = self._prepared.get(key)
-        if p is None:
-            (p,) = self.p_values([key])
-        return p >= self.alpha
+        return self._prepared[(min(i, j), max(i, j), frozenset(z))] >= self.alpha
 
 
 class OracleTest:
@@ -149,10 +145,11 @@ def _skeleton_phase(test, d, max_cond_size):
     size levels, so the result is independent of node ordering.
 
     Neighbourhoods are frozen for a level, so its candidate sets are known
-    before any test runs: each (i, j, S) triple is decided once per level,
-    and a test with prepare() evaluates the level's triples in one batch. The
-    oracle is not batched, since it would then also decide the sets after a
-    pair's first independent one.
+    before any test runs. Each pair tests each distinct set once, in order of
+    first appearance; a triple names its pair, so no two pairs share one and
+    no memo across pairs is needed. A test with prepare() evaluates the
+    level's triples in one batch. The oracle is not batched, since it would
+    then also decide the sets after a pair's first independent one.
     """
     adj = {v: set(range(d)) - {v} for v in range(d)}
     sepsets = {}
@@ -162,28 +159,24 @@ def _skeleton_phase(test, d, max_cond_size):
             break
         if all(len(adj[v]) - 1 < level for v in range(d)):
             break
-        # Every pair's candidate sets in test order: subsets of adj(i) - {j},
-        # then of adj(j) - {i}.
+        # Every pair's distinct candidate sets in test order: subsets of
+        # adj(i) - {j}, then those of adj(j) - {i} not seen already.
         plan = [
-            (i, j, [
+            (i, j, list(dict.fromkeys(
                 frozenset(s)
                 for a, b in ((i, j), (j, i))
                 for s in itertools.combinations(sorted(adj[a] - {b}), level)
-            ])
+            )))
             for i in range(d)
             for j in sorted(adj[i])
             if i < j
         ]
         if hasattr(test, "prepare"):
-            test.prepare(dict.fromkeys((i, j, s) for i, j, sets in plan for s in sets))
-        decided = {}  # |S| = level, so triples repeat only within a level
+            test.prepare([(i, j, s) for i, j, sets in plan for s in sets])
         to_remove = []
         for i, j, sets in plan:
             for s in sets:
-                key = (i, j, s)
-                if key not in decided:
-                    decided[key] = test.independent(i, j, s)
-                if decided[key]:
+                if test.independent(i, j, s):
                     sepsets[(i, j)] = s
                     to_remove.append((i, j))
                     break
@@ -197,25 +190,18 @@ def _skeleton_phase(test, d, max_cond_size):
     return skel, sepsets
 
 
-def _orient_v_structures(d, skel, sepsets):
-    """Orient unshielded triples whose middle node is outside the separating
-    set; conflicting orientations are dropped (left undirected)."""
+def _orient_v_structures(skel, sepsets):
+    """Orient each unshielded triple a - b - c whose middle node is outside
+    sepsets[(a, c)]; conflicting orientations are dropped (left undirected).
+    The collider scan over both orientations of every pair yields exactly
+    these triples, each once with a < c."""
     votes = set()
-    for i, k in itertools.combinations(range(d), 2):
-        if _adjacent(skel, i, k):
-            continue
-        sep = sepsets.get((i, k))
-        if sep is None:
-            continue
-        for b in range(d):
-            if b in (i, k):
-                continue
-            if _adjacent(skel, i, b) and _adjacent(skel, k, b) and b not in sep:
-                votes.add((i, b))
-                votes.add((k, b))
+    for a, c, b in _colliders(skel | {(j, i) for i, j in skel}, skel):
+        if b not in sepsets[(a, c)]:
+            votes.add((a, b))
+            votes.add((c, b))
     # Conflict: both orientations requested for the same pair.
-    conflicted = {(i, j) for (i, j) in votes if (j, i) in votes}
-    return votes - conflicted
+    return {(i, j) for i, j in votes if (j, i) not in votes}
 
 
 def pc(data_or_graph, cfg=None):
@@ -231,11 +217,8 @@ def pc(data_or_graph, cfg=None):
         test = FisherZTest(data_or_graph, cfg.alpha)
     d = test.d
     skel, sepsets = _skeleton_phase(test, d, cfg.max_cond_size)
-    directed = _orient_v_structures(d, skel, sepsets)
-    directed = _meek_close(d, skel, directed)
-    # Meek closure with conflicting inputs can produce 2-cycles; drop both
-    # orientations of any such pair (conservative, documented behavior).
-    two_cycles = {(i, j) for (i, j) in directed if (j, i) in directed}
-    directed -= two_cycles
+    # No pair holds both orientations: the votes drop conflicts, and the Meek
+    # rules orient only pairs with no orientation yet.
+    directed = _meek_close(d, skel, _orient_v_structures(skel, sepsets))
     oriented = {(min(i, j), max(i, j)) for i, j in directed}
     return Cpdag(d, frozenset(directed), skel - oriented)

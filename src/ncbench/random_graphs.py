@@ -40,6 +40,8 @@ class RngSeed:
 
 
 def max_edges(d):
+    if d < 0:
+        raise ValueError(f"node count d={d} must be non-negative")
     return d * (d - 1) // 2
 
 

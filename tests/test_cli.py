@@ -63,6 +63,21 @@ class TestExpect:
         rc = main(["expect", "--d", "5", "--m-true", "8", "--m-est", "0"])
         assert rc == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            ("-3", "node count d=-3 must be non-negative"),
+            ("0", "m_true and m_est cannot exceed m_max"),
+            ("1", "m_true and m_est cannot exceed m_max"),
+        ],
+    )
+    def test_small_or_negative_d(self, d, message, capsys):
+        rc = main(["expect", "--d", d, "--m-true", "2", "--m-est", "2"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestFitTest:
     def test_bundled_pair(self, capsys):
@@ -495,6 +510,21 @@ class TestSampleAndSimulate:
     def test_sample_m_too_large(self, capsys):
         rc = main(["sample", "--d", "3", "--m", "4", "--out", "/tmp/x.csv"])
         assert rc == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            ("-3", "node count d=-3 must be non-negative"),
+            ("0", "m=2 out of range [0, 0] for d=0"),
+            ("1", "m=2 out of range [0, 0] for d=1"),
+        ],
+    )
+    def test_sample_small_or_negative_d(self, d, message, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        rc = main(["sample", "--d", d, "--m", "2", "--out", str(out)])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_simulate_data(self, tmp_path):
         out = str(tmp_path / "data.csv")

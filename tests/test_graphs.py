@@ -1,6 +1,8 @@
 import itertools
+import re
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,6 +71,35 @@ class TestDagInvariants:
             kind(3, frozenset({(0, 7)}))
         with pytest.raises(GraphError, match="node index -1 out of range"):
             kind(3, frozenset({(-1, 2)}))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda e: Dag(3, frozenset(e)),
+            lambda e: Cpdag(3, frozenset(e)),
+            lambda e: Cpdag(3, frozenset(), frozenset(e)),
+        ],
+        ids=["dag", "cpdag-directed", "cpdag-undirected"],
+    )
+    def test_only_integer_nodes(self, make):
+        for node in (1.7, 1.0, True, False, "0", None, np.float64(1.0), np.True_):
+            message = f"node must be an integer, got {re.escape(repr(node))}"
+            with pytest.raises(GraphError, match=message):
+                make({(node, 2)})
+            with pytest.raises(GraphError, match="node must be an integer"):
+                make({(2, node)})
+        g = make({(np.int64(0), np.uint8(2)), (1, np.int32(2))})
+        assert g.directed | g.undirected == {(0, 2), (1, 2)}
+        assert all(type(v) is int for e in g.directed | g.undirected for v in e)
+
+    @pytest.mark.parametrize("kind", [Dag, Cpdag])
+    def test_only_integer_d(self, kind):
+        for d in (2.0, True, "3", None, np.float64(3.0), np.True_):
+            message = f"d must be an integer, got {re.escape(repr(d))}"
+            with pytest.raises(GraphError, match=message):
+                kind(d)
+        g = kind(np.int64(3), frozenset({(0, 2)}))
+        assert type(g.d) is int and g == kind(3, frozenset({(0, 2)}))
 
     def test_topological_order_is_sorted_kahn(self):
         def sorted_kahn(g):

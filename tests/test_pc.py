@@ -1,11 +1,12 @@
 import importlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from ncbench.graphs import Dag, all_dags, dag_to_cpdag
+from ncbench.graphs import Cpdag, Dag, _meek_close, all_dags, dag_to_cpdag
 from ncbench.pc import CiTestError, FisherZTest, PcConfig, fisher_z_test, pc
 from ncbench.random_graphs import RngSeed, sample_er_dag
 from ncbench.sem import SemConfig, simulate_from_dag
@@ -191,3 +192,153 @@ class TestDataPc:
             est = pc(data, PcConfig(alpha=0.05))
             total += len(est.directed) + len(est.undirected)
         assert total / reps < 20
+
+
+def reference_skeleton_phase(test, d, max_cond_size):
+    """The skeleton phase with a level-wide memo of decided triples, over
+    each pair's candidate sets with repeats: the reference for the
+    deduplicated plan, which must ask the same triples in the same order."""
+    adj = {v: set(range(d)) - {v} for v in range(d)}
+    sepsets = {}
+    level = 0
+    while True:
+        if max_cond_size is not None and level > max_cond_size:
+            break
+        if all(len(adj[v]) - 1 < level for v in range(d)):
+            break
+        plan = [
+            (i, j, [
+                frozenset(s)
+                for a, b in ((i, j), (j, i))
+                for s in itertools.combinations(sorted(adj[a] - {b}), level)
+            ])
+            for i in range(d)
+            for j in sorted(adj[i])
+            if i < j
+        ]
+        if hasattr(test, "prepare"):
+            triples = dict.fromkeys((i, j, s) for i, j, sets in plan for s in sets)
+            test.prepare(list(triples))
+        decided = {}
+        to_remove = []
+        for i, j, sets in plan:
+            for s in sets:
+                key = (i, j, s)
+                if key not in decided:
+                    decided[key] = test.independent(i, j, s)
+                if decided[key]:
+                    sepsets[(i, j)] = s
+                    to_remove.append((i, j))
+                    break
+        for i, j in to_remove:
+            adj[i].discard(j)
+            adj[j].discard(i)
+        level += 1
+    skel = frozenset((i, j) for i in range(d) for j in adj[i] if i < j)
+    return skel, sepsets
+
+
+def reference_orient_v_structures(d, skel, sepsets):
+    """The v-structure votes by a scan over every non-adjacent pair and every
+    middle node: the reference for the collider scan over half-edges."""
+
+    def adjacent(i, j):
+        return (min(i, j), max(i, j)) in skel
+
+    votes = set()
+    for i, k in itertools.combinations(range(d), 2):
+        if adjacent(i, k):
+            continue
+        sep = sepsets.get((i, k))
+        if sep is None:
+            continue
+        for b in range(d):
+            if b in (i, k):
+                continue
+            if adjacent(i, b) and adjacent(k, b) and b not in sep:
+                votes.add((i, b))
+                votes.add((k, b))
+    conflicted = {(i, j) for (i, j) in votes if (j, i) in votes}
+    return votes - conflicted
+
+
+def reference_pc(test, max_cond_size):
+    """PC from the reference phases, with the 2-cycle repair after closure."""
+    d = test.d
+    skel, sepsets = reference_skeleton_phase(test, d, max_cond_size)
+    directed = _meek_close(d, skel, reference_orient_v_structures(d, skel, sepsets))
+    directed -= {(i, j) for (i, j) in directed if (j, i) in directed}
+    oriented = {(min(i, j), max(i, j)) for i, j in directed}
+    return Cpdag(d, frozenset(directed), skel - oriented)
+
+
+def _record_calls(monkeypatch, cls):
+    """Record every (i, j, S, answer) of cls.independent, in call order."""
+    calls = []
+    original = cls.independent
+
+    def independent(self, i, j, z):
+        out = original(self, i, j, z)
+        calls.append((i, j, z, out))
+        return out
+
+    monkeypatch.setattr(cls, "independent", independent)
+    return calls
+
+
+class TestMatchesReferencePc:
+    @pytest.mark.parametrize("max_cond_size", [None, 1])
+    @pytest.mark.parametrize(
+        "d, n, alpha", [(6, 30, 0.5), (10, 60, 0.2), (10, 400, 0.05), (15, 200, 0.1)]
+    )
+    def test_data(self, d, n, alpha, max_cond_size, monkeypatch):
+        calls = _record_calls(monkeypatch, FisherZTest)
+        cfg = PcConfig(alpha=alpha, max_cond_size=max_cond_size)
+        for rep in range(4):
+            gen = RngSeed(23, 100 * d + rep).generator()
+            g = sample_er_dag(d, int(gen.integers(d, 2 * d + 1)), gen)
+            data = simulate_from_dag(g, SemConfig(n=n, seed=RngSeed(24, 100 * d + rep)))
+            est = pc(data, cfg)
+            got = calls[:]
+            calls.clear()
+            assert est == reference_pc(FisherZTest(data, alpha), max_cond_size)
+            assert got == calls
+            calls.clear()
+
+    @pytest.mark.parametrize("d", [5, 10, 30])
+    def test_oracle(self, d, monkeypatch):
+        calls = _record_calls(monkeypatch, pc_module.OracleTest)
+        for rep in range(8 if d < 30 else 1):
+            gen = RngSeed(25, 100 * d + rep).generator()
+            g = sample_er_dag(d, int(gen.integers(d, 2 * d + 1)), gen)
+            est = pc(g)
+            got = calls[:]
+            calls.clear()
+            assert est == reference_pc(pc_module.OracleTest(g), None)
+            assert got == calls
+            assert est == dag_to_cpdag(g)
+            calls.clear()
+
+    def test_v_structure_votes_on_random_inputs(self):
+        # Random skeletons, each non-adjacent pair given a random separating
+        # set, as the skeleton phase guarantees.
+        gen = RngSeed(26).generator()
+        voted = 0
+        for trial in range(1500):
+            d = 3 + trial % 10
+            skel = frozenset(
+                p for p in itertools.combinations(range(d), 2) if gen.random() < 0.5
+            )
+            sepsets = {
+                (a, c): frozenset(
+                    v for v in range(d) if v not in (a, c) and gen.random() < 0.3
+                )
+                for a, c in itertools.combinations(range(d), 2)
+                if (a, c) not in skel
+            }
+            votes = pc_module._orient_v_structures(skel, sepsets)
+            assert votes == reference_orient_v_structures(d, skel, sepsets)
+            closed = _meek_close(d, skel, votes)
+            assert not any((j, i) in closed for i, j in closed)
+            voted += bool(votes)
+        assert voted > 700

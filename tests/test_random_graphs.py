@@ -96,3 +96,6 @@ class TestSampleErCpdag:
 def test_max_edges():
     assert max_edges(5) == 10
     assert max_edges(22) == 231
+    assert max_edges(1) == max_edges(0) == 0
+    with pytest.raises(ValueError, match="d=-3 must be non-negative"):
+        max_edges(-3)
