@@ -52,22 +52,20 @@ def cmd_expect(args):
     m_max = _m_max_from_args(args)
     params = hg.HyperParams(m_max, args.m_true, args.m_est)
     level = args.level
-    lo_q, hi_q = (1 - level) / 2, 1 - (1 - level) / 2
+    levels = {"median": 0.5, "ci_lower": (1 - level) / 2, "ci_upper": 1 - (1 - level) / 2}
+    # Checked before any metric, so a bad --level is reported even when the
+    # metric is undefined for these counts.
+    if not all(0 < q < 1 for q in levels.values()):
+        raise ValueError("level must be strictly between 0 and 1")
     metrics = [args.metric] if args.metric else list(hg.METRICS)
-    # One support walk per level, shared by every metric's TP transform.
-    median, lo, hi = (hg.quantile(q, params) for q in (0.5, lo_q, hi_q))
-    rows = []
-    for metric in metrics:
-        value = hg.tp_transform(metric, params)
-        rows.append(
-            {
-                "metric": metric,
-                "expected": hg.expected_metric(metric, params),
-                "median": value(median),
-                "ci_lower": value(lo),
-                "ci_upper": value(hi),
-            }
-        )
+    rows = [
+        {
+            "metric": metric,
+            "expected": hg.expected_metric(metric, params),
+            **{key: hg.metric_quantile(metric, q, params) for key, q in levels.items()},
+        }
+        for metric in metrics
+    ]
     print(f"m_max={m_max} m_true={args.m_true} m_est={args.m_est} level={level}")
     print(f"{'metric':<14}{'expected':>10}{'median':>10}{'ci_lower':>10}{'ci_upper':>10}")
     for r in rows:

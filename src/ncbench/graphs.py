@@ -70,7 +70,13 @@ def _kahn(children):
 
 def is_acyclic(edges, d):
     """True iff the directed edges over nodes 0..d-1 admit a topological order."""
+    edges = _int_pairs(edges)
     _check_nodes(d, (v for e in edges for v in e))
+    return _acyclic(edges, d)
+
+
+def _acyclic(edges, d):
+    """is_acyclic for pairs of ints already known to lie in 0..d-1."""
     children = [[] for _ in range(d)]
     for i, j in edges:
         children[i].append(j)
@@ -253,8 +259,14 @@ def d_separated(g, i, j, z):
     if not isinstance(g, Dag):
         raise GraphError("d-separation is defined on DAGs")
     z = frozenset(z)
-    _check_nodes(g.d, [i, j])
-    _check_nodes(g.d, z)
+    for v in (i, j, *z):
+        # Plain ints in range pass as they are; anything else is converted
+        # by the constructors' integer rule or rejected.
+        if type(v) is not int or not 0 <= v < g.d:
+            i, j, *z = [_as_int(u, "node") for u in (i, j, *z)]
+            _check_nodes(g.d, (i, j, *z))
+            z = frozenset(z)
+            break
     if i == j:
         raise GraphError("i and j must differ")
     if i in z or j in z:
@@ -422,7 +434,7 @@ def enumerate_extensions(p, cap=10_000):
 
     def valid_partial(directed):
         # No directed cycle (2-cycles included), no new v-structure.
-        return is_acyclic(directed, p.d) and base_vs.issuperset(
+        return _acyclic(directed, p.d) and base_vs.issuperset(
             _colliders(directed, skel)
         )
 

@@ -5,10 +5,17 @@ skeleton follows HyperGeom(m_max, m_true, m_est). Everything here is exact:
 closed-form expectations, quantile transforms for the five adjacency
 metrics, and the one-sided skeleton-fit test, each float a correctly rounded
 ratio of integers at every size.
+
+A HyperParams walks its support at most once across all its quantile, cdf
+and metric_quantile calls: it keeps its exact walk and resumes it only past
+the points already walked, so threads that share one HyperParams must take
+turns. The skeleton-fit test walks on its own.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +45,11 @@ class HyperParams:
         lo = max(0, self.m_est + self.m_true - self.m_max)
         hi = min(self.m_est, self.m_true)
         return range(lo, hi + 1)
+
+    @functools.cached_property
+    def _walk(self):
+        """The kept support walk; not a field, so eq, hash and repr ignore it."""
+        return _Walk(self)
 
 
 @dataclass(frozen=True)
@@ -70,15 +82,46 @@ class MetricValue:
         return self.value is None
 
 
-def _terms(p, stop):
-    """Yield (k, C(m_max, m_est) * P(TP = k)) for support points k < stop, exactly."""
-    other, lo = p.m_max - p.m_true, p.support.start
-    a, b = math.comb(p.m_true, lo), math.comb(other, p.m_est - lo)
-    for k in range(lo, min(stop, p.support.stop)):
-        yield k, a * b
+def _bottom(p):
+    """The walk state (k, a, b) at the bottom of the support."""
+    lo = p.support.start
+    return lo, math.comb(p.m_true, lo), math.comb(p.m_max - p.m_true, p.m_est - lo)
+
+
+def _terms(p, stop, k, a, b):
+    """Yield the walk states (k, a, b), a * b = C(m_max, m_est) * P(TP = k),
+    from the given state on for support points k < stop, exactly."""
+    other = p.m_max - p.m_true
+    for k in range(k, min(stop, p.support.stop)):
+        yield k, a, b
         # C(n, i) * (n - i) == C(n, i + 1) * (i + 1), so each // is exact.
         a = a * (p.m_true - k) // (k + 1)
         b = b * (p.m_est - k) // (other - p.m_est + k + 1)
+
+
+class _Walk:
+    """A resumable exact walk of one HyperParams' support. (k, a, b) is the
+    state of the first point not yet walked, num the exact sum of the walked
+    terms and cdf[i] the float num / denom after point lo + i. Only ints and
+    floats are kept, so the HyperParams that holds it still pickles."""
+
+    __slots__ = ("denom", "k", "a", "b", "num", "cdf")
+
+    def __init__(self, p):
+        self.denom = math.comb(p.m_max, p.m_est)
+        self.k, self.a, self.b = _bottom(p)
+        self.num = 0
+        self.cdf = []
+
+    def extend(self, p, more):
+        """Walk on while more(cdf) holds, up to the top of the support."""
+        for k, a, b in _terms(p, p.support.stop, self.k, self.a, self.b):
+            if not more(self.cdf):
+                self.k, self.a, self.b = k, a, b
+                return
+            self.num += a * b
+            self.cdf.append(self.num / self.denom)
+        self.k = p.support.stop
 
 
 def pmf(k, p):
@@ -90,20 +133,24 @@ def pmf(k, p):
 
 
 def cdf(k, p):
-    """P(TP <= k)."""
-    return sum(term for _, term in _terms(p, k + 1)) / math.comb(p.m_max, p.m_est)
+    """P(TP <= k), read from p's kept walk."""
+    lo = p.support.start
+    if k < lo:
+        return 0.0
+    walk = p._walk
+    walk.extend(p, lambda cdf: len(cdf) <= k - lo)
+    return walk.cdf[min(k - lo, len(walk.cdf) - 1)]
 
 
 def quantile(level, p):
-    """Smallest k in the support with CDF(k) >= level; CDF(last k) is exactly 1."""
+    """Smallest k in the support with CDF(k) >= level; CDF(last k) is exactly 1.
+    Reads p's kept walk, whose CDF floats never decrease."""
     if not (0 < level < 1):
         raise ValueError("level must be strictly between 0 and 1")
-    denom = math.comb(p.m_max, p.m_est)
-    num = 0
-    for k, term in _terms(p, p.support.stop):
-        num += term
-        if num / denom >= level - 1e-12:
-            return k
+    target = level - 1e-12
+    walk = p._walk
+    walk.extend(p, lambda cdf: not cdf or cdf[-1] < target)
+    return p.support.start + bisect.bisect_left(walk.cdf, target)
 
 
 def expected_tp(p):
@@ -159,16 +206,11 @@ def expected_metric(metric, p):
     return (a * p.m_est * p.m_true + b * p.m_max) / (den * p.m_max)
 
 
-def tp_transform(metric, p):
-    """The metric as a monotone function of TP under the null's parameters;
-    raises when the metric is undefined for them."""
-    a, b, den = _linear_params(metric, p)
-    return lambda tp: (a * tp + b) / den
-
-
 def metric_quantile(metric, level, p):
-    """Quantile of the metric: the TP transform applied to quantile(level)."""
-    return tp_transform(metric, p)(quantile(level, p))
+    """Quantile of the metric: (a * TP + b) / den, which never decreases in
+    TP, at TP = quantile(level); raises when the metric is undefined for p."""
+    a, b, den = _linear_params(metric, p)
+    return (a * quantile(level, p) + b) / den
 
 
 def _upper_tail(tp_obs, p):
@@ -182,7 +224,7 @@ def _upper_tail(tp_obs, p):
             f"tp_obs={tp_obs} inconsistent with m_true={p.m_true}, m_est={p.m_est}"
         )
     denom = math.comb(p.m_max, p.m_est)
-    return denom - sum(term for _, term in _terms(p, tp_obs)), denom
+    return denom - sum(a * b for _, a, b in _terms(p, tp_obs, *_bottom(p))), denom
 
 
 def skeleton_fit_test(tp_obs, p):

@@ -41,6 +41,14 @@ class TestIsAcyclic:
         with pytest.raises(GraphError):
             is_acyclic({(0, 5)}, 3)
 
+    def test_nodes_follow_the_constructors_integer_rule(self):
+        for bad in (True, 1.5):
+            for edges in ({(0, bad)}, {(bad, 2)}):
+                with pytest.raises(GraphError, match="node must be an integer"):
+                    is_acyclic(edges, 3)
+        assert is_acyclic({(0, np.int64(1)), (np.int64(1), 2)}, 3)
+        assert not is_acyclic({(0, np.int64(1)), (np.int64(1), 0)}, 3)
+
 
 class TestDagInvariants:
     def test_rejects_self_loop(self):
@@ -317,6 +325,20 @@ class TestDSeparation:
             d_separated(g, 0, 0, set())
         with pytest.raises(GraphError):
             d_separated(g, 0, 1, {1})
+
+    def test_nodes_follow_the_constructors_integer_rule(self):
+        g = Dag(3, frozenset({(0, 1), (1, 2)}))
+        for bad in (True, 1.5):
+            for i, j, z in ((0, 2, [bad]), (bad, 2, []), (0, bad, [])):
+                with pytest.raises(GraphError, match="node must be an integer"):
+                    d_separated(g, i, j, z)
+        one = np.int64(1)
+        assert d_separated(g, 0, 2, [one])
+        assert d_separated(g, np.int64(0), np.int64(2), {one})
+        assert not d_separated(g, 0, one, [])
+        assert not d_separated(g, one, 2, frozenset())
+        with pytest.raises(GraphError):
+            d_separated(g, 0, 1, [one])
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_matches_path_oracle_exhaustive(self, d):

@@ -1,4 +1,6 @@
 import math
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import hypergeom as scipy_hypergeom
 
+from ncbench import hypergeom
 from ncbench.hypergeom import (
     METRICS,
     ConfusionCounts,
@@ -161,6 +164,107 @@ class TestQuantile:
         values = [cdf(k, p) for k in p.support]
         assert values == sorted(values)
         assert values[-1] == pytest.approx(1.0, abs=1e-14)
+
+
+def _reference_terms(p, stop):
+    """The one-off support walk that cdf and quantile each ran before a
+    HyperParams kept its walk: (k, C(m_max, m_est) * P(TP = k)) for k < stop."""
+    other, lo = p.m_max - p.m_true, p.support.start
+    a, b = math.comb(p.m_true, lo), math.comb(other, p.m_est - lo)
+    for k in range(lo, min(stop, p.support.stop)):
+        yield k, a * b
+        a = a * (p.m_true - k) // (k + 1)
+        b = b * (p.m_est - k) // (other - p.m_est + k + 1)
+
+
+def _reference_cdf(k, p):
+    return sum(term for _, term in _reference_terms(p, k + 1)) / math.comb(p.m_max, p.m_est)
+
+
+def _reference_quantile(level, p):
+    denom = math.comb(p.m_max, p.m_est)
+    num = 0
+    for k, term in _reference_terms(p, p.support.stop):
+        num += term
+        if num / denom >= level - 1e-12:
+            return k
+
+
+# The sparse cells of the benchmark's exact-null grid up to d = 100, and its
+# dense cell.
+KEPT_WALK_CELLS = [
+    (d * (d - 1) // 2, int(a * d), int(b * d))
+    for d in (10, 20, 50, 100)
+    for a in (0.5, 1, 1.5, 2, 3)
+    for b in (0.5, 1, 1.5, 2, 3)
+] + [(124750, 5000, 4000)]
+KEPT_WALK_LEVELS = (0.025, 0.5, 0.975, 1e-13, 1 - 1e-13)
+
+
+class TestKeptWalk:
+    @pytest.mark.parametrize("cell", KEPT_WALK_CELLS, ids=str)
+    def test_matches_a_fresh_walk_in_any_order(self, cell):
+        ref = HyperParams(*cell)
+        lo, hi = ref.support.start, ref.support.stop - 1
+        expected_q = {level: _reference_quantile(level, ref) for level in KEPT_WALK_LEVELS}
+        # Points around each quantile, and off both ends of the support.
+        ks = sorted({k + dk for k in expected_q.values() for dk in (-1, 0, 1)} | {lo - 1})
+        expected_cdf = {k: _reference_cdf(k, ref) for k in ks}
+        rng = random.Random(str(cell))
+        shuffled = rng.sample(KEPT_WALK_LEVELS, len(KEPT_WALK_LEVELS))
+        orders = (sorted(KEPT_WALK_LEVELS), sorted(KEPT_WALK_LEVELS, reverse=True), shuffled)
+        shared = HyperParams(*cell)
+        for order in orders:
+            kept = HyperParams(*cell)
+            for level in order:
+                for p in (kept, shared, HyperParams(*cell)):
+                    assert quantile(level, p) == expected_q[level], (level, p)
+                k = rng.choice(ks)
+                for p in (kept, shared, HyperParams(*cell)):
+                    assert cdf(k, p) == expected_cdf[k], (k, p)
+        for k in (hi, hi + 1):
+            assert cdf(k, kept) == cdf(k, HyperParams(*cell)) == _reference_cdf(k, ref) == 1.0
+
+    def test_walks_the_support_once(self, monkeypatch):
+        p = HyperParams(4950, 99, 120)
+        yielded = []
+        terms = hypergeom._terms
+
+        def counted(*args):
+            for state in terms(*args):
+                yielded.append(state[0])
+                yield state
+
+        monkeypatch.setattr(hypergeom, "_terms", counted)
+        calls = 0
+        for metric in METRICS:
+            for level in (0.5, 0.025, 0.975):
+                metric_quantile(metric, level, p)
+                calls += 1
+        top = quantile(0.975, p)
+        calls += 1
+        for k in p.support.start - 1, top - 1:
+            cdf(k, p)
+            calls += 1
+        # Each point is walked once; a call that needs no further point
+        # still looks at the next one before stopping.
+        assert len(set(yielded)) == top - p.support.start + 2
+        assert len(yielded) <= len(set(yielded)) + calls
+
+    def test_walked_params_pickle_and_compare_as_fresh(self):
+        for cell in [(10, 8, 7), (4950, 99, 120), (124750, 5000, 4000)]:
+            p = HyperParams(*cell)
+            quantile(0.5, p)
+            cdf(p.support.start + 1, p)
+            walk = p._walk
+            assert all(type(getattr(walk, f)) is int for f in ("denom", "k", "a", "b", "num"))
+            assert walk.cdf and all(type(x) is float for x in walk.cdf)
+            fresh = HyperParams(*cell)
+            copy = pickle.loads(pickle.dumps(p))
+            for q in (p, copy):
+                assert q == fresh and hash(q) == hash(fresh) and repr(q) == repr(fresh)
+            for level in KEPT_WALK_LEVELS:
+                assert quantile(level, copy) == _reference_quantile(level, fresh)
 
 
 class TestExpectedTp:
