@@ -52,11 +52,11 @@ def cmd_expect(args):
     m_max = _m_max_from_args(args)
     params = hg.HyperParams(m_max, args.m_true, args.m_est)
     level = args.level
-    levels = {"median": 0.5, "ci_lower": (1 - level) / 2, "ci_upper": 1 - (1 - level) / 2}
     # Checked before any metric, so a bad --level is reported even when the
     # metric is undefined for these counts.
-    if not all(0 < q < 1 for q in levels.values()):
+    if not 0 < level < 1:
         raise ValueError("level must be strictly between 0 and 1")
+    levels = {"median": 0.5, "ci_lower": (1 - level) / 2, "ci_upper": 1 - (1 - level) / 2}
     metrics = [args.metric] if args.metric else list(hg.METRICS)
     rows = [
         {

@@ -5,13 +5,19 @@ The skeleton phase tests each (i, j, S) triple at most once; the v-structures
 come from the graph core's collider scan over the skeleton's half-edges.
 
 Two conditional-independence backends: a Fisher-z test for vanishing partial
-correlations on Gaussian data, and a d-separation oracle on a known DAG.
+correlations on Gaussian data, and a d-separation oracle on a known DAG. The
+Fisher-z engine decides a batch by comparing each partial correlation with
+the exact bounds of the correlations its p-value test accepts, so it gives
+the answers of `_fisher_z_p(r) >= alpha` without a p-value per triple.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import numbers
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +31,23 @@ class CiTestError(RuntimeError):
 
 @dataclass(frozen=True)
 class PcConfig:
+    """alpha: the CI tests' level, in (0, 1). max_cond_size: the largest
+    conditioning-set size tested, None for no limit, else a non-negative
+    integer (0 runs the marginal tests only)."""
+
     alpha: float = 0.05
     max_cond_size: int | None = None
 
     def __post_init__(self):
         if not (0 < self.alpha < 1):
             raise ValueError("alpha must be in (0, 1)")
+        size = self.max_cond_size
+        if size is not None and (
+            not isinstance(size, numbers.Integral) or isinstance(size, bool) or size < 0
+        ):
+            raise ValueError(
+                f"max_cond_size must be None or a non-negative integer, got {size!r}"
+            )
 
 
 def _fisher_z_p(r, n, size):
@@ -39,6 +56,56 @@ def _fisher_z_p(r, n, size):
     r = max(-1 + 1e-12, min(1 - 1e-12, r))
     stat = math.sqrt(n - size - 3) * abs(0.5 * math.log((1 + r) / (1 - r)))
     return math.erfc(stat / math.sqrt(2))
+
+
+def _double(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _largest_accepted(n, size, alpha, sign):
+    """The largest magnitude m with _fisher_z_p(sign * m) >= alpha: inf when
+    every magnitude passes, -inf when none does.
+
+    The p-value does not rise as |r| grows, so the accepted magnitudes are
+    one run from 0. Non-negative doubles order as their bit patterns, so a
+    bisection over the patterns in [0, 1] finds the end of the run exactly;
+    beyond 1 - 1e-12 the clamp in _fisher_z_p makes p constant.
+    """
+
+    def accepted(bits):
+        return _fisher_z_p(sign * _double(bits), n, size) >= alpha
+
+    good, bad = 0, struct.unpack("<q", struct.pack("<d", 1.0))[0]
+    if accepted(bad):
+        return math.inf
+    if not accepted(good):
+        return -math.inf
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if accepted(mid):
+            good = mid
+        else:
+            bad = mid
+    return _double(good)
+
+
+# Kept for the life of the process: a study tests at the same few
+# (n, |S|, alpha) in every replication.
+@functools.cache
+def _accept_bounds(n, size, alpha):
+    """(lo, hi) such that _fisher_z_p(r, n, size) >= alpha exactly when
+    lo <= r <= hi, for every finite r. Each side is searched on its own,
+    since fl((1 + r) / (1 - r)) is not symmetric in r."""
+    return (
+        -_largest_accepted(n, size, alpha, -1.0),
+        _largest_accepted(n, size, alpha, 1.0),
+    )
+
+
+def _accepted(r, n, size, alpha):
+    """_fisher_z_p(r_k, n, size) >= alpha for each finite r_k of an array."""
+    lo, hi = _accept_bounds(n, size, alpha)
+    return (lo <= r) & (r <= hi)
 
 
 def _check_sample_size(n, size):
@@ -79,10 +146,13 @@ class FisherZTest:
     """Fisher-z tests on one dataset.
 
     The data are checked and the correlation matrix computed once. The partial
-    correlation of i, j given S comes from the inverse of the (|S|+2)
+    correlation r of i, j given S comes from the inverse of the (|S|+2)
     correlation submatrix. prepare() evaluates a batch of triples with one
-    stacked inverse per conditioning-set size; independent() decides one
-    triple of the last prepared batch, and only those.
+    stacked inverse per conditioning-set size and decides them all at once:
+    a triple is independent when r lies within the exact bounds of the
+    correlations whose p-value is at least alpha (_accept_bounds), which is
+    the answer of fisher_z_test's p-value rule on the same r. independent()
+    reads one triple of the last prepared batch, and only those.
     """
 
     def __init__(self, data, alpha):
@@ -99,13 +169,16 @@ class FisherZTest:
             raise CiTestError(f"constant data column {int(constant[0])}")
         self.corr = np.corrcoef(data, rowvar=False)
 
-    def p_values(self, triples):
-        """p-values of (i, j, S) triples whose sets S share one size, in order."""
+    def prepare(self, triples):
+        """Decide a sequence of (i, j, S) triples with i < j and one set
+        size, for independent(). S is any collection of node indices."""
+        self._prepared = {}
         if not triples:
-            return []
+            return
         size = len(triples[0][2])
         _check_sample_size(self.n, size)
-        idx = np.array([[i, j, *sorted(s)] for i, j, s in triples], dtype=np.intp)
+        rows = [(i, j, *sorted(s)) for i, j, s in triples]
+        idx = np.array(rows, dtype=np.intp)
         sub = self.corr[idx[:, :, None], idx[:, None, :]]
         try:
             prec = np.linalg.inv(sub)
@@ -115,20 +188,14 @@ class FisherZTest:
             ) from exc
         with np.errstate(invalid="ignore"):
             r = -prec[:, 0, 1] / np.sqrt(prec[:, 0, 0] * prec[:, 1, 1])
-        out = []
-        for row, r_k in zip(idx.tolist(), r.tolist()):
-            if not math.isfinite(r_k):
-                raise CiTestError(f"undefined partial correlation for {row}")
-            out.append(_fisher_z_p(r_k, self.n, size))
-        return out
-
-    def prepare(self, triples):
-        """Evaluate a sequence of (i, j, S) triples with i < j and one set
-        size, for independent()."""
-        self._prepared = dict(zip(triples, self.p_values(triples)))
+        finite = np.isfinite(r)
+        if not finite.all():
+            row = list(rows[int(np.argmin(finite))])
+            raise CiTestError(f"undefined partial correlation for {row}")
+        self._prepared = dict(zip(rows, _accepted(r, self.n, size, self.alpha).tolist()))
 
     def independent(self, i, j, z):
-        return self._prepared[(min(i, j), max(i, j), frozenset(z))] >= self.alpha
+        return self._prepared[(min(i, j), max(i, j), *sorted(z))]
 
 
 class OracleTest:
@@ -145,11 +212,14 @@ def _skeleton_phase(test, d, max_cond_size):
     size levels, so the result is independent of node ordering.
 
     Neighbourhoods are frozen for a level, so its candidate sets are known
-    before any test runs. Each pair tests each distinct set once, in order of
-    first appearance; a triple names its pair, so no two pairs share one and
-    no memo across pairs is needed. A test with prepare() evaluates the
-    level's triples in one batch. The oracle is not batched, since it would
-    then also decide the sets after a pair's first independent one.
+    before any test runs. A pair's candidates are the sorted tuples that
+    itertools.combinations yields from the sorted neighbour lists, first of
+    i then of j, each distinct set kept once in order of first appearance;
+    a triple names its pair, so no two pairs share one and no memo across
+    pairs is needed. A test with prepare() decides the level's triples in
+    one batch. independent() is asked, with a frozenset, only for the sets
+    PC consults: a pair's sets up to its first independent one. The oracle
+    is not batched, since it would then also decide the sets after that.
     """
     adj = {v: set(range(d)) - {v} for v in range(d)}
     sepsets = {}
@@ -159,14 +229,11 @@ def _skeleton_phase(test, d, max_cond_size):
             break
         if all(len(adj[v]) - 1 < level for v in range(d)):
             break
-        # Every pair's distinct candidate sets in test order: subsets of
-        # adj(i) - {j}, then those of adj(j) - {i} not seen already.
         plan = [
-            (i, j, list(dict.fromkeys(
-                frozenset(s)
-                for a, b in ((i, j), (j, i))
-                for s in itertools.combinations(sorted(adj[a] - {b}), level)
-            )))
+            (i, j, list(dict.fromkeys(itertools.chain(
+                itertools.combinations(sorted(adj[i] - {j}), level),
+                itertools.combinations(sorted(adj[j] - {i}), level),
+            ))))
             for i in range(d)
             for j in sorted(adj[i])
             if i < j
@@ -176,6 +243,7 @@ def _skeleton_phase(test, d, max_cond_size):
         to_remove = []
         for i, j, sets in plan:
             for s in sets:
+                s = frozenset(s)
                 if test.independent(i, j, s):
                     sepsets[(i, j)] = s
                     to_remove.append((i, j))

@@ -4,6 +4,7 @@ edge count) and the single-truth variant for real-data applications."""
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 from dataclasses import dataclass, fields
@@ -147,16 +148,25 @@ def _metric_direction(name):
     return "smaller-favorable" if name in SMALLER_IS_BETTER else "larger-favorable"
 
 
+def _quantile(ordered, q):
+    """np.quantile's default ('linear') rule on a sorted list, to the bit:
+    np.quantile itself imports numpy.ma on its first call."""
+    h = (len(ordered) - 1) * q
+    if h >= len(ordered) - 1:
+        return ordered[-1]
+    k = math.floor(h)
+    a, b, g = ordered[k], ordered[k + 1], h - k
+    return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
+
+
 def _summarize(values):
     present = [v for v in values if v is not None]
     if not present:
         return {"mean": None, "ci": [None, None], "missing": len(values)}
+    ordered = sorted(present)
     return {
         "mean": float(np.mean(present)),
-        "ci": [
-            float(np.quantile(present, 0.025)),
-            float(np.quantile(present, 0.975)),
-        ],
+        "ci": [float(_quantile(ordered, 0.025)), float(_quantile(ordered, 0.975))],
         "missing": len(values) - len(present),
     }
 

@@ -78,6 +78,22 @@ class TestExpect:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("level", ["-0.5", "0", "1", "1.5", "nan"])
+    def test_level_outside_unit_interval(self, level, capsys):
+        rc = main(["expect", "--d", "10", "--m-true", "8", "--m-est", "7", "--level", level])
+        captured = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err == "error: level must be strictly between 0 and 1\n"
+
+    def test_bad_level_reported_before_undefined_metric(self, capsys):
+        # recall is undefined with m_true = 0
+        argv = ["expect", "--d", "5", "--m-true", "0", "--m-est", "3"]
+        assert main(argv) == EXIT_INPUT
+        assert "recall is undefined" in capsys.readouterr().err
+        assert main([*argv, "--level", "-0.5"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: level must be strictly between 0 and 1\n"
+
 
 class TestFitTest:
     def test_bundled_pair(self, capsys):
@@ -325,6 +341,28 @@ def test_compare_and_pipeline_run_without_jsonschema(tmp_path):
         json.loads((tmp_path / "cmp.json").read_text()), load_schema("compare-report.schema.json")
     )
     assert (tmp_path / "out" / "summary.json").exists()
+
+
+def test_compare_and_pipeline_leave_numpy_ma_unimported(tmp_path):
+    # np.quantile imports numpy.ma on its first call, ~10 ms of every
+    # process; the summaries write its rule out instead.
+    src = str(Path(ncbench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"b": 2, "d": 5, "m_true": 5, "n": 60, "seed": 1}))
+    code = (
+        "import sys\n"
+        "from ncbench.cli import main\n"
+        f"assert main(['pipeline', '--config', {str(cfg)!r}, '--out-dir', {str(tmp_path / 'out')!r}]) == 0\n"
+        f"assert main(['compare', '--truth', {DATA_DIR + '/sachs_truth.csv'!r},"
+        f" '--est', {DATA_DIR + '/sachs_pc_estimate.csv'!r}, '--est-kind', 'cpdag',"
+        " '--nc-reps', '5', '--seed', '0']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_config_schema_lists_every_metric_name():

@@ -96,17 +96,61 @@ class TestFisherZEngine:
             assert engine.directed == reference.directed
             assert engine.undirected == reference.undirected
 
-    def test_p_values_match_reference(self):
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2, 0.5])
+    def test_decisions_match_reference(self, alpha):
         data = _study_data(10, 30, 0)
-        test = FisherZTest(data, 0.05)
+        test = FisherZTest(data, alpha)
         gen = RngSeed(22).generator()
+        answers = []
         for size in range(5):
             triples = []
             for _ in range(20):
                 i, j, *s = (int(v) for v in gen.choice(10, size + 2, replace=False))
-                triples.append((min(i, j), max(i, j), frozenset(s)))
-            for (i, j, s), p in zip(triples, test.p_values(triples)):
-                assert p == pytest.approx(fisher_z_test(data, i, j, s), rel=1e-9, abs=1e-15)
+                triples.append((min(i, j), max(i, j), tuple(sorted(s))))
+            test.prepare(triples)
+            for i, j, s in triples:
+                answers.append(test.independent(i, j, frozenset(s)))
+                assert answers[-1] == (fisher_z_test(data, i, j, s) >= alpha)
+        assert 0 < sum(answers) < len(answers)
+
+    def test_frozenset_triples(self):
+        # reference_pc prepares frozenset-keyed triples; CPython iterates
+        # frozenset({8, 1}) and frozenset({9, 2}) unsorted.
+        data = _study_data(10, 10, 1)
+        sets = [frozenset({8, 1}), frozenset({9, 2}), frozenset({3, 7}), frozenset({0, 9})]
+        triples = [(i, j, s) for i, j in [(0, 5), (4, 6), (2, 3)] for s in sets if not s & {i, j}]
+        by_frozenset = FisherZTest(data, 0.2)
+        by_frozenset.prepare(triples)
+        by_tuple = FisherZTest(data, 0.2)
+        by_tuple.prepare([(i, j, tuple(sorted(s))) for i, j, s in triples])
+        answers = [by_tuple.independent(i, j, s) for i, j, s in triples]
+        assert [by_frozenset.independent(j, i, s) for i, j, s in triples] == answers
+        assert answers == [fisher_z_test(data, i, j, s) >= 0.2 for i, j, s in triples]
+        assert 0 < sum(answers) < len(answers)
+
+    @pytest.mark.parametrize("n", [30, 60, 400, 2000])
+    def test_bounds_decide_as_p_values(self, n):
+        # Every double within 4096 ulps of each bound is decided as the
+        # p-value test decides it.
+        steps = np.arange(-4096, 4097)
+        for size in range(5):
+            for alpha in (0.01, 0.05, 0.2, 0.5):
+                lo, hi = pc_module._accept_bounds(n, size, alpha)
+                assert -1 < lo < 0 < hi < 1
+                for bound in (lo, hi):
+                    bits = np.array(abs(bound)).view(np.int64) + steps
+                    rs = math.copysign(1.0, bound) * bits.view(np.float64)
+                    expected = [
+                        pc_module._fisher_z_p(r, n, size) >= alpha for r in rs.tolist()
+                    ]
+                    assert pc_module._accepted(rs, n, size, alpha).tolist() == expected
+
+    def test_bounds_at_extreme_levels(self):
+        # p at the clamped |r| = 1 - 1e-12 is ~1e-46 for n = 4, |S| = 0, so
+        # every correlation passes alpha = 1e-50, and none passes alpha > 1.
+        rs = np.array([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+        assert pc_module._accepted(rs, 4, 0, 1e-50).all()
+        assert not pc_module._accepted(rs, 4, 0, 1.5).any()
 
     def test_constant_column_raises(self):
         data = _study_data(5, 4, 0)
@@ -174,6 +218,15 @@ class TestDataPc:
             if est.directed == collider.edges and not est.undirected:
                 hits += 1
         assert hits >= 184
+
+    @pytest.mark.parametrize("size", [-1, 1.5, True, "2", 2.0])
+    def test_max_cond_size_rejected(self, size):
+        with pytest.raises(ValueError, match="max_cond_size"):
+            PcConfig(max_cond_size=size)
+
+    @pytest.mark.parametrize("size", [None, 0, 3, np.int64(2)])
+    def test_max_cond_size_accepted(self, size):
+        assert PcConfig(max_cond_size=size).max_cond_size == size
 
     def test_max_cond_size_limits_search(self):
         g = sample_er_dag(5, 8, RngSeed(9))

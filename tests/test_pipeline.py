@@ -11,6 +11,7 @@ from ncbench.metrics import SMALLER_IS_BETTER, full_report
 from ncbench.pipeline import (
     DEFAULT_METRICS,
     PipelineConfig,
+    _summarize,
     paired_p,
     run_study,
     single_truth_nc,
@@ -18,6 +19,28 @@ from ncbench.pipeline import (
 from ncbench.random_graphs import RngSeed, sample_er_cpdag, sample_er_dag
 
 from conftest import DATA_DIR, load_schema
+
+
+def test_summary_interval_matches_numpy_quantile():
+    # _summarize writes out np.quantile's linear rule; equal to the bit on
+    # integers, ties, fractions and floats of mixed scale, from n = 1 up.
+    gen = RngSeed(31).generator()
+    for trial in range(2000):
+        n = 1 + trial % 7 if trial < 70 else int(gen.integers(1, 300))
+        kind = trial % 4
+        if kind == 0:
+            values = gen.normal(size=n).tolist()
+        elif kind == 1:
+            values = gen.integers(0, 40, size=n).tolist()
+        elif kind == 2:
+            values = (gen.integers(0, 7, size=n) / 7).tolist()
+        else:
+            values = (gen.random(size=n) * 10 ** gen.uniform(-5, 5, size=n)).tolist()
+        summary = _summarize(values + [None] * (trial % 3))
+        assert summary["ci"] == [
+            float(np.quantile(values, 0.025)), float(np.quantile(values, 0.975))
+        ]
+        assert summary["missing"] == trial % 3
 
 
 class TestPairedP:
