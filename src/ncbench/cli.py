@@ -41,6 +41,8 @@ def _graph_arg(path, fmt, kind):
 
 
 def _m_max_from_args(args):
+    if args.d is not None and args.m_max is not None:
+        raise ParseError("give one of --d or --m-max, not both")
     if args.d is not None:
         return max_edges(args.d)
     if args.m_max is not None:

@@ -1,20 +1,25 @@
 """Simulation-based negative controls: the multi-truth study (simulate
 truths, run the algorithm, pair each estimate with a random graph of matched
-edge count) and the single-truth variant for real-data applications."""
+edge count) and the single-truth variant for real-data applications.
+
+Each replication is one call per step on its own stream, independent of b and
+of the other replications: _replicate(cfg, i) on RngSeed(seed).child(i) and
+_control on RngSeed(seed, 1).child(i); draw i of single_truth_nc uses
+RngSeed(seed).child(i). _nc_values draws and scores every negative control."""
 
 from __future__ import annotations
 
 import math
 import numbers
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import metrics as _metrics
 from .graphs import Dag, skeleton, with_labels
 from .metrics import SMALLER_IS_BETTER, check_metric_names
-from .pc import PcConfig, pc
+from .pc import CiTestError, PcConfig, pc
 from .random_graphs import RngSeed, max_edges, sample_er_cpdag, sample_er_dag
 from .sem import (
     DEFAULT_VARIANCE_RANGE, DEFAULT_WEIGHT_RANGE, SemConfig, draw_sem, simulate
@@ -91,9 +96,10 @@ class Replication:
     truth: Dag
     estimate: object
     nc: object
-    m_est: int
+    m_est: int  # None when the algorithm failed
     algo_values: dict
     nc_values: dict
+    error: Exception = None  # the algorithm's CiTestError, if it raised one
 
 
 @dataclass
@@ -129,23 +135,14 @@ def paired_p(algo_values, nc_values, direction="smaller-favorable"):
         raise ValueError("paired vectors must have equal length")
     if direction not in ("smaller-favorable", "larger-favorable"):
         raise ValueError(f"unknown direction {direction!r}")
-    hits = 0
-    usable = 0
+    hits = usable = 0
     for a, c in zip(algo_values, nc_values):
-        if a is None or c is None:
-            continue
-        usable += 1
-        if direction == "smaller-favorable":
-            hits += c <= a
-        else:
-            hits += c >= a
+        if a is not None and c is not None:
+            usable += 1
+            hits += c <= a if direction == "smaller-favorable" else c >= a
     if usable == 0:
         raise ValueError("no usable pairs (all values missing)")
     return hits / usable, len(algo_values) - usable
-
-
-def _metric_direction(name):
-    return "smaller-favorable" if name in SMALLER_IS_BETTER else "larger-favorable"
 
 
 def _quantile(ordered, q):
@@ -178,78 +175,89 @@ def _values(truth, est, metrics, sid_cap):
     return {name: mv.value for name, mv in report.values.items()}
 
 
+def _nc_values(truth, kind, m, rng, metrics, sid_cap):
+    """(nc, values): one negative control of the given kind with m edges over
+    truth's nodes, drawn from rng, and its values against truth."""
+    nc = (sample_er_dag if kind == "dag" else sample_er_cpdag)(truth.d, m, rng)
+    return nc, _values(truth, nc, metrics, sid_cap)
+
+
+def _paired(name, algo_vals, nc_vals):
+    """(p, dropped pairs, direction) for one metric; p is None and every pair
+    is dropped when the metric is MISSING in all of them."""
+    direction = "smaller-favorable" if name in SMALLER_IS_BETTER else "larger-favorable"
+    try:
+        return (*paired_p(algo_vals, nc_vals, direction), direction)
+    except ValueError:
+        return None, len(nc_vals), direction
+
+
+def _replicate(cfg, i):
+    """Step 1 for replication i, on stream RngSeed(cfg.seed).child(i): truth,
+    SEM, data, the algorithm's estimate and its values. A CiTestError from the
+    algorithm leaves the estimate, m_est and every value MISSING (None)."""
+    rng = RngSeed(cfg.seed).child(i)
+    truth = sample_er_dag(cfg.d, cfg.m_true, rng)
+    sem_cfg = SemConfig(n=cfg.n, weight_range=cfg.weight_range, variance_range=cfg.variance_range)
+    data = simulate(draw_sem(truth, sem_cfg, rng), cfg.n, rng)
+    try:
+        estimate = (cfg.algorithm or pc)(data, PcConfig(alpha=cfg.alpha))
+    except CiTestError as exc:
+        return Replication(i, truth, None, None, None, dict.fromkeys(cfg.metrics), {}, exc)
+    algo_values = _values(truth, estimate, cfg.metrics, cfg.sid_cap)
+    return Replication(i, truth, estimate, None, len(skeleton(estimate)), algo_values, {})
+
+
+def _control(cfg, rep, pool):
+    """Step 2 for rep, on stream RngSeed(cfg.seed, 1).child(rep.index): an edge
+    count drawn from pool, the study's m_ests, then the NC and its values."""
+    rng = RngSeed(cfg.seed, 1).child(rep.index)
+    m = int(rng.choice(pool))
+    nc, nc_values = _nc_values(rep.truth, cfg.nc_kind, m, rng, cfg.metrics, cfg.sid_cap)
+    return replace(rep, nc=nc, nc_values=nc_values)
+
+
 def run_study(cfg):
     """Steps 1-3 of the negative-control procedure, plus paired p-values.
 
-    Step 1: simulate truths, generate data, run the algorithm, score it and
-    record each estimate's edge count. Step 2: draw one negative control per
-    replication with edge count resampled (with replacement) from the
-    observed counts. Step 3: score the negative controls against the same
-    truths and aggregate. Deterministic given cfg.seed.
+    Step 1, _replicate(cfg, i) in index order: truth, data, estimate, values.
+    Step 2, _control: one negative control per replication, its edge count
+    resampled (with replacement) from the estimates' edge counts, scored
+    against the same truth. Step 3: aggregate. A replication whose algorithm
+    raised CiTestError is MISSING and adds no edge count; the first error is
+    re-raised only when every replication failed. Deterministic given cfg.seed.
     """
-    master = RngSeed(cfg.seed)
-    algorithm = cfg.algorithm or (lambda data, pc_cfg: pc(data, pc_cfg))
-    pc_cfg = PcConfig(alpha=cfg.alpha)
-    sem_cfg = SemConfig(
-        n=cfg.n, weight_range=cfg.weight_range, variance_range=cfg.variance_range
-    )
-
-    replications = []
-    m_ests = []
-    for i in range(cfg.b):
-        rep_rng = master.child(i)
-        truth = sample_er_dag(cfg.d, cfg.m_true, rep_rng)
-        model = draw_sem(truth, sem_cfg, rep_rng)
-        data = simulate(model, cfg.n, rep_rng)
-        estimate = algorithm(data, pc_cfg)
-        m_est = len(skeleton(estimate))
-        algo_values = _values(truth, estimate, cfg.metrics, cfg.sid_cap)
-        replications.append(
-            Replication(i, truth, estimate, None, m_est, algo_values, {})
-        )
-        m_ests.append(m_est)
-
-    # Step 2 uses a dedicated stream so NC draws never depend on b ordering.
-    nc_master = RngSeed(cfg.seed, 1)
-    for rep in replications:
-        nc_rng = nc_master.child(rep.index)
-        m_nc = int(nc_rng.choice(m_ests))
-        if cfg.nc_kind == "dag":
-            nc = sample_er_dag(cfg.d, m_nc, nc_rng)
-        else:
-            nc = sample_er_cpdag(cfg.d, m_nc, nc_rng)
-        rep.nc = nc
-        rep.nc_values = _values(rep.truth, nc, cfg.metrics, cfg.sid_cap)
-
+    reps = [_replicate(cfg, i) for i in range(cfg.b)]
+    if all(rep.error is not None for rep in reps):
+        raise reps[0].error
+    pool = [rep.m_est for rep in reps if rep.error is None]
+    reps = [_control(cfg, rep, pool) for rep in reps]
     summary = {}
     for name in cfg.metrics:
-        algo_vals = [r.algo_values[name] for r in replications]
-        nc_vals = [r.nc_values[name] for r in replications]
-        try:
-            p, dropped = paired_p(algo_vals, nc_vals, _metric_direction(name))
-        except ValueError:
-            p, dropped = None, cfg.b  # metric undefined in every replication
+        algo_vals = [r.algo_values[name] for r in reps]
+        nc_vals = [r.nc_values[name] for r in reps]
+        p, dropped, direction = _paired(name, algo_vals, nc_vals)
         summary[name] = {
             "algorithm": _summarize(algo_vals),
             "negative_control": _summarize(nc_vals),
             "p": p,
             "dropped_pairs": dropped,
-            "direction": _metric_direction(name),
+            "direction": direction,
         }
-    summary["m_est"] = _summarize([float(m) for m in m_ests])
-    return StudyResult(cfg, replications, summary)
+    summary["m_est"] = _summarize([rep.m_est for rep in reps])
+    return StudyResult(cfg, reps, summary)
 
 
 def single_truth_nc(truth, estimate, metrics, b=1000, seed=0, sid_cap=10_000):
     """Negative-control evaluation against a single known truth.
 
-    Draws b random graphs of the estimate's kind and edge count, scores each
-    against the truth once for every name in `metrics`, and returns
-    {name: row}. A row holds the observed value, the NC mean and 95% interval,
-    and the fraction of NCs doing at least as well as the estimate. MISSING
-    NC values are dropped; a metric MISSING on every draw gets no mean,
-    interval or p. Raises ValueError when a metric is undefined for the
-    estimate itself.
+    Draws b random graphs of the estimate's kind and edge count, draw i on
+    stream RngSeed(seed).child(i), scores each against the truth once for
+    every name in `metrics`, and returns {name: row}. A row holds the observed
+    value, the NC mean and 95% interval, and the fraction of NCs doing at
+    least as well as the estimate. MISSING NC values are dropped; a metric
+    MISSING on every draw gets no mean, interval or p. Raises ValueError when
+    a metric is undefined for the estimate itself.
     """
     if b < 1:
         raise ValueError("need at least one negative control")
@@ -261,23 +269,15 @@ def single_truth_nc(truth, estimate, metrics, b=1000, seed=0, sid_cap=10_000):
     # Draws carry default labels; metrics ignore labels, so relabel the truth once.
     plain_truth = with_labels(truth, None)
     master = RngSeed(seed)
-    nc_values = {name: [] for name in metrics}
-    for i in range(b):
-        rng = master.child(i)
-        if estimate.kind == "dag":
-            nc = sample_er_dag(truth.d, m_est, rng)
-        else:
-            nc = sample_er_cpdag(truth.d, m_est, rng)
-        for name, value in _values(plain_truth, nc, metrics, sid_cap).items():
-            nc_values[name].append(value)
+    draws = [
+        _nc_values(plain_truth, estimate.kind, m_est, master.child(i), metrics, sid_cap)[1]
+        for i in range(b)
+    ]
     rows = {}
     for name in metrics:
-        direction = _metric_direction(name)
-        nc = _summarize(nc_values[name])
-        try:
-            p, _ = paired_p([observed[name]] * b, nc_values[name], direction)
-        except ValueError:
-            p = None  # MISSING on every draw
+        nc_vals = [values[name] for values in draws]
+        nc = _summarize(nc_vals)
+        p, dropped, direction = _paired(name, [observed[name]] * b, nc_vals)
         rows[name] = {
             "metric": name,
             "observed": observed[name],
@@ -286,7 +286,7 @@ def single_truth_nc(truth, estimate, metrics, b=1000, seed=0, sid_cap=10_000):
             "nc_mean": nc["mean"],
             "nc_ci": nc["ci"],
             "p": p,
-            "dropped": nc["missing"],
+            "dropped": dropped,
             "direction": direction,
         }
     return rows

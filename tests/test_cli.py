@@ -59,6 +59,14 @@ class TestExpect:
         assert rc == EXIT_INPUT
         assert "error" in capsys.readouterr().err
 
+    def test_d_and_m_max_together_rejected(self, capsys):
+        # --d sets m_max itself; a second, different m_max was silently ignored.
+        rc = main(["expect", "--d", "10", "--m-max", "7", "--m-true", "3", "--m-est", "3"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err == "error: give one of --d or --m-max, not both\n"
+
     def test_degenerate_params(self, capsys):
         rc = main(["expect", "--d", "5", "--m-true", "8", "--m-est", "0"])
         assert rc == EXIT_INPUT
@@ -507,6 +515,26 @@ class TestPipeline:
         rc = main(["pipeline", "--config", cfg, "--out-dir", str(tmp_path / "o")])
         assert rc == EXIT_INPUT
         assert "'sid_lowr'" in capsys.readouterr().err
+
+    def test_failed_replications_are_missing(self, tmp_path):
+        # PC raises CiTestError (n too small) on replications 0, 1 and 3.
+        cfg = self._config(tmp_path, d=8, m_true=20, n=4, seed=1)
+        out_dir = str(tmp_path / "out")
+        assert main(["pipeline", "--config", cfg, "--out-dir", out_dir]) == 0
+        summary = json.loads(open(f"{out_dir}/summary.json").read())
+        jsonschema.validate(summary, load_schema("study-result.schema.json"))
+        assert summary["summary"]["m_est"]["missing"] == 3
+        rows = open(f"{out_dir}/replications.csv").read().splitlines()[1:]
+        assert [row.split(",")[2] != "" for row in rows] == [False, False, True, False]
+        assert rows[0].split(",")[4] == ""  # algo_shd
+        assert rows[0].split(",")[5] != ""  # nc_shd
+
+    def test_every_replication_failing_exits_3(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, b=1, d=8, m_true=20, n=4, seed=1)
+        out_dir = tmp_path / "out"
+        assert main(["pipeline", "--config", cfg, "--out-dir", str(out_dir)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "error: need n > |z| + 3 (n=4, |z|=1)\n"
+        assert not out_dir.exists()
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = self._config(tmp_path, replications=10)

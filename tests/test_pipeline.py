@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import jsonschema
@@ -8,9 +9,12 @@ from ncbench.graphs import Dag, skeleton, with_labels
 from ncbench.hypergeom import HyperParams, expected_metric
 from ncbench.io import GraphFile, align_to, parse_graph
 from ncbench.metrics import SMALLER_IS_BETTER, full_report
+import ncbench.pipeline
+from ncbench.pc import CiTestError, pc
 from ncbench.pipeline import (
     DEFAULT_METRICS,
     PipelineConfig,
+    _replicate,
     _summarize,
     paired_p,
     run_study,
@@ -175,6 +179,88 @@ class TestRunStudy:
             if run_study(cfg).summary["shd"]["p"] <= 0.05:
                 rejections += 1
         assert rejections / meta <= 0.12
+
+
+# n = 4 is too small for a Fisher-z test given one variable: PC raises
+# CiTestError on replications 0, 1 and 3 of this config, not on 2.
+PROBE = {"b": 4, "d": 8, "m_true": 20, "n": 4, "seed": 1}
+
+
+def _step1(rep):
+    return rep.truth, rep.estimate, rep.m_est, rep.algo_values
+
+
+class TestFailedReplication:
+    def test_failed_replications_are_missing(self):
+        result = run_study(PipelineConfig(**PROBE))
+        reps = result.replications
+        assert [rep.error is None for rep in reps] == [False, False, True, False]
+        for rep in reps[:2] + reps[3:]:
+            assert isinstance(rep.error, CiTestError)
+            assert (rep.estimate, rep.m_est) == (None, None)
+            assert rep.algo_values == dict.fromkeys(DEFAULT_METRICS)
+        # Every NC, the failed replications' too, is drawn from the one m_est left.
+        assert {len(skeleton(rep.nc)) for rep in reps} == {reps[2].m_est}
+        summary = result.summary
+        assert summary["m_est"]["missing"] == 3
+        assert summary["m_est"]["mean"] == float(reps[2].m_est)
+        for name in DEFAULT_METRICS:
+            assert summary[name]["algorithm"]["missing"] >= 3
+            assert summary[name]["dropped_pairs"] >= 3
+        assert summary["shd"]["dropped_pairs"] == 3
+        assert summary["shd"]["negative_control"]["missing"] == 0
+
+    def test_every_replication_failing_raises_the_first_error(self):
+        with pytest.raises(CiTestError, match=r"need n > \|z\| \+ 3 \(n=4, \|z\|=1\)"):
+            run_study(PipelineConfig(**{**PROBE, "b": 1}))
+
+    def test_one_failure_leaves_the_other_replications(self):
+        calls = []
+
+        def fails_on_index_1(data, pc_cfg):
+            calls.append(None)
+            if len(calls) == 2:  # step 1 runs in index order
+                raise CiTestError("injected")
+            return pc(data, pc_cfg)
+
+        cfg = PipelineConfig(b=6, d=6, m_true=7, n=80, seed=5)
+        plain = run_study(cfg).replications
+        patched = run_study(dataclasses.replace(cfg, algorithm=fails_on_index_1))
+        failed = patched.replications[1]
+        assert str(failed.error) == "injected"
+        assert _step1(failed) == (plain[1].truth, None, None, dict.fromkeys(cfg.metrics))
+        for i in (0, 2, 3, 4, 5):
+            assert _step1(patched.replications[i]) == _step1(plain[i])
+        assert patched.summary["m_est"]["missing"] == 1
+        pool = {plain[i].m_est for i in (0, 2, 3, 4, 5)}
+        assert {len(skeleton(rep.nc)) for rep in patched.replications} <= pool
+
+
+class TestIndependence:
+    @pytest.mark.parametrize("b", [5, 8])
+    def test_replication_independent_of_b(self, b):
+        cfg = PipelineConfig(b=b, d=6, m_true=7, n=80, seed=21)
+        reps = run_study(cfg).replications
+        for i in range(5):
+            assert _step1(_replicate(cfg, i)) == _step1(reps[i])
+
+    def test_single_truth_draws_independent_of_b(
+        self, five_node_truth, five_node_estimate, monkeypatch
+    ):
+        real = ncbench.pipeline._nc_values
+        drawn = []
+
+        def recording(*args):
+            nc, values = real(*args)
+            drawn[-1].append((nc, values))
+            return nc, values
+
+        monkeypatch.setattr(ncbench.pipeline, "_nc_values", recording)
+        for b in (50, 100):
+            drawn.append([])
+            single_truth_nc(five_node_truth, five_node_estimate, DEFAULT_METRICS, b=b, seed=6)
+        assert [len(d) for d in drawn] == [50, 100]
+        assert drawn[0] == drawn[1][:50]
 
 
 class TestSingleTruthNc:
