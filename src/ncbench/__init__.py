@@ -36,10 +36,9 @@ from .metrics import (
     orientation_confusion,
     shd,
     sid,
-    valid_adjustment,
     vstructure_recovery,
 )
-from .pc import PcConfig, fisher_z_test, pc
+from .pc import PcConfig, pc
 from .pipeline import PipelineConfig, StudyResult, paired_p, run_study, single_truth_nc
 from .random_graphs import RngSeed, max_edges, sample_er_cpdag, sample_er_dag
 from .sem import SemConfig, SemModel, draw_sem, simulate

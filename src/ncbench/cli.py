@@ -190,6 +190,13 @@ def cmd_pipeline(args):
         p = result.summary[name]["p"]
         print(f"{name}: p = {'undefined' if p is None else format(p, '.3f')}")
     print(f"wrote {summary_path} and {csv_path}")
+    failed = [rep for rep in result.replications if rep.error is not None]
+    if failed:
+        print(
+            f"warning: {len(failed)} of {len(result.replications)} replications failed; "
+            f"first (replication {failed[0].index}): {failed[0].error}",
+            file=sys.stderr,
+        )
     return 0
 
 

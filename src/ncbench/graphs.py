@@ -70,7 +70,7 @@ def _kahn(children):
 
 def is_acyclic(edges, d):
     """True iff the directed edges over nodes 0..d-1 admit a topological order."""
-    edges = _int_pairs(edges)
+    edges = [(_as_int(i, "node"), _as_int(j, "node")) for i, j in edges]
     _check_nodes(d, (v for e in edges for v in e))
     return _acyclic(edges, d)
 
@@ -99,38 +99,48 @@ def _as_int(v, what):
     raise GraphError(f"{what} must be an integer, got {v!r}")
 
 
-def _int_pairs(pairs):
-    """`pairs` as a frozenset of int pairs; plain-int pairs pass unconverted."""
-    return frozenset(
-        (i, j) if type(i) is type(j) is int else (_as_int(i, "node"), _as_int(j, "node"))
-        for i, j in pairs
-    )
+def _checked_pairs(edges, d, skel, canonical):
+    """One pass over an edge set: each edge is converted by the integer rule
+    (plain-int pairs pass unconverted), range-checked and rejected if it is
+    a self-loop, and its canonical (i < j) pair is added to the set `skel`.
+    Returns the edges as a frozenset of int pairs, canonical if asked."""
+    out = set()
+    for i, j in edges:
+        if type(i) is not int or type(j) is not int:
+            i, j = _as_int(i, "node"), _as_int(j, "node")
+        if not (0 <= i < d and 0 <= j < d):
+            raise GraphError(f"node index {j if 0 <= i < d else i} out of range for d={d}")
+        if i == j:
+            raise GraphError(f"self-loop at node {i}")
+        pair = (i, j) if i < j else (j, i)
+        skel.add(pair)
+        out.add(pair if canonical else (i, j))
+    return frozenset(out)
 
 
 def _checked_edges(g, directed, undirected=frozenset()):
     """Normalize g's d, labels and edge sets in place after the checks Dag
     and Cpdag share, and set g._skeleton; returns (directed, undirected) as
-    frozensets of int pairs, undirected pairs in canonical (i < j) order."""
+    frozensets of int pairs, undirected pairs in canonical (i < j) order.
+    Each edge set is walked once; the skeleton's size then tells whether a
+    pair came in both orientations or both directed and undirected."""
     if type(g.d) is not int:
         object.__setattr__(g, "d", _as_int(g.d, "d"))
     if g.d < 1:
         raise GraphError("d must be positive")
-    directed = _int_pairs(directed)
-    undirected = frozenset((min(i, j), max(i, j)) for i, j in _int_pairs(undirected))
     labels = tuple(g.labels) if g.labels is not None else _default_labels(g.d)
     if len(labels) != g.d or len(set(labels)) != g.d:
         raise GraphError("labels must be d distinct strings")
     object.__setattr__(g, "labels", labels)
-    _check_nodes(g.d, (v for e in itertools.chain(directed, undirected) for v in e))
-    for i, j in itertools.chain(directed, undirected):
-        if i == j:
-            raise GraphError(f"self-loop at node {i}")
-    pairs = frozenset((min(i, j), max(i, j)) for i, j in directed)
-    if len(pairs) != len(directed):
+    skel = set()
+    directed = _checked_pairs(directed, g.d, skel, False)
+    n_directed = len(skel)
+    undirected = _checked_pairs(undirected, g.d, skel, True)
+    if n_directed != len(directed):
         raise GraphError("both orientations present for some pair")
-    if not pairs.isdisjoint(undirected):
+    if len(skel) != n_directed + len(undirected):
         raise GraphError("pair appears both directed and undirected")
-    object.__setattr__(g, "_skeleton", pairs | undirected)
+    object.__setattr__(g, "_skeleton", frozenset(skel))
     return directed, undirected
 
 
@@ -470,21 +480,3 @@ def enumerate_extensions(p, cap=10_000):
 def with_labels(g, labels):
     """Same graph structure with a different label tuple; None gives the defaults."""
     return replace(g, labels=labels)
-
-
-def all_dags(d):
-    """Every labeled DAG on d nodes (brute force; d <= 4 in practice)."""
-    pairs = list(itertools.combinations(range(d), 2))
-    out = []
-    for states in itertools.product((None, 0, 1), repeat=len(pairs)):
-        edges = set()
-        for (i, j), s in zip(pairs, states):
-            if s == 0:
-                edges.add((i, j))
-            elif s == 1:
-                edges.add((j, i))
-        try:
-            out.append(Dag(d, frozenset(edges)))
-        except GraphError:  # a directed cycle
-            pass
-    return out

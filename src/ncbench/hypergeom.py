@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 METRICS = ("precision", "recall", "f1", "npv", "specificity")
@@ -24,6 +25,13 @@ METRICS = ("precision", "recall", "f1", "npv", "specificity")
 
 class DegenerateParamsError(ValueError):
     """Requested quantity has an empty denominator for these parameters."""
+
+
+def _count(v, what):
+    """v as an int if it is a Python or numpy integer (not a bool)."""
+    if isinstance(v, numbers.Integral) and not isinstance(v, bool):
+        return int(v)
+    raise ValueError(f"{what} must be an integer, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -35,6 +43,9 @@ class HyperParams:
     m_est: int
 
     def __post_init__(self):
+        for name in ("m_max", "m_true", "m_est"):
+            if type(getattr(self, name)) is not int:
+                object.__setattr__(self, name, _count(getattr(self, name), name))
         if min(self.m_max, self.m_true, self.m_est) < 0:
             raise ValueError("all edge counts must be non-negative")
         if self.m_true > self.m_max or self.m_est > self.m_max:
@@ -219,6 +230,8 @@ def _upper_tail(tp_obs, p):
         raise DegenerateParamsError(
             "skeleton fit test is undefined for an empty estimate (m_est = 0)"
         )
+    if type(tp_obs) is not int:
+        tp_obs = _count(tp_obs, "tp_obs")
     if not (0 <= tp_obs <= min(p.m_true, p.m_est)):
         raise ValueError(
             f"tp_obs={tp_obs} inconsistent with m_true={p.m_true}, m_est={p.m_est}"

@@ -37,9 +37,7 @@ def _build(kind, labels, directed, undirected, path):
     index = {lab: i for i, lab in enumerate(labels)}
     d = len(labels)
     dir_idx = frozenset((index[a], index[b]) for a, b in directed)
-    und_idx = frozenset(
-        (min(index[a], index[b]), max(index[a], index[b])) for a, b in undirected
-    )
+    und_idx = frozenset((index[a], index[b]) for a, b in undirected)
     if kind == "dag":
         if und_idx:
             raise ParseError(f"{path}: undirected edges not allowed in a dag file")

@@ -10,7 +10,6 @@ from .graphs import (
     ExtensionCapExceeded,
     GraphError,
     d_connected,
-    d_separated,
     enumerate_extensions,
     skeleton,
     v_structures,
@@ -139,32 +138,16 @@ def vstructure_recovery(truth, est):
     return MetricValue("vstructure_recovery", len(vs_t & vs_e) / len(vs_t))
 
 
-def valid_adjustment(g, i, j, z):
-    """Back-door-style validity of z for the effect of i on j in DAG g:
-    no member of z is a descendant of i, and z blocks every back-door path
-    (d-separation with i's outgoing edges removed)."""
-    z = frozenset(z)
-    if i == j or i in z or j in z:
-        raise GraphError("need distinct i, j not in the adjustment set")
-    if z & g.descendants(i):
-        return False
-    backdoor = Dag(
-        g.d,
-        frozenset(e for e in g.edges if e[0] != i),
-        g.labels,
-    )
-    return d_separated(backdoor, i, j, z)
-
-
 def _sid_terms(truth):
     """Per-node SID term of `truth`: term(i, pa) counts the targets j != i
     whose effect from i is misjudged by adjusting for the estimated parents pa.
 
     Targets in pa are claimed to have no effect, which is wrong iff j is a
-    descendant of i. For every other target this is valid_adjustment's rule:
-    if pa holds a descendant of i, every such target counts; otherwise one
-    Bayes-ball pass from i, in the truth without i's outgoing edges and given
-    pa, counts the targets it reaches. Terms are memoized by (i, pa).
+    descendant of i. Every other target counts unless pa is a valid
+    adjustment set for it (no descendant of i, and it blocks every back-door
+    path): if pa holds a descendant of i, every such target counts; otherwise
+    one Bayes-ball pass from i, in the truth without i's outgoing edges and
+    given pa, counts the targets it reaches. Terms are memoized by (i, pa).
     """
     parents, children = truth._index
     desc = [truth.descendants(v) for v in range(truth.d)]

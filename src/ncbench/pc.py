@@ -113,25 +113,6 @@ def _check_sample_size(n, size):
         raise CiTestError(f"need n > |z| + 3 (n={n}, |z|={size})")
 
 
-def fisher_z_test(data, i, j, z):
-    """Two-sided p-value for zero partial correlation of columns i, j given z.
-
-    One test from the covariance of the columns involved; FisherZTest is the
-    batched engine PC uses, and this is its reference.
-    """
-    z = sorted(z)
-    n = data.shape[0]
-    _check_sample_size(n, len(z))
-    idx = [i, j] + z
-    cov = np.cov(data[:, idx], rowvar=False)
-    try:
-        prec = np.linalg.inv(cov)
-    except np.linalg.LinAlgError as exc:
-        raise CiTestError(f"singular conditioning covariance for {idx}") from exc
-    r = -prec[0, 1] / math.sqrt(prec[0, 0] * prec[1, 1])
-    return _fisher_z_p(r, n, len(z))
-
-
 def _singular_row(idx, sub):
     """The columns of the first matrix in a stack that cannot be inverted."""
     for row, m in zip(idx.tolist(), sub):
@@ -151,7 +132,7 @@ class FisherZTest:
     stacked inverse per conditioning-set size and decides them all at once:
     a triple is independent when r lies within the exact bounds of the
     correlations whose p-value is at least alpha (_accept_bounds), which is
-    the answer of fisher_z_test's p-value rule on the same r. independent()
+    the answer of the p-value rule _fisher_z_p(r) >= alpha. independent()
     reads one triple of the last prepared batch, and only those.
     """
 

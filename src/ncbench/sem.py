@@ -39,16 +39,6 @@ class SemModel:
     weights: dict  # (i, j) -> weight of i -> j
     variances: tuple  # one per node
 
-    def population_covariance(self):
-        """Closed-form covariance implied by (weights, variances)."""
-        d = self.graph.d
-        w = np.zeros((d, d))
-        for (i, j), wt in self.weights.items():
-            w[i, j] = wt
-        # x = W^T x + e  =>  cov = (I - W^T)^-1 D (I - W^T)^-T
-        inv = np.linalg.inv(np.eye(d) - w.T)
-        return inv @ np.diag(self.variances) @ inv.T
-
 
 def draw_sem(g, cfg, rng=None):
     """Random weights (uniform on +-[lo, hi]) and variances for each node."""

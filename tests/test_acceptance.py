@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from ncbench.cli import main
-from ncbench.graphs import Dag, all_dags, dag_to_cpdag, skeleton
+from ncbench.graphs import Dag, dag_to_cpdag, skeleton
 from ncbench.hypergeom import (
     METRICS,
     ConfusionCounts,
@@ -35,6 +35,7 @@ from ncbench.pipeline import PipelineConfig, run_study, single_truth_nc
 from ncbench.random_graphs import RngSeed, max_edges, sample_er_dag
 
 from conftest import DATA_DIR
+from reference import all_dags
 
 FIG1A = frozenset({(0, 1), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (3, 4), (4, 2)})
 

@@ -529,6 +529,31 @@ class TestPipeline:
         assert rows[0].split(",")[4] == ""  # algo_shd
         assert rows[0].split(",")[5] != ""  # nc_shd
 
+    def test_failed_replications_warned_on_stderr(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, d=8, m_true=20, n=4, seed=1)
+        assert main(["pipeline", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: 3 of 4 replications failed; "
+            "first (replication 0): need n > |z| + 3 (n=4, |z|=1)\n"
+        )
+        assert "warning" not in captured.out
+
+    def test_clean_study_leaves_stderr_empty(self, tmp_path, capsys):
+        cfg = self._config(tmp_path)
+        assert main(["pipeline", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_env_seed_does_not_set_the_study_seed(self, tmp_path, monkeypatch):
+        # A study's seed comes from its config; only --seed overrides it.
+        cfg = self._config(tmp_path)
+        outs = []
+        for env_seed in ("1", "9"):
+            monkeypatch.setenv("NCBENCH_SEED", env_seed)
+            outs.append(tmp_path / f"out{env_seed}")
+            main(["pipeline", "--config", cfg, "--out-dir", str(outs[-1])])
+        assert (outs[0] / "summary.json").read_text() == (outs[1] / "summary.json").read_text()
+
     def test_every_replication_failing_exits_3(self, tmp_path, capsys):
         cfg = self._config(tmp_path, b=1, d=8, m_true=20, n=4, seed=1)
         out_dir = tmp_path / "out"

@@ -15,7 +15,6 @@ from ncbench.graphs import (
     VStructure,
     _colliders,
     _meek_close,
-    all_dags,
     d_separated,
     dag_to_cpdag,
     enumerate_extensions,
@@ -25,6 +24,8 @@ from ncbench.graphs import (
     with_labels,
 )
 from ncbench.random_graphs import RngSeed, sample_er_cpdag, sample_er_dag
+
+from reference import all_dags
 
 
 class TestIsAcyclic:
@@ -163,6 +164,49 @@ class TestCpdagInvariants:
     def test_undirected_canonicalized(self):
         p = Cpdag(3, frozenset(), frozenset({(2, 0)}))
         assert p.undirected == frozenset({(0, 2)})
+
+    def test_one_pass_checks_match_one_pass_per_check(self):
+        # Edge lists with repeats, reversed pairs, self-loops, out-of-range
+        # nodes and mixed pairs, checked against one pass per check.
+        def per_check(d, directed, undirected):
+            directed = frozenset(directed)
+            undirected = frozenset((min(i, j), max(i, j)) for i, j in undirected)
+            edges = list(itertools.chain(directed, undirected))
+            for v in (v for e in edges for v in e):
+                if not 0 <= v < d:
+                    return f"node index {v} out of range for d={d}"
+            for i, j in edges:
+                if i == j:
+                    return f"self-loop at node {i}"
+            pairs = frozenset((min(i, j), max(i, j)) for i, j in directed)
+            if len(pairs) != len(directed):
+                return "both orientations present for some pair"
+            if not pairs.isdisjoint(undirected):
+                return "pair appears both directed and undirected"
+            return directed, undirected, pairs | undirected
+
+        gen = RngSeed(41).generator()
+        outcomes = set()
+        for _ in range(3000):
+            d = int(gen.integers(1, 6))
+            directed, undirected = (
+                [tuple(int(v) for v in gen.integers(-1, d + 1, 2)) for _ in range(k)]
+                for k in gen.integers(0, 5, 2)
+            )
+            expected = per_check(d, directed, undirected)
+            try:
+                g = Cpdag(d, directed, undirected)
+            except GraphError as exc:
+                assert isinstance(expected, str)
+                if expected.startswith(("node index", "self-loop")):
+                    assert str(exc).startswith(("node index", "self-loop"))
+                else:
+                    assert str(exc) == expected
+                outcomes.add(expected.split()[0])
+            else:
+                assert (g.directed, g.undirected, skeleton(g)) == expected
+                outcomes.add("ok")
+        assert outcomes == {"node", "self-loop", "both", "pair", "ok"}
 
 
 class TestEdgeView:

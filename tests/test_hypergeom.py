@@ -3,6 +3,7 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -379,6 +380,32 @@ class TestMetricQuantile:
             assert metric_quantile("specificity", level, p) == pytest.approx(
                 (p.m_max - p.m_est - p.m_true + q) / (p.m_max - p.m_true)
             )
+
+
+class TestIntegerCounts:
+    @pytest.mark.parametrize(
+        "counts",
+        [(10.0, 3, 2), (10, 3, 2.5), (10, True, 2), (10, 3, False), ("10", 3, 2), (None, 3, 2)],
+    )
+    def test_non_integer_count_rejected(self, counts):
+        with pytest.raises(ValueError, match="must be an integer"):
+            HyperParams(*counts)
+
+    def test_numpy_integers_become_ints(self):
+        p = HyperParams(np.int64(10), np.int32(8), np.uint8(7))
+        assert p == P587
+        assert [type(v) for v in (p.m_max, p.m_true, p.m_est)] == [int, int, int]
+        assert quantile(0.5, p) == quantile(0.5, P587)
+
+    @pytest.mark.parametrize("tp_obs", [6.0, True, "6", None])
+    def test_non_integer_tp_obs_rejected(self, tp_obs):
+        with pytest.raises(ValueError, match="tp_obs must be an integer"):
+            skeleton_fit_test(tp_obs, P587)
+        with pytest.raises(ValueError, match="tp_obs must be an integer"):
+            skeleton_fit_log10_p(tp_obs, P587)
+
+    def test_numpy_tp_obs_accepted(self):
+        assert skeleton_fit_test(np.int64(6), P587) == skeleton_fit_test(6, P587)
 
 
 class TestSkeletonFitTest:

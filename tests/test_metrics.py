@@ -6,7 +6,6 @@ from ncbench.graphs import (
     Cpdag,
     Dag,
     GraphError,
-    all_dags,
     dag_to_cpdag,
     enumerate_extensions,
     skeleton,
@@ -20,11 +19,12 @@ from ncbench.metrics import (
     orientation_confusion,
     shd,
     sid,
-    valid_adjustment,
     vstructure_recovery,
 )
 from ncbench.hypergeom import metric_from_counts
 from ncbench.random_graphs import RngSeed, sample_er_cpdag, sample_er_dag
+
+from reference import all_dags, valid_adjustment
 
 
 def reference_sid(truth, est):

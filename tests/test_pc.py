@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from ncbench.graphs import Cpdag, Dag, _meek_close, all_dags, dag_to_cpdag
-from ncbench.pc import CiTestError, FisherZTest, PcConfig, fisher_z_test, pc
+from ncbench.graphs import Cpdag, Dag, _meek_close, dag_to_cpdag
+from ncbench.pc import CiTestError, FisherZTest, PcConfig, pc
 from ncbench.random_graphs import RngSeed, sample_er_dag
 from ncbench.sem import SemConfig, simulate_from_dag
+
+from reference import all_dags, fisher_z_test
 
 pc_module = importlib.import_module("ncbench.pc")
 

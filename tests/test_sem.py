@@ -5,6 +5,8 @@ from ncbench.graphs import Dag
 from ncbench.random_graphs import RngSeed
 from ncbench.sem import SemConfig, draw_sem, simulate, simulate_from_dag
 
+from reference import population_covariance
+
 
 class TestSemConfig:
     def test_invalid_weight_range(self):
@@ -74,7 +76,7 @@ class TestSimulate:
     def test_empirical_matches_population_covariance(self):
         g = Dag(4, frozenset({(0, 1), (1, 2), (0, 2), (2, 3)}))
         model = draw_sem(g, SemConfig(n=1, seed=RngSeed(8)))
-        pop = model.population_covariance()
+        pop = population_covariance(model)
         data = simulate(model, 100_000, RngSeed(9))
         emp = np.cov(data, rowvar=False)
         assert np.all(np.abs(emp - pop) <= 0.05 * np.maximum(np.abs(pop), 0.1))

@@ -35,3 +35,49 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     tree = ast.parse("import os\nfrom a.b import c, d as e\nprint(c)\n")
     assert _unused_imports(tree) == ["e (line 2)", "os (line 1)"]
+
+
+def _unreferenced_definitions(modules, exported):
+    """Module-level functions and classes, as "module.name", that no module
+    reads (as a name or an attribute) and that are not in `exported`.
+
+    `modules` maps a module name to its parsed source."""
+    read = set(exported)
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read
+    )
+
+
+def _exported_names():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_src_holds_only_what_the_package_runs():
+    # A function only the tests call belongs in tests/reference.py.
+    modules = {
+        p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py") if p.name != "__init__.py"
+    }
+    assert _unreferenced_definitions(modules, _exported_names()) == []
+
+
+def test_detects_an_unreferenced_definition():
+    modules = {
+        "a": ast.parse("def used(): pass\ndef helper(): pass\nclass Kept: pass\n"),
+        "b": ast.parse("from .a import used\nused()\n"),
+    }
+    assert _unreferenced_definitions(modules, {"Kept"}) == ["a.helper"]
