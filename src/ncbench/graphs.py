@@ -70,6 +70,7 @@ def _kahn(children):
 
 def is_acyclic(edges, d):
     """True iff the directed edges over nodes 0..d-1 admit a topological order."""
+    d = _checked_d(d)
     edges = [(_as_int(i, "node"), _as_int(j, "node")) for i, j in edges]
     _check_nodes(d, (v for e in edges for v in e))
     return _acyclic(edges, d)
@@ -99,6 +100,15 @@ def _as_int(v, what):
     raise GraphError(f"{what} must be an integer, got {v!r}")
 
 
+def _checked_d(d):
+    """d by the integer rule, and at least 1."""
+    if type(d) is not int:
+        d = _as_int(d, "d")
+    if d < 1:
+        raise GraphError("d must be positive")
+    return d
+
+
 def _checked_pairs(edges, d, skel, canonical):
     """One pass over an edge set: each edge is converted by the integer rule
     (plain-int pairs pass unconverted), range-checked and rejected if it is
@@ -124,10 +134,9 @@ def _checked_edges(g, directed, undirected=frozenset()):
     frozensets of int pairs, undirected pairs in canonical (i < j) order.
     Each edge set is walked once; the skeleton's size then tells whether a
     pair came in both orientations or both directed and undirected."""
-    if type(g.d) is not int:
-        object.__setattr__(g, "d", _as_int(g.d, "d"))
-    if g.d < 1:
-        raise GraphError("d must be positive")
+    d = _checked_d(g.d)
+    if d is not g.d:
+        object.__setattr__(g, "d", d)
     labels = tuple(g.labels) if g.labels is not None else _default_labels(g.d)
     if len(labels) != g.d or len(set(labels)) != g.d:
         raise GraphError("labels must be d distinct strings")

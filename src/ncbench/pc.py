@@ -6,9 +6,11 @@ come from the graph core's collider scan over the skeleton's half-edges.
 
 Two conditional-independence backends: a Fisher-z test for vanishing partial
 correlations on Gaussian data, and a d-separation oracle on a known DAG. The
-Fisher-z engine decides a batch by comparing each partial correlation with
-the exact bounds of the correlations its p-value test accepts, so it gives
-the answers of `_fisher_z_p(r) >= alpha` without a p-value per triple.
+Fisher-z engine decides a whole level of the skeleton search in one numpy
+pass: one stacked inverse gives every candidate's partial correlation, and
+each is compared with the exact bounds of the correlations its p-value test
+accepts, so it gives the answers of `_fisher_z_p(r) >= alpha` without a
+p-value per triple. A pair's first separating set is read from the flags.
 """
 
 from __future__ import annotations
@@ -128,20 +130,25 @@ class FisherZTest:
 
     The data are checked and the correlation matrix computed once. The partial
     correlation r of i, j given S comes from the inverse of the (|S|+2)
-    correlation submatrix. prepare() evaluates a batch of triples with one
-    stacked inverse per conditioning-set size and decides them all at once:
-    a triple is independent when r lies within the exact bounds of the
-    correlations whose p-value is at least alpha (_accept_bounds), which is
-    the answer of the p-value rule _fisher_z_p(r) >= alpha. independent()
-    reads one triple of the last prepared batch, and only those.
+    correlation submatrix. decide() takes a whole PC level at once, with one
+    stacked inverse: a triple is independent when r lies within the exact
+    bounds of the correlations whose p-value is at least alpha
+    (_accept_bounds), which is the answer of the p-value rule
+    _fisher_z_p(r) >= alpha.
     """
 
     def __init__(self, data, alpha):
         data = np.asarray(data, dtype=float)
+        if data.ndim != 2:
+            raise ValueError(
+                f"data must be a 2-D array (n samples x d variables), got shape {data.shape}"
+            )
         self.n, self.d = data.shape
         self.alpha = alpha
         self.corr = np.eye(self.d)
-        self._prepared = {}
+        finite = np.isfinite(data).all(axis=0)
+        if not finite.all():
+            raise CiTestError(f"non-finite data column {int(np.argmin(finite))}")
         if self.d < 2:
             return  # no pair to test
         _check_sample_size(self.n, 0)
@@ -150,16 +157,17 @@ class FisherZTest:
             raise CiTestError(f"constant data column {int(constant[0])}")
         self.corr = np.corrcoef(data, rowvar=False)
 
-    def prepare(self, triples):
-        """Decide a sequence of (i, j, S) triples with i < j and one set
-        size, for independent(). S is any collection of node indices."""
-        self._prepared = {}
-        if not triples:
-            return
-        size = len(triples[0][2])
+    def decide(self, plan, size):
+        """One flag per candidate of a level's plan, in plan order: plan is a
+        list of (i, j, sets) with i < j, and sets a list of sorted tuples of
+        `size` node indices."""
         _check_sample_size(self.n, size)
-        rows = [(i, j, *sorted(s)) for i, j, s in triples]
-        idx = np.array(rows, dtype=np.intp)
+        counts = [len(sets) for _, _, sets in plan]
+        total = sum(counts)
+        pairs = np.array([(i, j) for i, j, _ in plan], dtype=np.intp)
+        chain = itertools.chain.from_iterable
+        conds = np.fromiter(chain(chain(sets for _, _, sets in plan)), np.intp, total * size)
+        idx = np.hstack([np.repeat(pairs, counts, axis=0), conds.reshape(total, size)])
         sub = self.corr[idx[:, :, None], idx[:, None, :]]
         try:
             prec = np.linalg.inv(sub)
@@ -171,12 +179,9 @@ class FisherZTest:
             r = -prec[:, 0, 1] / np.sqrt(prec[:, 0, 0] * prec[:, 1, 1])
         finite = np.isfinite(r)
         if not finite.all():
-            row = list(rows[int(np.argmin(finite))])
+            row = idx[int(np.argmin(finite))].tolist()
             raise CiTestError(f"undefined partial correlation for {row}")
-        self._prepared = dict(zip(rows, _accepted(r, self.n, size, self.alpha).tolist()))
-
-    def independent(self, i, j, z):
-        return self._prepared[(min(i, j), max(i, j), *sorted(z))]
+        return _accepted(r, self.n, size, self.alpha).tolist()
 
 
 class OracleTest:
@@ -189,18 +194,21 @@ class OracleTest:
 
 
 def _skeleton_phase(test, d, max_cond_size):
-    """Stable skeleton search: edges removed only between conditioning-set
-    size levels, so the result is independent of node ordering.
+    """Stable skeleton search: every test of a conditioning-set size level
+    sees the neighbourhoods the level started with, so the result is
+    independent of node ordering.
 
     Neighbourhoods are frozen for a level, so its candidate sets are known
     before any test runs. A pair's candidates are the sorted tuples that
     itertools.combinations yields from the sorted neighbour lists, first of
     i then of j, each distinct set kept once in order of first appearance;
     a triple names its pair, so no two pairs share one and no memo across
-    pairs is needed. A test with prepare() decides the level's triples in
-    one batch. independent() is asked, with a frozenset, only for the sets
-    PC consults: a pair's sets up to its first independent one. The oracle
-    is not batched, since it would then also decide the sets after that.
+    pairs is needed. A test with decide() gets the level's whole plan in one
+    call and returns one flag per candidate, in plan order; a pair's
+    separating set is the first flagged one in its slice of the flags. The
+    oracle has no decide(): independent() is asked, with a frozenset, for a
+    pair's sets up to its first independent one, since a batch would also
+    decide the sets after that.
     """
     adj = {v: set(range(d)) - {v} for v in range(d)}
     sepsets = {}
@@ -219,23 +227,22 @@ def _skeleton_phase(test, d, max_cond_size):
             for j in sorted(adj[i])
             if i < j
         ]
-        if hasattr(test, "prepare"):
-            test.prepare([(i, j, s) for i, j, sets in plan for s in sets])
-        to_remove = []
+        flags = test.decide(plan, level) if hasattr(test, "decide") else None
+        end = 0
         for i, j, sets in plan:
-            for s in sets:
-                s = frozenset(s)
-                if test.independent(i, j, s):
-                    sepsets[(i, j)] = s
-                    to_remove.append((i, j))
-                    break
-        for i, j in to_remove:
-            adj[i].discard(j)
-            adj[j].discard(i)
+            start, end = end, end + len(sets)
+            if flags is None:
+                s = next((s for s in sets if test.independent(i, j, frozenset(s))), None)
+            elif True in flags[start:end]:
+                s = sets[flags.index(True, start, end) - start]
+            else:
+                s = None
+            if s is not None:
+                sepsets[(i, j)] = frozenset(s)
+                adj[i].discard(j)
+                adj[j].discard(i)
         level += 1
-    skel = frozenset(
-        (i, j) for i in range(d) for j in adj[i] if i < j
-    )
+    skel = frozenset((i, j) for i in range(d) for j in adj[i] if i < j)
     return skel, sepsets
 
 

@@ -50,6 +50,20 @@ class TestIsAcyclic:
         assert is_acyclic({(0, np.int64(1)), (np.int64(1), 2)}, 3)
         assert not is_acyclic({(0, np.int64(1)), (np.int64(1), 0)}, 3)
 
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            (2.0, "d must be an integer, got 2.0"),
+            (True, "d must be an integer, got True"),
+            (-1, "d must be positive"),
+        ],
+    )
+    def test_d_follows_the_constructors_rule(self, d, message):
+        for check in (is_acyclic, lambda edges, d: Dag(d, frozenset(edges))):
+            with pytest.raises(GraphError, match=f"^{message}$"):
+                check([], d)
+        assert is_acyclic([], np.int64(1))
+
 
 class TestDagInvariants:
     def test_rejects_self_loop(self):

@@ -1,6 +1,8 @@
 import importlib
 import itertools
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -109,25 +111,16 @@ class TestFisherZEngine:
             for _ in range(20):
                 i, j, *s = (int(v) for v in gen.choice(10, size + 2, replace=False))
                 triples.append((min(i, j), max(i, j), tuple(sorted(s))))
-            test.prepare(triples)
-            for i, j, s in triples:
-                answers.append(test.independent(i, j, frozenset(s)))
-                assert answers[-1] == (fisher_z_test(data, i, j, s) >= alpha)
-        assert 0 < sum(answers) < len(answers)
-
-    def test_frozenset_triples(self):
-        # reference_pc prepares frozenset-keyed triples; CPython iterates
-        # frozenset({8, 1}) and frozenset({9, 2}) unsorted.
-        data = _study_data(10, 10, 1)
-        sets = [frozenset({8, 1}), frozenset({9, 2}), frozenset({3, 7}), frozenset({0, 9})]
-        triples = [(i, j, s) for i, j in [(0, 5), (4, 6), (2, 3)] for s in sets if not s & {i, j}]
-        by_frozenset = FisherZTest(data, 0.2)
-        by_frozenset.prepare(triples)
-        by_tuple = FisherZTest(data, 0.2)
-        by_tuple.prepare([(i, j, tuple(sorted(s))) for i, j, s in triples])
-        answers = [by_tuple.independent(i, j, s) for i, j, s in triples]
-        assert [by_frozenset.independent(j, i, s) for i, j, s in triples] == answers
-        assert answers == [fisher_z_test(data, i, j, s) >= 0.2 for i, j, s in triples]
+            expected = [fisher_z_test(data, i, j, s) >= alpha for i, j, s in triples]
+            assert test.decide([(i, j, [s]) for i, j, s in triples], size) == expected
+            # The same candidates grouped by pair: flags follow the plan's order.
+            by_pair = {}
+            for (i, j, s), out in zip(triples, expected):
+                by_pair.setdefault((i, j), []).append((s, out))
+            plan = [(i, j, [s for s, _ in rows]) for (i, j), rows in by_pair.items()]
+            grouped = [out for rows in by_pair.values() for _, out in rows]
+            assert test.decide(plan, size) == grouped
+            answers += expected
         assert 0 < sum(answers) < len(answers)
 
     @pytest.mark.parametrize("n", [30, 60, 400, 2000])
@@ -165,6 +158,50 @@ class TestFisherZEngine:
         data[:, 3] = data[:, 1]
         with pytest.raises(CiTestError):
             pc(data)
+
+    def test_error_messages(self):
+        # n = 4 passes the marginal tests and fails at level 1.
+        gen = RngSeed(3).generator()
+        x = gen.normal(size=4)
+        data = np.column_stack([x + 0.01 * gen.normal(size=4) for _ in range(3)])
+        with pytest.raises(CiTestError, match=re.escape("need n > |z| + 3 (n=4, |z|=1)")):
+            pc(data)
+        # Integer data over 64 samples make every correlation exact, so the
+        # copied column's 2 x 2 block is exactly singular.
+        data = RngSeed(3).generator().integers(-5, 6, size=(64, 5)).astype(float)
+        data[:, 3] = data[:, 1]
+        with pytest.raises(
+            CiTestError, match=re.escape("singular conditioning correlation for [1, 3]")
+        ):
+            pc(data)
+        # A correlation matrix that is not positive semi-definite: the level-1
+        # precision of (0, 1 | 2) has diagonal entries of opposite signs.
+        test = FisherZTest(_study_data(3, 2, 0), 0.05)
+        test.corr = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 2.0], [0.0, 2.0, 1.0]])
+        with pytest.raises(
+            CiTestError, match=re.escape("undefined partial correlation for [0, 1, 2]")
+        ):
+            pc_module._skeleton_phase(test, 3, None)
+
+    @pytest.mark.parametrize("shape", [(5,), (4, 3, 2), ()])
+    def test_data_must_be_a_matrix(self, shape):
+        expected = f"2-D array (n samples x d variables), got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            pc(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_column_raises_first(self, bad):
+        # Checked before any correlation, so numpy warns of nothing.
+        data = _study_data(5, 4, 0)
+        data[:, 4] = np.nan
+        data[7, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CiTestError, match=r"^non-finite data column 2$"):
+                pc(data)
+            # Even with no pair to test.
+            with pytest.raises(CiTestError, match=r"^non-finite data column 0$"):
+                pc(np.full((5, 1), bad))
 
 
 class TestOraclePc:
@@ -271,9 +308,6 @@ def reference_skeleton_phase(test, d, max_cond_size):
             for j in sorted(adj[i])
             if i < j
         ]
-        if hasattr(test, "prepare"):
-            triples = dict.fromkeys((i, j, s) for i, j, sets in plan for s in sets)
-            test.prepare(list(triples))
         decided = {}
         to_remove = []
         for i, j, sets in plan:
@@ -341,24 +375,79 @@ def _record_calls(monkeypatch, cls):
     return calls
 
 
+class PerTripleFisherZ:
+    """FisherZTest asked one triple at a time through its batch method, as
+    the reference skeleton phase asks; records each (i, j, S, answer)."""
+
+    def __init__(self, data, alpha):
+        self.engine = FisherZTest(data, alpha)
+        self.d = self.engine.d
+        self.calls = []
+
+    def independent(self, i, j, z):
+        (out,) = self.engine.decide([(min(i, j), max(i, j), [tuple(sorted(z))])], len(z))
+        self.calls.append((i, j, z, out))
+        return out
+
+
+def _record_levels(monkeypatch):
+    """Record (plan, size, flags) of every FisherZTest.decide, in call order."""
+    levels = []
+    original = FisherZTest.decide
+
+    def decide(self, plan, size):
+        flags = original(self, plan, size)
+        levels.append((plan, size, flags))
+        return flags
+
+    monkeypatch.setattr(FisherZTest, "decide", decide)
+    return levels
+
+
+def _consulted(levels, d):
+    """The (i, j, S, answer) sequence the recorded levels stand for: each
+    pair's sets up to and including its first flagged one. Checks that each
+    plan lists every pair once, i < j, with distinct sorted sets of the
+    level's size drawn from the other nodes, and one flag per set."""
+    calls = []
+    for plan, size, flags in levels:
+        assert len(flags) == sum(len(sets) for _, _, sets in plan)
+        assert len({(i, j) for i, j, _ in plan}) == len(plan)
+        start = 0
+        for i, j, sets in plan:
+            assert 0 <= i < j < d and len(set(sets)) == len(sets)
+            for s in sets:
+                assert len(s) == size and list(s) == sorted(set(s) - {i, j})
+                assert all(0 <= v < d for v in s)
+            for s, out in zip(sets, flags[start:start + len(sets)]):
+                calls.append((i, j, frozenset(s), out))
+                if out:
+                    break
+            start += len(sets)
+    return calls
+
+
 class TestMatchesReferencePc:
     @pytest.mark.parametrize("max_cond_size", [None, 1])
     @pytest.mark.parametrize(
         "d, n, alpha", [(6, 30, 0.5), (10, 60, 0.2), (10, 400, 0.05), (15, 200, 0.1)]
     )
     def test_data(self, d, n, alpha, max_cond_size, monkeypatch):
-        calls = _record_calls(monkeypatch, FisherZTest)
+        levels = _record_levels(monkeypatch)
         cfg = PcConfig(alpha=alpha, max_cond_size=max_cond_size)
         for rep in range(4):
             gen = RngSeed(23, 100 * d + rep).generator()
             g = sample_er_dag(d, int(gen.integers(d, 2 * d + 1)), gen)
             data = simulate_from_dag(g, SemConfig(n=n, seed=RngSeed(24, 100 * d + rep)))
             est = pc(data, cfg)
-            got = calls[:]
-            calls.clear()
-            assert est == reference_pc(FisherZTest(data, alpha), max_cond_size)
-            assert got == calls
-            calls.clear()
+            got = _consulted(levels, d)
+            reference = PerTripleFisherZ(data, alpha)
+            assert est == reference_pc(reference, max_cond_size)
+            assert got == reference.calls
+            assert pc_module._skeleton_phase(
+                FisherZTest(data, alpha), d, max_cond_size
+            ) == reference_skeleton_phase(PerTripleFisherZ(data, alpha), d, max_cond_size)
+            levels.clear()
 
     @pytest.mark.parametrize("d", [5, 10, 30])
     def test_oracle(self, d, monkeypatch):
