@@ -18,7 +18,7 @@ import sys
 from . import hypergeom as hg
 from .graphs import ExtensionCapExceeded, GraphError, skeleton
 from .io import GraphFile, ParseError, align_to, parse_graph, write_graph
-from .metrics import adjacency_confusion, check_metric_names, full_report
+from .metrics import adjacency_confusion, check_metric_names
 from .pc import CiTestError
 from .pipeline import DEFAULT_METRICS, PipelineConfig, run_study, single_truth_nc
 from .random_graphs import RngSeed, max_edges, sample_er_cpdag, sample_er_dag
@@ -119,24 +119,20 @@ def cmd_compare(args):
     check_metric_names(metrics)
     truth = _graph_arg(args.truth, args.format, "dag")
     est = align_to(truth, _graph_arg(args.est, args.format, args.est_kind))
-    report = full_report(truth, est, metrics)
+    # A metric undefined for the estimate comes back MISSING, with no NC keys.
+    rows = single_truth_nc(truth, est, metrics, b=args.nc_reps, seed=args.seed)
+    keys = ("observed", "nc_mean", "nc_ci", "p", "direction", "dropped")
     out = {
         "schema_version": 1,
-        "d": report.d,
-        "m_true": report.m_true,
-        "m_est": report.m_est,
+        "d": truth.d,
+        "m_true": len(skeleton(truth)),
+        "m_est": len(skeleton(est)),
         "truth_kind": truth.kind,
         "est_kind": est.kind,
-        "metrics": {},
+        "metrics": {
+            name: {key: row[key] for key in keys if key in row} for name, row in rows.items()
+        },
     }
-    # A metric undefined for the estimate (0/0, or SID of an improper CPDAG)
-    # is reported MISSING; one set of NC draws scores all the others.
-    defined = [name for name in metrics if report[name].value is not None]
-    rows = single_truth_nc(truth, est, defined, b=args.nc_reps, seed=args.seed) if defined else {}
-    keys = ("observed", "nc_mean", "nc_ci", "p", "direction", "dropped")
-    for name in metrics:
-        row = rows.get(name, {"observed": None, "p": None})
-        out["metrics"][name] = {key: row[key] for key in keys if key in row}
     print(f"{'metric':<24}{'observed':>10}{'nc_mean':>10}{'p':>8}")
     for name, row in out["metrics"].items():
         obs = "missing" if row["observed"] is None else f"{row['observed']:.4f}"

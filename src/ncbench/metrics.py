@@ -55,9 +55,6 @@ class MetricReport:
     """Named metric values for one truth/estimate pair."""
 
     values: dict
-    d: int
-    m_true: int
-    m_est: int
 
     def __getitem__(self, name):
         return self.values[name]
@@ -225,9 +222,4 @@ def full_report(truth, est, metrics=None, sid_cap=10_000):
             kind, metric = name.split("_", 1)
             value = metric_from_counts(metric, confusions[kind]).value
         values[name] = MetricValue(name, value)
-    return MetricReport(
-        values=values,
-        d=truth.d,
-        m_true=adjacency.tp + adjacency.fn,
-        m_est=adjacency.tp + adjacency.fp,
-    )
+    return MetricReport(values)

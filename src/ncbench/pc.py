@@ -4,13 +4,15 @@ from separating sets, and Meek-rule closure.
 The skeleton phase tests each (i, j, S) triple at most once; the v-structures
 come from the graph core's collider scan over the skeleton's half-edges.
 
-Two conditional-independence backends: a Fisher-z test for vanishing partial
-correlations on Gaussian data, and a d-separation oracle on a known DAG. The
-Fisher-z engine decides a whole level of the skeleton search in one numpy
-pass: one stacked inverse gives every candidate's partial correlation, and
-each is compared with the exact bounds of the correlations its p-value test
-accepts, so it gives the answers of `_fisher_z_p(r) >= alpha` without a
-p-value per triple. A pair's first separating set is read from the flags.
+Two conditional-independence backends, with one contract: decide(plan, size)
+takes a level's plan, a list of (i, j, sets), and returns for each pair the
+index in `sets` of its first separating set, or -1 if it has none. The
+d-separation oracle on a known DAG asks independent() pair by pair and stops
+at a pair's first independent set. The Fisher-z test on Gaussian data decides
+a whole level in one numpy pass: one stacked inverse gives every candidate's
+partial correlation, and each is compared with the exact bounds of the
+correlations its p-value test accepts, so it gives the answers of
+`_fisher_z_p(r) >= alpha` without a p-value per triple.
 """
 
 from __future__ import annotations
@@ -126,16 +128,11 @@ def _singular_row(idx, sub):
 
 
 class FisherZTest:
-    """Fisher-z tests on one dataset.
-
-    The data are checked and the correlation matrix computed once. The partial
-    correlation r of i, j given S comes from the inverse of the (|S|+2)
-    correlation submatrix. decide() takes a whole PC level at once, with one
-    stacked inverse: a triple is independent when r lies within the exact
-    bounds of the correlations whose p-value is at least alpha
-    (_accept_bounds), which is the answer of the p-value rule
-    _fisher_z_p(r) >= alpha.
-    """
+    """Fisher-z tests on one dataset, its correlation matrix computed once.
+    The partial correlation r of i, j given S comes from the inverse of the
+    (|S|+2) correlation submatrix. A triple is independent when r lies within
+    _accept_bounds, which is the answer of the p-value rule
+    _fisher_z_p(r) >= alpha."""
 
     def __init__(self, data, alpha):
         data = np.asarray(data, dtype=float)
@@ -158,16 +155,17 @@ class FisherZTest:
         self.corr = np.corrcoef(data, rowvar=False)
 
     def decide(self, plan, size):
-        """One flag per candidate of a level's plan, in plan order: plan is a
-        list of (i, j, sets) with i < j, and sets a list of sorted tuples of
-        `size` node indices."""
+        """Per pair of a level's plan, the index in its sets of its first
+        separating set, or -1: plan is a list of (i, j, sets) with i < j, and
+        sets a list of sorted tuples of `size` node indices."""
         _check_sample_size(self.n, size)
         counts = [len(sets) for _, _, sets in plan]
         total = sum(counts)
+        rows = np.repeat(np.arange(len(plan)), counts)  # each candidate's pair
         pairs = np.array([(i, j) for i, j, _ in plan], dtype=np.intp)
         chain = itertools.chain.from_iterable
         conds = np.fromiter(chain(chain(sets for _, _, sets in plan)), np.intp, total * size)
-        idx = np.hstack([np.repeat(pairs, counts, axis=0), conds.reshape(total, size)])
+        idx = np.hstack([pairs.take(rows, axis=0), conds.reshape(total, size)])
         sub = self.corr[idx[:, :, None], idx[:, None, :]]
         try:
             prec = np.linalg.inv(sub)
@@ -181,7 +179,14 @@ class FisherZTest:
         if not finite.all():
             row = idx[int(np.argmin(finite))].tolist()
             raise CiTestError(f"undefined partial correlation for {row}")
-        return _accepted(r, self.n, size, self.alpha).tolist()
+        hits = _accepted(r, self.n, size, self.alpha).nonzero()[0]
+        # The hits ascend: a pair's first is where their pair changes, and its
+        # index in the pair's sets is its distance from the pair's first row.
+        owner = rows[hits]
+        first = hits[owner != np.concatenate(([-1], owner[:-1]))]
+        out = np.full(len(plan), -1)
+        out[rows[first]] = first - rows.searchsorted(rows[first])
+        return out.tolist()
 
 
 class OracleTest:
@@ -191,6 +196,14 @@ class OracleTest:
 
     def independent(self, i, j, z):
         return d_separated(self.graph, i, j, z)
+
+    def decide(self, plan, size):
+        """As FisherZTest.decide: independent() is asked, with a frozenset, for
+        a pair's sets in order, and for none after its first independent set."""
+        return [
+            next((k for k, s in enumerate(sets) if self.independent(i, j, frozenset(s))), -1)
+            for i, j, sets in plan
+        ]
 
 
 def _skeleton_phase(test, d, max_cond_size):
@@ -203,12 +216,8 @@ def _skeleton_phase(test, d, max_cond_size):
     itertools.combinations yields from the sorted neighbour lists, first of
     i then of j, each distinct set kept once in order of first appearance;
     a triple names its pair, so no two pairs share one and no memo across
-    pairs is needed. A test with decide() gets the level's whole plan in one
-    call and returns one flag per candidate, in plan order; a pair's
-    separating set is the first flagged one in its slice of the flags. The
-    oracle has no decide(): independent() is asked, with a frozenset, for a
-    pair's sets up to its first independent one, since a batch would also
-    decide the sets after that.
+    pairs is needed. test.decide() gets the level's whole plan in one call and
+    returns, per pair, the index of its separating set in its sets, or -1.
     """
     adj = {v: set(range(d)) - {v} for v in range(d)}
     sepsets = {}
@@ -227,18 +236,9 @@ def _skeleton_phase(test, d, max_cond_size):
             for j in sorted(adj[i])
             if i < j
         ]
-        flags = test.decide(plan, level) if hasattr(test, "decide") else None
-        end = 0
-        for i, j, sets in plan:
-            start, end = end, end + len(sets)
-            if flags is None:
-                s = next((s for s in sets if test.independent(i, j, frozenset(s))), None)
-            elif True in flags[start:end]:
-                s = sets[flags.index(True, start, end) - start]
-            else:
-                s = None
-            if s is not None:
-                sepsets[(i, j)] = frozenset(s)
+        for (i, j, sets), k in zip(plan, test.decide(plan, level)):
+            if k >= 0:
+                sepsets[(i, j)] = frozenset(sets[k])
                 adj[i].discard(j)
                 adj[j].discard(i)
         level += 1

@@ -102,15 +102,17 @@ class Replication:
     error: Exception = None  # the algorithm's CiTestError, if it raised one
 
 
+METHODS_NOTE = (
+    "Paired p-values count replications where the negative control "
+    "performs at least as well as the algorithm (ties favor the null)."
+)
+
+
 @dataclass
 class StudyResult:
     config: PipelineConfig
     replications: list
     summary: dict  # metric -> dict(mean/ci/p for algo and nc)
-    methods_note: str = (
-        "Paired p-values count replications where the negative control "
-        "performs at least as well as the algorithm (ties favor the null)."
-    )
 
     def to_dict(self):
         cfg = self.config
@@ -122,7 +124,7 @@ class StudyResult:
                 if f.name != "algorithm"
             },
             "summary": self.summary,
-            "methods_note": self.methods_note,
+            "methods_note": METHODS_NOTE,
         }
 
 
@@ -251,38 +253,39 @@ def run_study(cfg):
 def single_truth_nc(truth, estimate, metrics, b=1000, seed=0, sid_cap=10_000):
     """Negative-control evaluation against a single known truth.
 
-    Draws b random graphs of the estimate's kind and edge count, draw i on
-    stream RngSeed(seed).child(i), scores each against the truth once for
-    every name in `metrics`, and returns {name: row}. A row holds the observed
-    value, the NC mean and 95% interval, and the fraction of NCs doing at
-    least as well as the estimate. MISSING NC values are dropped; a metric
-    MISSING on every draw gets no mean, interval or p. Raises ValueError when
-    a metric is undefined for the estimate itself.
+    Scores the estimate once. Draws b random graphs of the estimate's kind and
+    edge count, draw i on stream RngSeed(seed).child(i), scores each against
+    the truth once for every metric defined for the estimate, and returns
+    {name: row} in `metrics` order. A row holds the observed value, the NC
+    mean and 95% interval, and the fraction of NCs doing at least as well as
+    the estimate. MISSING NC values are dropped; a metric MISSING on every
+    draw gets no mean, interval or p. A metric undefined for the estimate
+    (0/0, or SID of an improper CPDAG) is MISSING: its row has observed and p
+    None and no NC keys, and when no metric is defined nothing is drawn.
     """
     if b < 1:
         raise ValueError("need at least one negative control")
     observed = _values(truth, estimate, metrics, sid_cap)
-    for name in metrics:
-        if observed[name] is None:
-            raise ValueError(f"{name} is undefined for the observed estimate")
+    defined = [name for name in metrics if observed[name] is not None]
     m_est = len(skeleton(estimate))
     # Draws carry default labels; metrics ignore labels, so relabel the truth once.
     plain_truth = with_labels(truth, None)
     master = RngSeed(seed)
     draws = [
-        _nc_values(plain_truth, estimate.kind, m_est, master.child(i), metrics, sid_cap)[1]
-        for i in range(b)
+        _nc_values(plain_truth, estimate.kind, m_est, master.child(i), defined, sid_cap)[1]
+        for i in range(b if defined else 0)
     ]
     rows = {}
     for name in metrics:
+        row = {"metric": name, "observed": observed[name], "m_est": m_est, "nc_kind": estimate.kind}
+        if observed[name] is None:
+            rows[name] = {**row, "p": None}
+            continue
         nc_vals = [values[name] for values in draws]
         nc = _summarize(nc_vals)
         p, dropped, direction = _paired(name, [observed[name]] * b, nc_vals)
         rows[name] = {
-            "metric": name,
-            "observed": observed[name],
-            "m_est": m_est,
-            "nc_kind": estimate.kind,
+            **row,
             "nc_mean": nc["mean"],
             "nc_ci": nc["ci"],
             "p": p,

@@ -71,7 +71,8 @@ class TestFisherZ:
 
 
 class PerCallFisherZ:
-    """PC's CI test through the per-call reference fisher_z_test."""
+    """PC's CI test through the per-call reference fisher_z_test, asked pair by
+    pair as the oracle asks."""
 
     def __init__(self, data, alpha):
         self.data = np.asarray(data, dtype=float)
@@ -80,6 +81,8 @@ class PerCallFisherZ:
 
     def independent(self, i, j, z):
         return fisher_z_test(self.data, i, j, z) >= self.alpha
+
+    decide = pc_module.OracleTest.decide
 
 
 def _study_data(d, m_true, rep):
@@ -112,14 +115,21 @@ class TestFisherZEngine:
                 i, j, *s = (int(v) for v in gen.choice(10, size + 2, replace=False))
                 triples.append((min(i, j), max(i, j), tuple(sorted(s))))
             expected = [fisher_z_test(data, i, j, s) >= alpha for i, j, s in triples]
-            assert test.decide([(i, j, [s]) for i, j, s in triples], size) == expected
-            # The same candidates grouped by pair: flags follow the plan's order.
+            # One set per pair: every triple is decided, 0 if independent.
+            singles = [0 if out else -1 for out in expected]
+            assert test.decide([(i, j, [s]) for i, j, s in triples], size) == singles
+            # The same candidates grouped by pair, once from each set on: the
+            # first indices of a pair's suffixes give every one of its flags.
             by_pair = {}
             for (i, j, s), out in zip(triples, expected):
                 by_pair.setdefault((i, j), []).append((s, out))
-            plan = [(i, j, [s for s, _ in rows]) for (i, j), rows in by_pair.items()]
-            grouped = [out for rows in by_pair.values() for _, out in rows]
-            assert test.decide(plan, size) == grouped
+            plan, suffix_flags = [], []
+            for (i, j), rows in by_pair.items():
+                for start in range(len(rows)):
+                    plan.append((i, j, [s for s, _ in rows[start:]]))
+                    suffix_flags.append([out for _, out in rows[start:]])
+            firsts = [next((k for k, out in enumerate(f) if out), -1) for f in suffix_flags]
+            assert test.decide(plan, size) == firsts
             answers += expected
         assert 0 < sum(answers) < len(answers)
 
@@ -385,20 +395,22 @@ class PerTripleFisherZ:
         self.calls = []
 
     def independent(self, i, j, z):
-        (out,) = self.engine.decide([(min(i, j), max(i, j), [tuple(sorted(z))])], len(z))
-        self.calls.append((i, j, z, out))
-        return out
+        (k,) = self.engine.decide([(min(i, j), max(i, j), [tuple(sorted(z))])], len(z))
+        assert k in (0, -1)
+        self.calls.append((i, j, z, k == 0))
+        return k == 0
 
 
 def _record_levels(monkeypatch):
-    """Record (plan, size, flags) of every FisherZTest.decide, in call order."""
+    """Record (plan, size, first indices) of every FisherZTest.decide, in call
+    order."""
     levels = []
     original = FisherZTest.decide
 
     def decide(self, plan, size):
-        flags = original(self, plan, size)
-        levels.append((plan, size, flags))
-        return flags
+        firsts = original(self, plan, size)
+        levels.append((plan, size, firsts))
+        return firsts
 
     monkeypatch.setattr(FisherZTest, "decide", decide)
     return levels
@@ -406,24 +418,23 @@ def _record_levels(monkeypatch):
 
 def _consulted(levels, d):
     """The (i, j, S, answer) sequence the recorded levels stand for: each
-    pair's sets up to and including its first flagged one. Checks that each
-    plan lists every pair once, i < j, with distinct sorted sets of the
-    level's size drawn from the other nodes, and one flag per set."""
+    pair's sets before its first index, answered False, then the set at that
+    index, answered True; all its sets, answered False, for -1. Checks that
+    each plan lists every pair once, i < j, with distinct sorted sets of the
+    level's size drawn from the other nodes, and one int index or -1 per
+    pair."""
     calls = []
-    for plan, size, flags in levels:
-        assert len(flags) == sum(len(sets) for _, _, sets in plan)
+    for plan, size, firsts in levels:
+        assert len(firsts) == len(plan)
         assert len({(i, j) for i, j, _ in plan}) == len(plan)
-        start = 0
-        for i, j, sets in plan:
+        for (i, j, sets), k in zip(plan, firsts):
             assert 0 <= i < j < d and len(set(sets)) == len(sets)
             for s in sets:
                 assert len(s) == size and list(s) == sorted(set(s) - {i, j})
                 assert all(0 <= v < d for v in s)
-            for s, out in zip(sets, flags[start:start + len(sets)]):
-                calls.append((i, j, frozenset(s), out))
-                if out:
-                    break
-            start += len(sets)
+            assert type(k) is int and -1 <= k < len(sets)
+            asked = sets if k == -1 else sets[:k + 1]
+            calls += [(i, j, frozenset(s), n == k) for n, s in enumerate(asked)]
     return calls
 
 
@@ -486,3 +497,39 @@ class TestMatchesReferencePc:
             assert not any((j, i) in closed for i, j in closed)
             voted += bool(votes)
         assert voted > 700
+
+
+class TestDecideContract:
+    """Both backends on one hand-built level-1 plan over 0 -> 1 -> 2 with 3
+    and 4 isolated: a pair with two separating sets, a pair whose only one is
+    its last, a pair with none, a pair with no sets and a last pair with two."""
+
+    GRAPH = Dag(5, frozenset({(0, 1), (1, 2)}))
+    PLAN = [
+        (0, 3, [(1,), (2,)]),
+        (0, 2, [(3,), (4,), (1,)]),
+        (1, 2, [(0,), (3,)]),
+        (3, 4, []),
+        (2, 4, [(1,), (3,)]),
+    ]
+    FIRSTS = [0, 2, -1, -1, 0]
+
+    def test_oracle(self, monkeypatch):
+        calls = _record_calls(monkeypatch, pc_module.OracleTest)
+        assert pc_module.OracleTest(self.GRAPH).decide(self.PLAN, 1) == self.FIRSTS
+        # Nothing is asked after a pair's first independent set.
+        assert calls == [
+            (0, 3, frozenset({1}), True),
+            (0, 2, frozenset({3}), False),
+            (0, 2, frozenset({4}), False),
+            (0, 2, frozenset({1}), True),
+            (1, 2, frozenset({0}), False),
+            (1, 2, frozenset({3}), False),
+            (2, 4, frozenset({1}), True),
+        ]
+
+    def test_fisher_z(self):
+        data = simulate_from_dag(self.GRAPH, SemConfig(n=1000, seed=RngSeed(1)))
+        flags = [[fisher_z_test(data, i, j, s) >= 0.05 for s in sets] for i, j, sets in self.PLAN]
+        assert flags == [[True, True], [False, False, True], [False, False], [], [True, True]]
+        assert FisherZTest(data, 0.05).decide(self.PLAN, 1) == self.FIRSTS

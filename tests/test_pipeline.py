@@ -287,9 +287,36 @@ class TestSingleTruthNc:
         with pytest.raises(ValueError):
             single_truth_nc(five_node_truth, five_node_truth, ("shd",), b=0)
 
-    def test_missing_observed_raises(self, five_node_truth):
-        with pytest.raises(ValueError):
-            single_truth_nc(five_node_truth, Dag(5), ("adjacency_precision",), b=10)
+    def test_missing_observed_is_a_missing_row(self, five_node_truth, monkeypatch):
+        # Precision of the empty estimate is 0/0; recall (0) and SHD are defined.
+        scored = []
+        original = ncbench.pipeline._metrics.full_report
+
+        def full_report_spy(truth, est, metrics, sid_cap):
+            scored.append(tuple(metrics))
+            return original(truth, est, metrics, sid_cap=sid_cap)
+
+        monkeypatch.setattr(ncbench.pipeline._metrics, "full_report", full_report_spy)
+        names = ("adjacency_precision", "adjacency_recall", "shd")
+        out = single_truth_nc(five_node_truth, Dag(5), names, b=10, seed=5)
+        assert list(out) == list(names)
+        assert out["adjacency_precision"] == {
+            "metric": "adjacency_precision",
+            "observed": None,
+            "m_est": 0,
+            "nc_kind": "dag",
+            "p": None,
+        }
+        # The estimate is scored once, and the draws score the defined metrics only.
+        assert scored == [names] + [("adjacency_recall", "shd")] * 10
+        defined = single_truth_nc(five_node_truth, Dag(5), names[1:], b=10, seed=5)
+        assert {name: out[name] for name in names[1:]} == defined
+        assert defined["shd"]["observed"] == 8.0 and defined["shd"]["p"] == 1.0
+        # With no metric defined, nothing is drawn.
+        scored.clear()
+        out = single_truth_nc(five_node_truth, Dag(5), ("adjacency_precision",), b=10)
+        assert out["adjacency_precision"]["p"] is None
+        assert scored == [("adjacency_precision",)]
 
     def test_labeled_truth(self, five_node_truth, five_node_estimate):
         from ncbench.graphs import with_labels
