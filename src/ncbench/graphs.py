@@ -12,8 +12,8 @@ A graph's v-structures are computed on first request and kept with it.
 A Dag is completed to its CPDAG by Chickering's compelled-edge labelling
 (Chickering 1995, "A transformational characterization of equivalent
 Bayesian network structures", UAI): one pass over the kept topological
-order. The Meek rules close the partial orientations of PC and of
-extension enumeration.
+order. The Meek rules close PC's partial orientations only; extensions
+are enumerated with two local checks per orientation and no closure.
 """
 
 from __future__ import annotations
@@ -339,9 +339,9 @@ def d_connected(parents, children, source, z, stop=None):
 
 
 def _meek_close(d, skel, directed):
-    """Close a set of directed orientations under the four Meek rules; PC's
-    orientation phase and enumerate_extensions use it (dag_to_cpdag needs no
-    closure, see there).
+    """Close a set of directed orientations under the four Meek rules; only
+    PC's orientation phase uses it (dag_to_cpdag and enumerate_extensions
+    need no closure, see there).
 
     `skel` is a set of canonical (i < j) pairs and `directed` a set of (i, j)
     orientations; pairs in skel with neither orientation present are
@@ -444,43 +444,49 @@ def enumerate_extensions(p, cap=10_000):
     """All DAGs extending Cpdag p: same skeleton, all directed edges kept,
     acyclic, and no v-structure absent from p.
 
-    Backtracking over undirected pairs with Meek closure after each choice;
-    raises ExtensionCapExceeded beyond `cap` results.
+    Depth-first over p's undirected pairs (i, j) in sorted order, i -> j
+    before j -> i, on an explicit stack. A choice a -> b is stacked only if,
+    under the choices below it (again in force when it is popped), every
+    parent of b is adjacent to a (no new v-structure) and b is not an
+    ancestor of a (no cycle). More edges undo neither fault, so the completed
+    orientations are exactly the extensions; more than `cap` of them raise
+    ExtensionCapExceeded.
     """
+    if not _acyclic(p.directed, p.d):
+        raise GraphError("graph admits no consistent DAG extension")
     skel = skeleton(p)
-    base_vs = set(_colliders(p.directed, skel))
-    results = []
+    pa = [set() for _ in range(p.d)]
+    for i, j in p.directed:
+        pa[j].add(i)
 
-    def valid_partial(directed):
-        # No directed cycle (2-cycles included), no new v-structure.
-        return _acyclic(directed, p.d) and base_vs.issuperset(
-            _colliders(directed, skel)
-        )
+    def allowed(a, b):  # no new v-structure at b, and b is not an ancestor of a
+        if any((a, c) not in skel and (c, a) not in skel for c in pa[b]):
+            return False
+        ancestors, stack = set(), [a]
+        while stack:
+            new = pa[stack.pop()] - ancestors
+            ancestors |= new
+            stack += new
+        return b not in ancestors
 
-    def recurse(directed):
-        undecided = [
-            (i, j)
-            for i, j in sorted(skel)
-            if (i, j) not in directed and (j, i) not in directed
-        ]
-        if not undecided:
-            dag = Dag(p.d, frozenset(directed), p.labels)
-            results.append(dag)
+    undirected = sorted(p.undirected)
+    results, path, stack = [], [], []  # path[k] orients undirected[k]
+    while True:
+        if len(path) == len(undirected):
+            results.append(Dag(p.d, p.directed.union(path), p.labels))
             if len(results) > cap:
                 raise ExtensionCapExceeded(cap)
-            return
-        i, j = undecided[0]
-        for choice in ((i, j), (j, i)):
-            trial = set(directed)
-            trial.add(choice)
-            trial = _meek_close(p.d, skel, trial)
-            if valid_partial(trial):
-                recurse(trial)
-
-    start = _meek_close(p.d, skel, set(p.directed))
-    if not valid_partial(start):
-        raise GraphError("graph admits no consistent DAG extension")
-    recurse(start)
+        else:
+            i, j = undirected[len(path)]
+            stack += [(len(path), e) for e in ((j, i), (i, j)) if allowed(*e)]
+        if not stack:
+            break
+        depth, (a, b) = stack.pop()
+        for x, y in path[depth:]:
+            pa[y].remove(x)
+        del path[depth:]
+        pa[b].add(a)
+        path.append((a, b))
     if not results:
         raise GraphError("graph admits no consistent DAG extension")
     return results

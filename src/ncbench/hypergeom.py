@@ -137,6 +137,8 @@ class _Walk:
 
 def pmf(k, p):
     """P(TP = k) under HyperGeom(m_max, m_true, m_est); 0 outside the support."""
+    if type(k) is not int:
+        k = _count(k, "k")
     if k not in p.support:
         return 0.0
     num = math.comb(p.m_true, k) * math.comb(p.m_max - p.m_true, p.m_est - k)
@@ -145,6 +147,8 @@ def pmf(k, p):
 
 def cdf(k, p):
     """P(TP <= k), read from p's kept walk."""
+    if type(k) is not int:
+        k = _count(k, "k")
     lo = p.support.start
     if k < lo:
         return 0.0

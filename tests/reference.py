@@ -31,6 +31,34 @@ def all_dags(d):
     return out
 
 
+def all_extensions(p):
+    """The edge sets of every DAG extension of the partially directed p, by
+    brute force: each orientation of p's undirected pairs is kept if it is
+    acyclic and its colliders are exactly those of p's directed edges."""
+    undirected = sorted(p.undirected)
+    adjacent = {frozenset(e) for e in p.directed | p.undirected}
+
+    def colliders(edges):  # a -> b <- c with a < c non-adjacent, over every triple
+        return {
+            (a, c, b)
+            for a, c in itertools.combinations(range(p.d), 2)
+            for b in range(p.d)
+            if (a, b) in edges and (c, b) in edges and frozenset((a, c)) not in adjacent
+        }
+
+    base = colliders(p.directed)
+    out = set()
+    for flips in itertools.product((False, True), repeat=len(undirected)):
+        edges = p.directed | {(j, i) if f else (i, j) for (i, j), f in zip(undirected, flips)}
+        try:
+            g = Dag(p.d, edges)
+        except GraphError:  # a directed cycle
+            continue
+        if colliders(g.edges) == base:
+            out.add(g.edges)
+    return out
+
+
 def valid_adjustment(g, i, j, z):
     """Back-door-style validity of z for the effect of i on j in DAG g:
     no member of z is a descendant of i, and z blocks every back-door path

@@ -23,9 +23,11 @@ from ncbench.graphs import (
     v_structures,
     with_labels,
 )
+from ncbench.pc import CiTestError, pc
 from ncbench.random_graphs import RngSeed, sample_er_cpdag, sample_er_dag
+from ncbench.sem import SemConfig, simulate_from_dag
 
-from reference import all_dags
+from reference import all_dags, all_extensions
 
 
 class TestIsAcyclic:
@@ -556,8 +558,8 @@ def reference_meek_close(d, skel, directed):
 class TestMeekClose:
     def test_matches_node_scan_reference(self):
         # Random skeletons with random partial orientations: consistent or
-        # not (cycles, both orientations of a pair), as PC and
-        # enumerate_extensions pass them, plus v-structure seeds of DAGs.
+        # not (cycles, both orientations of a pair), as PC's orientation phase
+        # passes them, plus v-structure seeds of DAGs.
         gen = RngSeed(91).generator()
         closed_more = 0
         for trial in range(2400):
@@ -621,7 +623,80 @@ class TestEnumerateExtensions:
             classes.setdefault((skeleton(g), v_structures(g)), []).append(g)
         for members in classes.values():
             exts = enumerate_extensions(dag_to_cpdag(members[0]))
-            assert sorted(e.edges for e in exts) == sorted(m.edges for m in members)
+            assert len(exts) == len(members)
+            assert {e.edges for e in exts} == {m.edges for m in members}
+
+
+def _partial_orientation(gen):
+    """A random skeleton with each pair directed either way or left
+    undirected at random: directed cycles and new colliders included."""
+    d = int(gen.integers(3, 9))
+    g = sample_er_dag(d, int(gen.integers(0, min(d * (d - 1) // 2, 12) + 1)), gen)
+    directed, undirected = set(), set()
+    keep = gen.random()
+    for i, j in sorted(skeleton(g)):
+        u = gen.random()
+        if u < keep:
+            directed.add((i, j) if u < keep / 2 else (j, i))
+        else:
+            undirected.add((i, j))
+    return Cpdag(d, frozenset(directed), frozenset(undirected))
+
+
+def _pc_on_small_data(gen):
+    """PC's estimate on 10 to 60 rows, which can be an improper CPDAG."""
+    while True:
+        d = int(gen.integers(4, 9))
+        g = sample_er_dag(d, int(gen.integers(d // 2, min(2 * d, d * (d - 1) // 2 + 1))), gen)
+        cfg = SemConfig(n=int(gen.integers(10, 61)), seed=RngSeed(int(gen.integers(2**31))))
+        try:
+            return pc(simulate_from_dag(g, cfg))
+        except CiTestError:
+            continue
+
+
+def _proper_cpdag(gen):
+    d = int(gen.integers(2, 10))
+    return sample_er_cpdag(d, int(gen.integers(0, d * (d - 1) // 2 + 1)), gen)
+
+
+class TestExtensionsMatchBruteForce:
+    """Per input, enumerate_extensions gives exactly the brute-force set, or
+    raises GraphError where that set is empty; the cap bounds the count."""
+
+    @pytest.mark.parametrize(
+        "draw, seed, faults",
+        [
+            (_partial_orientation, 1, {"cyclic", "colliding"}),
+            (_pc_on_small_data, 2, {"cyclic", "colliding"}),
+            (_proper_cpdag, 3, set()),
+        ],
+    )
+    def test_seeded_corpus(self, draw, seed, faults):
+        gen = RngSeed(180, seed).generator()
+        # Inputs with no extension: a cycle among p's own directed edges, or
+        # acyclic but every completion adds a collider.
+        outcomes = {"cyclic": 0, "colliding": 0, "several": 0}
+        checked = 0
+        while checked < 150:
+            p = draw(gen)
+            if len(p.undirected) > 10:
+                continue
+            checked += 1
+            expected = all_extensions(p)
+            if not expected:
+                outcomes["colliding" if is_acyclic(p.directed, p.d) else "cyclic"] += 1
+                with pytest.raises(GraphError, match="admits no consistent DAG extension"):
+                    enumerate_extensions(p)
+                continue
+            outcomes["several"] += len(expected) > 1
+            exts = enumerate_extensions(p, cap=len(expected))
+            assert len(exts) == len(expected)
+            assert {e.edges for e in exts} == expected
+            with pytest.raises(ExtensionCapExceeded):
+                enumerate_extensions(p, cap=len(expected) - 1)
+        assert outcomes["several"] >= 30
+        assert {fault for fault in ("cyclic", "colliding") if outcomes[fault]} == faults, outcomes
 
 
 @settings(max_examples=50, deadline=None)

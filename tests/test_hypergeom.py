@@ -407,6 +407,13 @@ class TestIntegerCounts:
     def test_numpy_tp_obs_accepted(self):
         assert skeleton_fit_test(np.int64(6), P587) == skeleton_fit_test(6, P587)
 
+    @pytest.mark.parametrize("k", [2.0, True, "1", None])
+    @pytest.mark.parametrize("fn", [pmf, cdf])
+    def test_non_integer_k_rejected(self, fn, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            fn(k, P587)
+        assert fn(np.int64(6), P587) == fn(6, P587) > 0
+
 
 class TestSkeletonFitTest:
     def test_metropolit_p_value(self):

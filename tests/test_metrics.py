@@ -1,10 +1,12 @@
 import itertools
+import sys
 
 import pytest
 
 from ncbench.graphs import (
     Cpdag,
     Dag,
+    ExtensionCapExceeded,
     GraphError,
     dag_to_cpdag,
     enumerate_extensions,
@@ -299,6 +301,22 @@ class TestFullReport:
         rep = full_report(five_node_truth, cycle, ("shd", "sid_lower", "sid_upper"))
         assert rep["sid_lower"].missing and rep["sid_upper"].missing
         assert rep["shd"].value == float(shd(five_node_truth, cycle))
+
+    def test_deep_class_is_capped_without_recursion(self):
+        # The complete undirected 25-node CPDAG: 25! extensions over 300 pairs.
+        d = 25
+        p = Cpdag(d, frozenset(), frozenset(itertools.combinations(range(d), 2)))
+        truth = sample_er_dag(d, 30, RngSeed(5))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            with pytest.raises(ExtensionCapExceeded):
+                enumerate_extensions(p, cap=5)
+            rep = full_report(truth, p, ("shd", "sid_lower"), sid_cap=5)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert rep["sid_lower"].missing
+        assert rep["shd"].value == float(shd(truth, p))
 
     def test_requested_names_in_order(self, five_node_truth, five_node_estimate):
         names = ("shd", "orientation_npv", "adjacency_f1")
