@@ -13,7 +13,8 @@ A Dag is completed to its CPDAG by Chickering's compelled-edge labelling
 (Chickering 1995, "A transformational characterization of equivalent
 Bayesian network structures", UAI): one pass over the kept topological
 order. The Meek rules close PC's partial orientations only; extensions
-are enumerated with two local checks per orientation and no closure.
+are enumerated with two local checks per orientation, propagated to the
+open pairs at each new edge's ends.
 """
 
 from __future__ import annotations
@@ -444,20 +445,27 @@ def enumerate_extensions(p, cap=10_000):
     """All DAGs extending Cpdag p: same skeleton, all directed edges kept,
     acyclic, and no v-structure absent from p.
 
-    Depth-first over p's undirected pairs (i, j) in sorted order, i -> j
-    before j -> i, on an explicit stack. A choice a -> b is stacked only if,
-    under the choices below it (again in force when it is popped), every
-    parent of b is adjacent to a (no new v-structure) and b is not an
-    ancestor of a (no cycle). More edges undo neither fault, so the completed
-    orientations are exactly the extensions; more than `cap` of them raise
+    a -> b is allowed while every parent of b is adjacent to a (no new
+    v-structure) and b is not an ancestor of a (no cycle); more edges undo
+    neither fault. Each added edge rechecks the open pairs at its two ends:
+    one with no allowed side is a fault, one with one side takes it. At the
+    start, each open pair at a node with a parent is tried both ways until
+    no try faults, a pair with one faulting side taking the other; as the
+    Meek rules force no side whose opposite passes this, p fails here if its
+    Meek closure does. Then, depth-first on an explicit stack, the first
+    open pair (i, j) in sorted order is tried as i -> j, then j -> i. More
+    than `cap` extensions, or (cap + 1) * (pairs + 1) settled states, raise
     ExtensionCapExceeded.
     """
     if not _acyclic(p.directed, p.d):
         raise GraphError("graph admits no consistent DAG extension")
     skel = skeleton(p)
-    pa = [set() for _ in range(p.d)]
+    pa, nb = [set() for _ in range(p.d)], [set() for _ in range(p.d)]
     for i, j in p.directed:
         pa[j].add(i)
+    for i, j in p.undirected:
+        nb[i].add(j)
+        nb[j].add(i)
 
     def allowed(a, b):  # no new v-structure at b, and b is not an ancestor of a
         if any((a, c) not in skel and (c, a) not in skel for c in pa[b]):
@@ -469,24 +477,66 @@ def enumerate_extensions(p, cap=10_000):
             stack += new
         return b not in ancestors
 
-    undirected = sorted(p.undirected)
-    results, path, stack = [], [], []  # path[k] orients undirected[k]
-    while True:
-        if len(path) == len(undirected):
-            results.append(Dag(p.d, p.directed.union(path), p.labels))
+    def unset(a, b):
+        return a not in pa[b] and b not in pa[a]
+
+    def orient(forced):  # add the forced orientations and what they force
+        while forced:
+            a, b = forced.pop()
+            if a in pa[b]:
+                continue
+            if not allowed(a, b):
+                return False
+            pa[b].add(a)
+            trail.append((a, b))
+            for u in (a, b):  # an open pair at u with one allowed side takes it
+                for c in nb[u]:
+                    if unset(u, c):
+                        options = [e for e in ((u, c), (c, u)) if allowed(*e)]
+                        if not options:
+                            return False
+                        if len(options) == 1:
+                            forced.append(options[0])
+        return True
+
+    def undo(n):
+        for a, b in trail[n:]:
+            pa[b].remove(a)
+        del trail[n:]
+
+    def faults(e):
+        n = len(trail)
+        fault = not orient([e])
+        undo(n)
+        return fault
+
+    undirected, trail, ok = sorted(p.undirected), [], True
+    while ok:  # R3 and R4 orient only pairs at a node with a parent
+        tried = [(i, j) for i, j in undirected if unset(i, j) and (pa[i] or pa[j])]
+        forced = [e for i, j in tried for e in ((i, j), (j, i)) if faults(e[::-1])]
+        if not forced:
+            break
+        ok = orient(forced)
+    if not ok:
+        raise GraphError("graph admits no consistent DAG extension")
+    results, stack, budget = [], [(len(trail), 0, None)], (cap + 1) * (len(undirected) + 1)
+    while stack:
+        n, k, e = stack.pop()  # undo to the trail's length n, then orient e
+        undo(n)
+        if e and not orient([e]):
+            continue
+        budget -= 1
+        if budget < 0:
+            raise ExtensionCapExceeded(cap)
+        while k < len(undirected) and not unset(*undirected[k]):
+            k += 1
+        if k == len(undirected):
+            results.append(Dag(p.d, p.directed.union(trail), p.labels))
             if len(results) > cap:
                 raise ExtensionCapExceeded(cap)
         else:
-            i, j = undirected[len(path)]
-            stack += [(len(path), e) for e in ((j, i), (i, j)) if allowed(*e)]
-        if not stack:
-            break
-        depth, (a, b) = stack.pop()
-        for x, y in path[depth:]:
-            pa[y].remove(x)
-        del path[depth:]
-        pa[b].add(a)
-        path.append((a, b))
+            i, j = undirected[k]
+            stack += [(len(trail), k, (j, i)), (len(trail), k, (i, j))]
     if not results:
         raise GraphError("graph admits no consistent DAG extension")
     return results

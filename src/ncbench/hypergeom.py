@@ -29,6 +29,8 @@ class DegenerateParamsError(ValueError):
 
 def _count(v, what):
     """v as an int if it is a Python or numpy integer (not a bool)."""
+    if type(v) is int:
+        return v
     if isinstance(v, numbers.Integral) and not isinstance(v, bool):
         return int(v)
     raise ValueError(f"{what} must be an integer, got {v!r}")
@@ -44,8 +46,7 @@ class HyperParams:
 
     def __post_init__(self):
         for name in ("m_max", "m_true", "m_est"):
-            if type(getattr(self, name)) is not int:
-                object.__setattr__(self, name, _count(getattr(self, name), name))
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         if min(self.m_max, self.m_true, self.m_est) < 0:
             raise ValueError("all edge counts must be non-negative")
         if self.m_true > self.m_max or self.m_est > self.m_max:
@@ -137,8 +138,7 @@ class _Walk:
 
 def pmf(k, p):
     """P(TP = k) under HyperGeom(m_max, m_true, m_est); 0 outside the support."""
-    if type(k) is not int:
-        k = _count(k, "k")
+    k = _count(k, "k")
     if k not in p.support:
         return 0.0
     num = math.comb(p.m_true, k) * math.comb(p.m_max - p.m_true, p.m_est - k)
@@ -147,8 +147,7 @@ def pmf(k, p):
 
 def cdf(k, p):
     """P(TP <= k), read from p's kept walk."""
-    if type(k) is not int:
-        k = _count(k, "k")
+    k = _count(k, "k")
     lo = p.support.start
     if k < lo:
         return 0.0
@@ -234,8 +233,7 @@ def _upper_tail(tp_obs, p):
         raise DegenerateParamsError(
             "skeleton fit test is undefined for an empty estimate (m_est = 0)"
         )
-    if type(tp_obs) is not int:
-        tp_obs = _count(tp_obs, "tp_obs")
+    tp_obs = _count(tp_obs, "tp_obs")
     if not (0 <= tp_obs <= min(p.m_true, p.m_est)):
         raise ValueError(
             f"tp_obs={tp_obs} inconsistent with m_true={p.m_true}, m_est={p.m_est}"

@@ -699,6 +699,72 @@ class TestExtensionsMatchBruteForce:
         assert {fault for fault in ("cyclic", "colliding") if outcomes[fault]} == faults, outcomes
 
 
+def _behind_complete(n, directed, undirected):
+    """A complete undirected graph on 0..n-1, whose pairs sort first, next to
+    a gadget whose nodes are shifted up by n."""
+    complete = frozenset(itertools.combinations(range(n), 2))
+    return Cpdag(
+        n + 1 + max(max(e) for e in directed | undirected),
+        frozenset((a + n, b + n) for a, b in directed),
+        complete | {(a + n, b + n) for a, b in undirected},
+    )
+
+
+class TestExtensionSearchIsBounded:
+    """A fault that p's Meek closure shows fails at the start, a proper CPDAG
+    meets no dead end whatever its labels, and any other search stops after
+    (cap + 1) * (pairs + 1) settled states. A search that walked the 10!
+    orientations of a complete 10-node part would instead run for hours; at
+    cap=1 the state bound turns such a regression into a fast wrong error."""
+
+    @pytest.mark.parametrize(
+        "directed, undirected",
+        [
+            # R1 forces 2 -> 3 (0, 3 non-adjacent), which closes 3 -> 1 -> 2 -> 3.
+            ({(0, 2), (1, 2), (3, 1)}, {(2, 3)}),
+            # Faults only after R3/R4 steps: the closure orients 1 -> 0 or 1 -> 5 first.
+            (
+                {(4, 5), (5, 0), (5, 6)},
+                {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
+                 (2, 4), (2, 5), (3, 4), (3, 5), (4, 6)},
+            ),
+            (
+                {(2, 5), (4, 0)},
+                {(0, 3), (1, 2), (1, 4), (1, 5), (1, 6), (2, 3), (3, 4), (3, 5),
+                 (3, 6), (3, 7), (5, 6), (5, 7)},
+            ),
+        ],
+    )
+    def test_closure_fault_fails_at_start(self, directed, undirected):
+        p = _behind_complete(10, directed, undirected)
+        with pytest.raises(GraphError, match="admits no consistent DAG extension"):
+            enumerate_extensions(p, cap=1)
+
+    def test_tree_with_interleaved_labels(self):
+        # Leaves 0..29 hang off the path 30 - 31 - ... - 59, so all leaf pairs
+        # sort first. Without propagation each of their 2^30 orientations is
+        # tried before any path pair; a tree has one extension per source.
+        m = 30
+        p = Cpdag(
+            2 * m,
+            frozenset(),
+            frozenset({(i, m + i) for i in range(m)} | {(m + i, m + i + 1) for i in range(m - 1)}),
+        )
+        exts = enumerate_extensions(p, cap=2 * m)
+        sources = {(set(range(2 * m)) - {j for _, j in e.edges}).pop() for e in exts}
+        assert len(exts) == len(sources) == 2 * m
+
+    def test_state_bound(self):
+        # A chordless 4-cycle has no extension, and no rule shows it before the
+        # search reaches its pairs: behind K_5 that search ends, behind K_10 it
+        # would take 10! orientations and the state bound stops it.
+        c4 = {(0, 1), (1, 2), (2, 3), (0, 3)}
+        with pytest.raises(GraphError):
+            enumerate_extensions(_behind_complete(5, set(), c4))
+        with pytest.raises(ExtensionCapExceeded):
+            enumerate_extensions(_behind_complete(10, set(), c4), cap=5)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 15))
 def test_cpdag_preserves_skeleton_and_vstructures(seed, m):
