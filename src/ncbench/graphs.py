@@ -25,6 +25,8 @@ import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
+SID_CAP = 10_000  # the default extension cap of every SID computation
+
 
 class GraphError(ValueError):
     """Invalid graph construction or query."""
@@ -94,17 +96,19 @@ class _Graph:
         return frozenset(map(VStructure._make, _colliders(self.directed, self._skeleton)))
 
 
-def _as_int(v, what):
-    """v as an int if it is a Python or numpy integer (not a bool)."""
+def _as_int(v, what, error=GraphError):
+    """The package's integer rule: v as an int if it is a Python or numpy integer
+    (not a bool), else `error` naming `what`, GraphError for graph inputs."""
+    if type(v) is int:
+        return v
     if isinstance(v, numbers.Integral) and not isinstance(v, bool):
         return int(v)
-    raise GraphError(f"{what} must be an integer, got {v!r}")
+    raise error(f"{what} must be an integer, got {v!r}")
 
 
 def _checked_d(d):
     """d by the integer rule, and at least 1."""
-    if type(d) is not int:
-        d = _as_int(d, "d")
+    d = _as_int(d, "d")
     if d < 1:
         raise GraphError("d must be positive")
     return d
@@ -278,15 +282,9 @@ def d_separated(g, i, j, z):
     """True iff every path between i and j is blocked by z (standard d-separation)."""
     if not isinstance(g, Dag):
         raise GraphError("d-separation is defined on DAGs")
+    i, j, *z = [_as_int(u, "node") for u in (i, j, *z)]
+    _check_nodes(g.d, (i, j, *z))
     z = frozenset(z)
-    for v in (i, j, *z):
-        # Plain ints in range pass as they are; anything else is converted
-        # by the constructors' integer rule or rejected.
-        if type(v) is not int or not 0 <= v < g.d:
-            i, j, *z = [_as_int(u, "node") for u in (i, j, *z)]
-            _check_nodes(g.d, (i, j, *z))
-            z = frozenset(z)
-            break
     if i == j:
         raise GraphError("i and j must differ")
     if i in z or j in z:
@@ -441,7 +439,7 @@ def dag_to_cpdag(g):
     return Cpdag(g.d, frozenset(directed), frozenset(undirected), g.labels)
 
 
-def enumerate_extensions(p, cap=10_000):
+def enumerate_extensions(p, cap=SID_CAP):
     """All DAGs extending Cpdag p: same skeleton, all directed edges kept,
     acyclic, and no v-structure absent from p.
 
@@ -455,8 +453,11 @@ def enumerate_extensions(p, cap=10_000):
     Meek closure does. Then, depth-first on an explicit stack, the first
     open pair (i, j) in sorted order is tried as i -> j, then j -> i. More
     than `cap` extensions, or (cap + 1) * (pairs + 1) settled states, raise
-    ExtensionCapExceeded.
+    ExtensionCapExceeded; a cap that is not an integer >= 1 raises ValueError.
     """
+    cap = _as_int(cap, "cap", ValueError)
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     if not _acyclic(p.directed, p.d):
         raise GraphError("graph admits no consistent DAG extension")
     skel = skeleton(p)

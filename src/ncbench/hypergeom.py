@@ -17,23 +17,15 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import numbers
 from dataclasses import dataclass
+
+from .graphs import _as_int
 
 METRICS = ("precision", "recall", "f1", "npv", "specificity")
 
 
 class DegenerateParamsError(ValueError):
     """Requested quantity has an empty denominator for these parameters."""
-
-
-def _count(v, what):
-    """v as an int if it is a Python or numpy integer (not a bool)."""
-    if type(v) is int:
-        return v
-    if isinstance(v, numbers.Integral) and not isinstance(v, bool):
-        return int(v)
-    raise ValueError(f"{what} must be an integer, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -46,7 +38,7 @@ class HyperParams:
 
     def __post_init__(self):
         for name in ("m_max", "m_true", "m_est"):
-            object.__setattr__(self, name, _count(getattr(self, name), name))
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, ValueError))
         if min(self.m_max, self.m_true, self.m_est) < 0:
             raise ValueError("all edge counts must be non-negative")
         if self.m_true > self.m_max or self.m_est > self.m_max:
@@ -138,7 +130,7 @@ class _Walk:
 
 def pmf(k, p):
     """P(TP = k) under HyperGeom(m_max, m_true, m_est); 0 outside the support."""
-    k = _count(k, "k")
+    k = _as_int(k, "k", ValueError)
     if k not in p.support:
         return 0.0
     num = math.comb(p.m_true, k) * math.comb(p.m_max - p.m_true, p.m_est - k)
@@ -147,7 +139,7 @@ def pmf(k, p):
 
 def cdf(k, p):
     """P(TP <= k), read from p's kept walk."""
-    k = _count(k, "k")
+    k = _as_int(k, "k", ValueError)
     lo = p.support.start
     if k < lo:
         return 0.0
@@ -233,7 +225,7 @@ def _upper_tail(tp_obs, p):
         raise DegenerateParamsError(
             "skeleton fit test is undefined for an empty estimate (m_est = 0)"
         )
-    tp_obs = _count(tp_obs, "tp_obs")
+    tp_obs = _as_int(tp_obs, "tp_obs", ValueError)
     if not (0 <= tp_obs <= min(p.m_true, p.m_est)):
         raise ValueError(
             f"tp_obs={tp_obs} inconsistent with m_true={p.m_true}, m_est={p.m_est}"

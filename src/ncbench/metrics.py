@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import (
+    SID_CAP,
     Dag,
     ExtensionCapExceeded,
     GraphError,
@@ -175,7 +176,7 @@ def _sid_dag(term, est):
     return sum(term(i, est.parents(i)) for i in range(est.d))
 
 
-def sid(truth, est, cap=10_000):
+def sid(truth, est, cap=SID_CAP):
     """SID of the estimate against a true DAG; (min, max) over the estimate's
     equivalence class when the estimate is a CPDAG."""
     _check_pair(truth, est)
@@ -187,7 +188,7 @@ def sid(truth, est, cap=10_000):
     return SidBounds(min(values), max(values), False)
 
 
-def full_report(truth, est, metrics=None, sid_cap=10_000):
+def full_report(truth, est, metrics=None, sid_cap=SID_CAP):
     """Named metric values for one truth/estimate pair, each computed once.
 
     `metrics` lists the names to report; the default is every name except the

@@ -20,13 +20,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Cpdag, Dag, _colliders, _meek_close, d_separated
+from .graphs import Cpdag, Dag, _as_int, _colliders, _meek_close, d_connected
 
 
 class CiTestError(RuntimeError):
@@ -45,13 +44,13 @@ class PcConfig:
     def __post_init__(self):
         if not (0 < self.alpha < 1):
             raise ValueError("alpha must be in (0, 1)")
-        size = self.max_cond_size
-        if size is not None and (
-            not isinstance(size, numbers.Integral) or isinstance(size, bool) or size < 0
-        ):
-            raise ValueError(
-                f"max_cond_size must be None or a non-negative integer, got {size!r}"
-            )
+        if self.max_cond_size is not None:
+            size = _as_int(self.max_cond_size, "max_cond_size", ValueError)
+            if size < 0:
+                raise ValueError(
+                    f"max_cond_size must be None or a non-negative integer, got {size}"
+                )
+            object.__setattr__(self, "max_cond_size", size)
 
 
 def _fisher_z_p(r, n, size):
@@ -195,7 +194,8 @@ class OracleTest:
         self.d = graph.d
 
     def independent(self, i, j, z):
-        return d_separated(self.graph, i, j, z)
+        # d_separated without its checks: the plan's nodes are in-range ints.
+        return j not in d_connected(*self.graph._index, i, z, stop=j)
 
     def decide(self, plan, size):
         """As FisherZTest.decide: independent() is asked, with a frozenset, for

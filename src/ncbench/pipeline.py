@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import metrics as _metrics
-from .graphs import Dag, skeleton, with_labels
+from .graphs import SID_CAP, Dag, _as_int, skeleton, with_labels
 from .metrics import SMALLER_IS_BETTER, check_metric_names
 from .pc import CiTestError, PcConfig, pc
 from .random_graphs import RngSeed, max_edges, sample_er_cpdag, sample_er_dag
@@ -35,13 +35,12 @@ DEFAULT_METRICS = (
 )
 
 
-def _check_type(name, value, kind):
-    if not isinstance(value, kind) or isinstance(value, bool):
-        noun = "an integer" if kind is numbers.Integral else "a number"
-        raise ValueError(f"{name} must be {noun}, got {value!r}")
+def _check_real(name, value):
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     # json.load reads Infinity, NaN, 1e999 (as inf) and integers past float
     # range; NaN fails the comparison, and no int is converted to a float.
-    if kind is numbers.Real and not abs(value) <= sys.float_info.max:
+    if not abs(value) <= sys.float_info.max:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
@@ -60,24 +59,24 @@ class PipelineConfig:
     seed: int = 0
     weight_range: tuple = DEFAULT_WEIGHT_RANGE
     variance_range: tuple = DEFAULT_VARIANCE_RANGE
-    sid_cap: int = 10_000
+    sid_cap: int = SID_CAP
     algorithm: object = None  # callable(data, PcConfig) -> Dag | Cpdag; PC if None
 
     def __post_init__(self):
         for name in ("b", "d", "m_true", "n", "seed", "sid_cap"):
-            _check_type(name, getattr(self, name), numbers.Integral)
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, ValueError))
         for name, low in (("b", 1), ("d", 2), ("m_true", 0), ("sid_cap", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}")
         if self.m_true > max_edges(self.d):
             raise ValueError(f"m_true must be at most d(d-1)/2 = {max_edges(self.d)}")
-        _check_type("alpha", self.alpha, numbers.Real)
+        _check_real("alpha", self.alpha)
         for name in ("weight_range", "variance_range"):
             pair = getattr(self, name)
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ValueError(f"{name} must be two numbers, got {pair!r}")
             for value in pair:
-                _check_type(f"{name} entry", value, numbers.Real)
+                _check_real(f"{name} entry", value)
             object.__setattr__(self, name, tuple(pair))
         if self.nc_kind not in ("dag", "cpdag"):
             raise ValueError("nc_kind must be 'dag' or 'cpdag'")
@@ -250,7 +249,7 @@ def run_study(cfg):
     return StudyResult(cfg, reps, summary)
 
 
-def single_truth_nc(truth, estimate, metrics, b=1000, seed=0, sid_cap=10_000):
+def single_truth_nc(truth, estimate, metrics, b=1000, seed=0, sid_cap=SID_CAP):
     """Negative-control evaluation against a single known truth.
 
     Scores the estimate once. Draws b random graphs of the estimate's kind and
@@ -263,14 +262,15 @@ def single_truth_nc(truth, estimate, metrics, b=1000, seed=0, sid_cap=10_000):
     (0/0, or SID of an improper CPDAG) is MISSING: its row has observed and p
     None and no NC keys, and when no metric is defined nothing is drawn.
     """
+    b = _as_int(b, "b", ValueError)
     if b < 1:
         raise ValueError("need at least one negative control")
+    master = RngSeed(seed)
     observed = _values(truth, estimate, metrics, sid_cap)
     defined = [name for name in metrics if observed[name] is not None]
     m_est = len(skeleton(estimate))
     # Draws carry default labels; metrics ignore labels, so relabel the truth once.
     plain_truth = with_labels(truth, None)
-    master = RngSeed(seed)
     draws = [
         _nc_values(plain_truth, estimate.kind, m_est, master.child(i), defined, sid_cap)[1]
         for i in range(b if defined else 0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Dag, dag_to_cpdag
+from .graphs import Dag, _as_int, dag_to_cpdag
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,8 @@ class RngSeed:
     stream: int = 0
 
     def __post_init__(self):
+        for name in ("seed", "stream"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, ValueError))
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.stream < 0:
@@ -35,11 +37,12 @@ class RngSeed:
     def child(self, index):
         """Derived stream for replication `index` under this master seed."""
         return np.random.default_rng(
-            np.random.SeedSequence([self.seed, self.stream, int(index)])
+            np.random.SeedSequence([self.seed, self.stream, _as_int(index, "index", ValueError)])
         )
 
 
 def max_edges(d):
+    d = _as_int(d, "d", ValueError)
     if d < 0:
         raise ValueError(f"node count d={d} must be non-negative")
     return d * (d - 1) // 2
@@ -55,6 +58,7 @@ def _pairs(d):
 def sample_er_dag(d, m, rng):
     """DAG with exactly m edges: uniform skeleton, uniform-order orientation."""
     mmax = max_edges(d)
+    m = _as_int(m, "m", ValueError)
     if not (0 <= m <= mmax):
         raise ValueError(f"m={m} out of range [0, {mmax}] for d={d}")
     gen = rng.generator() if isinstance(rng, RngSeed) else rng

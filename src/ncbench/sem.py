@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Dag
+from .graphs import Dag, _as_int
 from .random_graphs import RngSeed
 
 # Weight magnitudes bounded away from zero to avoid near-unfaithful models.
@@ -27,6 +27,7 @@ class SemConfig:
             lo, hi = getattr(self, name)
             if not (0 < lo <= hi <= sys.float_info.max):
                 raise ValueError(f"{name} must satisfy 0 < lo <= hi, both finite")
+        object.__setattr__(self, "n", _as_int(self.n, "n", ValueError))
         if self.n < 1:
             raise ValueError("sample size n must be at least 1")
 
@@ -56,6 +57,7 @@ def draw_sem(g, cfg, rng=None):
 
 def simulate(model, n, rng=None):
     """n i.i.d. rows from the SEM, each node evaluated in topological order."""
+    n = _as_int(n, "n", ValueError)
     if n < 1:
         raise ValueError("sample size must be at least 1")
     if rng is None:

@@ -610,6 +610,15 @@ class TestEnumerateExtensions:
             enumerate_extensions(p, cap=2)
         assert exc.value.cap == 2
 
+    @pytest.mark.parametrize("cap", [-1, 0])
+    def test_cap_below_one_is_rejected(self, cap):
+        # A plain ValueError: neither the cap being exceeded nor a graph fault,
+        # so full_report passes it on instead of reporting SID as MISSING.
+        p = Cpdag(3, frozenset(), frozenset({(0, 1), (1, 2), (0, 2)}))
+        with pytest.raises(ValueError, match=f"cap must be at least 1, got {cap}") as exc:
+            enumerate_extensions(p, cap=cap)
+        assert exc.type is ValueError
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_roundtrip_membership(self, d):
         for g in all_dags(d):
@@ -693,8 +702,9 @@ class TestExtensionsMatchBruteForce:
             exts = enumerate_extensions(p, cap=len(expected))
             assert len(exts) == len(expected)
             assert {e.edges for e in exts} == expected
-            with pytest.raises(ExtensionCapExceeded):
-                enumerate_extensions(p, cap=len(expected) - 1)
+            cap = len(expected) - 1  # a cap below 1 is rejected as such
+            with pytest.raises(ExtensionCapExceeded if cap else ValueError):
+                enumerate_extensions(p, cap=cap)
         assert outcomes["several"] >= 30
         assert {fault for fault in ("cyclic", "colliding") if outcomes[fault]} == faults, outcomes
 

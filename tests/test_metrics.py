@@ -302,6 +302,12 @@ class TestFullReport:
         assert rep["sid_lower"].missing and rep["sid_upper"].missing
         assert rep["shd"].value == float(shd(five_node_truth, cycle))
 
+    def test_sid_cap_below_one_is_an_error_not_missing(self, five_node_truth):
+        est = dag_to_cpdag(five_node_truth)
+        with pytest.raises(ValueError, match="cap must be at least 1") as exc:
+            full_report(five_node_truth, est, ("shd", "sid_lower"), sid_cap=0)
+        assert exc.type is ValueError
+
     def test_deep_class_is_capped_without_recursion(self):
         # The complete undirected 25-node CPDAG: 25! extensions over 300 pairs.
         d = 25

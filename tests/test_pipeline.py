@@ -1,16 +1,20 @@
 import dataclasses
+import inspect
 import json
+import re
 
 import jsonschema
 import numpy as np
 import pytest
 
-from ncbench.graphs import Dag, skeleton, with_labels
+from ncbench.graphs import (
+    SID_CAP, Cpdag, Dag, dag_to_cpdag, enumerate_extensions, skeleton, with_labels
+)
 from ncbench.hypergeom import HyperParams, expected_metric
 from ncbench.io import GraphFile, align_to, parse_graph
-from ncbench.metrics import SMALLER_IS_BETTER, full_report
+from ncbench.metrics import SMALLER_IS_BETTER, full_report, sid
 import ncbench.pipeline
-from ncbench.pc import CiTestError, pc
+from ncbench.pc import CiTestError, PcConfig, pc
 from ncbench.pipeline import (
     DEFAULT_METRICS,
     PipelineConfig,
@@ -20,7 +24,8 @@ from ncbench.pipeline import (
     run_study,
     single_truth_nc,
 )
-from ncbench.random_graphs import RngSeed, sample_er_cpdag, sample_er_dag
+from ncbench.random_graphs import RngSeed, max_edges, sample_er_cpdag, sample_er_dag
+from ncbench.sem import SemConfig, draw_sem, simulate
 
 from conftest import DATA_DIR, load_schema
 
@@ -119,6 +124,16 @@ class TestRunStudy:
         a = run_study(cfg)
         b = run_study(cfg)
         assert a.to_dict() == b.to_dict()
+
+    def test_numpy_integer_config_is_stored_as_ints(self):
+        # The fields are kept as ints, so the result serializes as JSON and
+        # equals the study of the same config in plain ints.
+        cfg = PipelineConfig(b=np.int64(2), d=np.int64(4), m_true=3, n=60, seed=np.uint64(1))
+        doc = run_study(cfg).to_dict()
+        for name in ("b", "d", "m_true", "n", "seed", "sid_cap"):
+            assert type(doc["config"][name]) is int
+        plain = run_study(PipelineConfig(b=2, d=4, m_true=3, n=60, seed=1)).to_dict()
+        assert json.dumps(doc) == json.dumps(plain)
 
     def test_summary_schema(self):
         cfg = PipelineConfig(b=5, d=5, m_true=5, n=60, seed=12, sid_cap=7)
@@ -287,6 +302,11 @@ class TestSingleTruthNc:
         with pytest.raises(ValueError):
             single_truth_nc(five_node_truth, five_node_truth, ("shd",), b=0)
 
+    def test_sid_cap_below_one_is_an_error_not_missing(self, five_node_truth):
+        est = dag_to_cpdag(five_node_truth)
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            single_truth_nc(five_node_truth, est, ("sid_lower",), b=2, sid_cap=0)
+
     def test_missing_observed_is_a_missing_row(self, five_node_truth, monkeypatch):
         # Precision of the empty estimate is 0/0; recall (0) and SHD are defined.
         scored = []
@@ -385,3 +405,67 @@ def test_shared_draws_match_per_metric_draws():
     for name in names:
         row = {key: out[name][key] for key in ("observed", "nc_mean", "nc_ci", "p", "dropped")}
         assert row == per_metric_nc(truth, est, name, b=200, seed=11), name
+
+
+def test_every_sid_cap_default_is_sid_cap():
+    for fn, name in (
+        (enumerate_extensions, "cap"),
+        (sid, "cap"),
+        (full_report, "sid_cap"),
+        (single_truth_nc, "sid_cap"),
+    ):
+        assert inspect.signature(fn).parameters[name].default is SID_CAP
+    assert PipelineConfig(b=1, d=3, m_true=1).sid_cap is SID_CAP
+
+
+# Every door that takes a count, seed or cap: name -> (the argument its
+# errors name, a call that passes a value there and returns what it keeps or
+# gives). Each must reject what is not an integer, bools included, with a
+# ValueError naming the argument, and treat a numpy integer as the int.
+_CHAIN = Dag(3, frozenset({(0, 1), (1, 2)}))
+_PIPELINE_BASE = {"b": 3, "d": 3, "m_true": 1}
+INTEGER_DOORS = {
+    "RngSeed.seed": ("seed", lambda v: RngSeed(v).seed),
+    "RngSeed.stream": ("stream", lambda v: RngSeed(0, v).stream),
+    "RngSeed.child": ("index", lambda v: RngSeed(0).child(v).random()),
+    "max_edges": ("d", max_edges),
+    "sample_er_dag.d": ("d", lambda v: sample_er_dag(v, 1, RngSeed(0))),
+    "sample_er_dag.m": ("m", lambda v: sample_er_dag(5, v, RngSeed(0))),
+    "SemConfig.n": ("n", lambda v: SemConfig(n=v).n),
+    "simulate.n": ("n", lambda v: simulate(draw_sem(_CHAIN, SemConfig(n=1)), v).tolist()),
+    "single_truth_nc.b": ("b", lambda v: single_truth_nc(_CHAIN, _CHAIN, ("shd",), b=v)),
+    "single_truth_nc.seed": (
+        "seed", lambda v: single_truth_nc(_CHAIN, _CHAIN, ("shd",), b=2, seed=v)
+    ),
+    "PcConfig.max_cond_size": (
+        "max_cond_size", lambda v: PcConfig(max_cond_size=v).max_cond_size
+    ),
+    "enumerate_extensions.cap": (
+        "cap", lambda v: enumerate_extensions(Cpdag(2, undirected={(0, 1)}), cap=v)
+    ),
+    "HyperParams.m_est": ("m_est", lambda v: HyperParams(4, 2, v).m_est),
+    **{
+        f"PipelineConfig.{name}": (
+            name, lambda v, name=name: getattr(PipelineConfig(**{**_PIPELINE_BASE, name: v}), name)
+        )
+        for name in ("b", "d", "m_true", "n", "seed", "sid_cap")
+    },
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "3", np.float64(2.0)], ids=repr)
+@pytest.mark.parametrize("door", INTEGER_DOORS)
+def test_integer_rule_rejects(door, value):
+    name, call = INTEGER_DOORS[door]
+    message = f"^{name} must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
+@pytest.mark.parametrize("door", INTEGER_DOORS)
+def test_integer_rule_takes_numpy_integers_as_ints(door):
+    _, call = INTEGER_DOORS[door]
+    plain = call(2)
+    for value in (np.int64(2), np.uint8(2)):
+        kept = call(value)
+        assert type(kept) is type(plain) and kept == plain

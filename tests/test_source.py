@@ -81,3 +81,26 @@ def test_detects_an_unreferenced_definition():
         "b": ast.parse("from .a import used\nused()\n"),
     }
     assert _unreferenced_definitions(modules, {"Kept"}) == ["a.helper"]
+
+
+def _reads_integral(tree):
+    """True if the module reads numbers.Integral, as an attribute or by import."""
+    return any(
+        isinstance(node, ast.Attribute) and node.attr == "Integral"
+        or isinstance(node, ast.ImportFrom)
+        and node.module == "numbers"
+        and any(alias.name == "Integral" for alias in node.names)
+        for node in ast.walk(tree)
+    )
+
+
+def test_one_integer_rule():
+    # graphs._as_int is the package's integer rule; every other module calls it.
+    modules = sorted(SRC.glob("*.py"))
+    assert [p.name for p in modules if _reads_integral(ast.parse(p.read_text()))] == ["graphs.py"]
+
+
+def test_detects_a_second_integer_rule():
+    assert _reads_integral(ast.parse("import numbers\nisinstance(1, numbers.Integral)\n"))
+    assert _reads_integral(ast.parse("from numbers import Integral\n"))
+    assert not _reads_integral(ast.parse("import numbers\nisinstance(1, numbers.Real)\n"))
