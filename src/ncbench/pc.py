@@ -7,12 +7,13 @@ come from the graph core's collider scan over the skeleton's half-edges.
 Two conditional-independence backends, with one contract: decide(plan, size)
 takes a level's plan, a list of (i, j, sets), and returns for each pair the
 index in `sets` of its first separating set, or -1 if it has none. The
-d-separation oracle on a known DAG asks independent() pair by pair and stops
-at a pair's first independent set. The Fisher-z test on Gaussian data decides
-a whole level in one numpy pass: one stacked inverse gives every candidate's
-partial correlation, and each is compared with the exact bounds of the
-correlations its p-value test accepts, so it gives the answers of
-`_fisher_z_p(r) >= alpha` without a p-value per triple.
+d-separation oracle on a known DAG answers a pair the DAG joins with -1 and
+the others from full reach sets, one search per (node, set) and level. The
+Fisher-z test on Gaussian data decides a whole level in one numpy pass: one
+stacked inverse gives every candidate's partial correlation, and each is
+compared with the exact bounds of the correlations its p-value test accepts,
+so it gives the answers of `_fisher_z_p(r) >= alpha` without a p-value per
+triple.
 """
 
 from __future__ import annotations
@@ -189,19 +190,33 @@ class FisherZTest:
 
 
 class OracleTest:
+    """d-separation on a known DAG. A pair the DAG joins is never separated:
+    -1, with no search. Any other pair is separated by S iff one endpoint is
+    outside the other's reach given S, read from a per-call memo of full
+    reach sets keyed by (node, S)."""
+
     def __init__(self, graph):
         self.graph = graph
         self.d = graph.d
 
-    def independent(self, i, j, z):
-        # d_separated without its checks: the plan's nodes are in-range ints.
-        return j not in d_connected(*self.graph._index, i, z, stop=j)
-
     def decide(self, plan, size):
-        """As FisherZTest.decide: independent() is asked, with a frozenset, for
-        a pair's sets in order, and for none after its first independent set."""
+        """As FisherZTest.decide: a pair's sets are tried in order up to its
+        first separating set, and each (node, set) is searched at most once."""
+        parents, children = self.graph._index
+        adjacent = self.graph._skeleton
+        reach = {}
+
+        def separated(i, j, s):
+            if (i, s) in reach:
+                return j not in reach[(i, s)]
+            if (j, s) not in reach:
+                # d_separated without its checks: the plan's nodes are in-range ints.
+                reach[(j, s)] = d_connected(parents, children, j, frozenset(s))
+            return i not in reach[(j, s)]
+
         return [
-            next((k for k, s in enumerate(sets) if self.independent(i, j, frozenset(s))), -1)
+            -1 if (i, j) in adjacent
+            else next((k for k, s in enumerate(sets) if separated(i, j, s)), -1)
             for i, j, sets in plan
         ]
 

@@ -36,12 +36,19 @@ DEFAULT_METRICS = (
 
 
 def _check_real(name, value):
+    """value if it is a finite int or float; any other real (a numpy float,
+    say) as a float, so the config stays JSON-ready."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        number = value if isinstance(value, (int, float)) else float(value)
+    except OverflowError:  # a Fraction past float range
+        number = math.inf
     # json.load reads Infinity, NaN, 1e999 (as inf) and integers past float
     # range; NaN fails the comparison, and no int is converted to a float.
-    if not abs(value) <= sys.float_info.max:
+    if not abs(number) <= sys.float_info.max:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -70,14 +77,13 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be at least {low}")
         if self.m_true > max_edges(self.d):
             raise ValueError(f"m_true must be at most d(d-1)/2 = {max_edges(self.d)}")
-        _check_real("alpha", self.alpha)
+        object.__setattr__(self, "alpha", _check_real("alpha", self.alpha))
         for name in ("weight_range", "variance_range"):
             pair = getattr(self, name)
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ValueError(f"{name} must be two numbers, got {pair!r}")
-            for value in pair:
-                _check_real(f"{name} entry", value)
-            object.__setattr__(self, name, tuple(pair))
+            pair = tuple(_check_real(f"{name} entry", value) for value in pair)
+            object.__setattr__(self, name, pair)
         if self.nc_kind not in ("dag", "cpdag"):
             raise ValueError("nc_kind must be 'dag' or 'cpdag'")
         if not isinstance(self.metrics, (list, tuple)) or not self.metrics:

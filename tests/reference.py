@@ -96,6 +96,16 @@ def fisher_z_test(data, i, j, z):
     return _fisher_z_p(r, n, len(z))
 
 
+def per_call_decide(test, plan, size):
+    """The decide contract asked one triple at a time: per pair of the plan,
+    test.independent(i, j, frozenset(S)) for its sets in order, stopping at
+    the first independent one; its index, or -1 if there is none."""
+    return [
+        next((k for k, s in enumerate(sets) if test.independent(i, j, frozenset(s))), -1)
+        for i, j, sets in plan
+    ]
+
+
 def population_covariance(model):
     """Closed-form covariance implied by a SemModel's (weights, variances)."""
     d = model.graph.d

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from ncbench.graphs import Cpdag, Dag, _meek_close, dag_to_cpdag
+from ncbench.graphs import Cpdag, Dag, _meek_close, d_separated, dag_to_cpdag
 from ncbench.pc import CiTestError, FisherZTest, PcConfig, pc
 from ncbench.random_graphs import RngSeed, sample_er_dag
 from ncbench.sem import SemConfig, simulate_from_dag
 
-from reference import all_dags, fisher_z_test
+from reference import all_dags, fisher_z_test, per_call_decide
 
 pc_module = importlib.import_module("ncbench.pc")
 
@@ -71,8 +71,8 @@ class TestFisherZ:
 
 
 class PerCallFisherZ:
-    """PC's CI test through the per-call reference fisher_z_test, asked pair by
-    pair as the oracle asks."""
+    """PC's CI test through the per-call reference fisher_z_test, asked one
+    triple at a time up to each pair's first independent set."""
 
     def __init__(self, data, alpha):
         self.data = np.asarray(data, dtype=float)
@@ -82,7 +82,7 @@ class PerCallFisherZ:
     def independent(self, i, j, z):
         return fisher_z_test(self.data, i, j, z) >= self.alpha
 
-    decide = pc_module.OracleTest.decide
+    decide = per_call_decide
 
 
 def _study_data(d, m_true, rep):
@@ -371,18 +371,34 @@ def reference_pc(test, max_cond_size):
     return Cpdag(d, frozenset(directed), skel - oriented)
 
 
-def _record_calls(monkeypatch, cls):
-    """Record every (i, j, S, answer) of cls.independent, in call order."""
-    calls = []
-    original = cls.independent
+class DSeparationOracle:
+    """The d-separation oracle asked one triple at a time through the public,
+    checked d_separated, as the reference skeleton phase asks; records each
+    (i, j, S, answer)."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.d = graph.d
+        self.calls = []
 
     def independent(self, i, j, z):
-        out = original(self, i, j, z)
-        calls.append((i, j, z, out))
+        out = d_separated(self.graph, i, j, z)
+        self.calls.append((i, j, z, out))
         return out
 
-    monkeypatch.setattr(cls, "independent", independent)
-    return calls
+
+def _record_searches(monkeypatch):
+    """Record the (source, z, stop) of every d_connected search pc starts, in
+    call order."""
+    searches = []
+    original = pc_module.d_connected
+
+    def d_connected(parents, children, source, z, stop=None):
+        searches.append((source, z, stop))
+        return original(parents, children, source, z, stop)
+
+    monkeypatch.setattr(pc_module, "d_connected", d_connected)
+    return searches
 
 
 class PerTripleFisherZ:
@@ -401,18 +417,17 @@ class PerTripleFisherZ:
         return k == 0
 
 
-def _record_levels(monkeypatch):
-    """Record (plan, size, first indices) of every FisherZTest.decide, in call
-    order."""
+def _record_levels(monkeypatch, cls=FisherZTest):
+    """Record (plan, size, first indices) of every cls.decide, in call order."""
     levels = []
-    original = FisherZTest.decide
+    original = cls.decide
 
     def decide(self, plan, size):
         firsts = original(self, plan, size)
         levels.append((plan, size, firsts))
         return firsts
 
-    monkeypatch.setattr(FisherZTest, "decide", decide)
+    monkeypatch.setattr(cls, "decide", decide)
     return levels
 
 
@@ -462,17 +477,17 @@ class TestMatchesReferencePc:
 
     @pytest.mark.parametrize("d", [5, 10, 30])
     def test_oracle(self, d, monkeypatch):
-        calls = _record_calls(monkeypatch, pc_module.OracleTest)
+        levels = _record_levels(monkeypatch, pc_module.OracleTest)
         for rep in range(8 if d < 30 else 1):
             gen = RngSeed(25, 100 * d + rep).generator()
             g = sample_er_dag(d, int(gen.integers(d, 2 * d + 1)), gen)
             est = pc(g)
-            got = calls[:]
-            calls.clear()
-            assert est == reference_pc(pc_module.OracleTest(g), None)
-            assert got == calls
+            got = _consulted(levels, d)
+            reference = DSeparationOracle(g)
+            assert est == reference_pc(reference, None)
+            assert got == reference.calls
             assert est == dag_to_cpdag(g)
-            calls.clear()
+            levels.clear()
 
     def test_v_structure_votes_on_random_inputs(self):
         # Random skeletons, each non-adjacent pair given a random separating
@@ -515,18 +530,50 @@ class TestDecideContract:
     FIRSTS = [0, 2, -1, -1, 0]
 
     def test_oracle(self, monkeypatch):
-        calls = _record_calls(monkeypatch, pc_module.OracleTest)
-        assert pc_module.OracleTest(self.GRAPH).decide(self.PLAN, 1) == self.FIRSTS
-        # Nothing is asked after a pair's first independent set.
-        assert calls == [
-            (0, 3, frozenset({1}), True),
-            (0, 2, frozenset({3}), False),
-            (0, 2, frozenset({4}), False),
-            (0, 2, frozenset({1}), True),
-            (1, 2, frozenset({0}), False),
-            (1, 2, frozenset({3}), False),
-            (2, 4, frozenset({1}), True),
+        searches = _record_searches(monkeypatch)
+        oracle = pc_module.OracleTest(self.GRAPH)
+        assert oracle.decide(self.PLAN, 1) == self.FIRSTS
+        # One full search per (source, set), none for the pair 1 - 2 that the
+        # truth joins, and (2, 4) given {1} answered by 2's search for (0, 2).
+        assert searches == [
+            (3, frozenset({1}), None),
+            (2, frozenset({3}), None),
+            (2, frozenset({4}), None),
+            (2, frozenset({1}), None),
         ]
+        searches.clear()
+        assert oracle.decide([(0, 1, [(2,), (3,)]), (1, 2, [(0,), (3,), (4,)])], 1) == [-1, -1]
+        assert searches == []
+
+    def test_oracle_corpus(self, monkeypatch):
+        # Seeded ER DAGs, d = 3..20 and m = 0..2d, most of them small since
+        # the reference's per-triple searches grow steeply with d: the
+        # oracle's skeleton phase equals the reference's, sepsets included.
+        # Every decide searches no (source, set) twice and starts no search
+        # for a pair the truth joins.
+        searches = _record_searches(monkeypatch)
+        original = pc_module.OracleTest.decide
+
+        def decide(self, plan, size):
+            searches.clear()
+            firsts = original(self, plan, size)
+            assert len(set(searches)) == len(searches)
+            assert all(stop is None for _, _, stop in searches)
+            searches.clear()
+            joined = [(i, j, sets) for i, j, sets in plan if (i, j) in self.graph._skeleton]
+            assert original(self, joined, size) == [-1] * len(joined)
+            assert searches == []
+            return firsts
+
+        monkeypatch.setattr(pc_module.OracleTest, "decide", decide)
+        corpus = [(d, rep) for d in range(3, 21) for rep in range(max(8, 1500 // d**2))]
+        assert len(corpus) >= 500
+        for d, rep in corpus:
+            gen = RngSeed(27, 100 * d + rep).generator()
+            g = sample_er_dag(d, int(gen.integers(0, min(2 * d, d * (d - 1) // 2) + 1)), gen)
+            got = pc_module._skeleton_phase(pc_module.OracleTest(g), d, None)
+            assert got == reference_skeleton_phase(DSeparationOracle(g), d, None)
+            assert pc(g) == dag_to_cpdag(g)
 
     def test_fisher_z(self):
         data = simulate_from_dag(self.GRAPH, SemConfig(n=1000, seed=RngSeed(1)))

@@ -2,6 +2,8 @@ import dataclasses
 import inspect
 import json
 import re
+import warnings
+from fractions import Fraction
 
 import jsonschema
 import numpy as np
@@ -134,6 +136,28 @@ class TestRunStudy:
             assert type(doc["config"][name]) is int
         plain = run_study(PipelineConfig(b=2, d=4, m_true=3, n=60, seed=1)).to_dict()
         assert json.dumps(doc) == json.dumps(plain)
+
+    def test_numpy_float_config_is_stored_as_floats(self):
+        # No cast warning in the finite check, and the fields are kept as
+        # floats, so the result serializes as JSON.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = PipelineConfig(
+                b=2, d=4, m_true=3, n=60, seed=1, alpha=np.float32(0.05),
+                weight_range=(np.float32(0.5), np.float32(2.0)),
+                variance_range=(np.float16(1.0), np.float32(1.5)),
+            )
+            doc = run_study(cfg).to_dict()
+        assert type(cfg.alpha) is float and cfg.alpha == float(np.float32(0.05))
+        for pair in (cfg.weight_range, cfg.variance_range):
+            assert all(type(v) is float for v in pair)
+        assert cfg.weight_range == (0.5, 2.0) and cfg.variance_range == (1.0, 1.5)
+        assert json.loads(json.dumps(doc))["config"]["alpha"] == cfg.alpha
+        # Any other real the same way, and one past float range is not finite.
+        cfg = PipelineConfig(b=2, d=4, m_true=3, weight_range=(Fraction(1, 2), 2))
+        assert cfg.weight_range == (0.5, 2) and type(cfg.weight_range[1]) is int
+        with pytest.raises(ValueError, match=r"^weight_range entry must be a finite number"):
+            PipelineConfig(b=2, d=4, m_true=3, weight_range=(1, Fraction(10**400)))
 
     def test_summary_schema(self):
         cfg = PipelineConfig(b=5, d=5, m_true=5, n=60, seed=12, sid_cap=7)
