@@ -27,7 +27,7 @@ from .hypergeom import (
     skeleton_fit_log10_p,
     skeleton_fit_test,
 )
-from .io import GraphFile, ParseError, parse_graph, write_graph
+from .io import ParseError, parse_graph, write_graph
 from .metrics import (
     MetricReport,
     SidBounds,
@@ -41,6 +41,6 @@ from .metrics import (
 from .pc import PcConfig, pc
 from .pipeline import PipelineConfig, StudyResult, paired_p, run_study, single_truth_nc
 from .random_graphs import RngSeed, max_edges, sample_er_cpdag, sample_er_dag
-from .sem import SemConfig, SemModel, draw_sem, simulate
+from .sem import SemModel, draw_sem, simulate
 
 __version__ = "0.1.0"

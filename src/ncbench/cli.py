@@ -17,12 +17,12 @@ import sys
 
 from . import hypergeom as hg
 from .graphs import ExtensionCapExceeded, GraphError, skeleton
-from .io import GraphFile, ParseError, align_to, parse_graph, write_graph
+from .io import ParseError, align_to, parse_graph, write_graph
 from .metrics import adjacency_confusion, check_metric_names
 from .pc import CiTestError
 from .pipeline import DEFAULT_METRICS, PipelineConfig, run_study, single_truth_nc
 from .random_graphs import RngSeed, max_edges, sample_er_cpdag, sample_er_dag
-from .sem import SemConfig, simulate_from_dag, to_csv
+from .sem import draw_sem, simulate, to_csv
 
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
@@ -34,10 +34,6 @@ def _default_seed():
         return int(value)
     except ValueError:
         raise ParseError(f"NCBENCH_SEED must be an integer, got {value!r}") from None
-
-
-def _graph_arg(path, fmt, kind):
-    return parse_graph(GraphFile(path, fmt, kind))
 
 
 def _m_max_from_args(args):
@@ -87,8 +83,8 @@ def cmd_expect(args):
 
 
 def cmd_fit_test(args):
-    truth = _graph_arg(args.truth, args.format, "dag")
-    est = align_to(truth, _graph_arg(args.est, args.format, args.est_kind))
+    truth = parse_graph(args.truth, args.format, "dag")
+    est = align_to(truth, parse_graph(args.est, args.format, args.est_kind))
     conf = adjacency_confusion(truth, est)
     m_max = max_edges(truth.d)
     m_true = len(skeleton(truth))
@@ -117,8 +113,8 @@ def cmd_fit_test(args):
 def cmd_compare(args):
     metrics = args.metrics.split(",") if args.metrics else list(DEFAULT_METRICS)
     check_metric_names(metrics)
-    truth = _graph_arg(args.truth, args.format, "dag")
-    est = align_to(truth, _graph_arg(args.est, args.format, args.est_kind))
+    truth = parse_graph(args.truth, args.format, "dag")
+    est = align_to(truth, parse_graph(args.est, args.format, args.est_kind))
     # A metric undefined for the estimate comes back MISSING, with no NC keys.
     rows = single_truth_nc(truth, est, metrics, b=args.nc_reps, seed=args.seed)
     keys = ("observed", "nc_mean", "nc_ci", "p", "direction", "dropped")
@@ -201,7 +197,7 @@ def _fmt(v):
 
 
 def cmd_sample(args):
-    rng = RngSeed(args.seed, args.stream)
+    rng = RngSeed(args.seed, args.stream).generator()
     if args.kind == "dag":
         g = sample_er_dag(args.d, args.m, rng)
     else:
@@ -212,9 +208,9 @@ def cmd_sample(args):
 
 
 def cmd_simulate_data(args):
-    g = _graph_arg(args.graph, args.format, "dag")
-    cfg = SemConfig(n=args.n, seed=RngSeed(args.seed))
-    data = simulate_from_dag(g, cfg)
+    g = parse_graph(args.graph, args.format, "dag")
+    seed = RngSeed(args.seed)  # separate streams: the model's draws never shift the noise
+    data = simulate(draw_sem(g, seed.child(0)), args.n, seed.child(1))
     to_csv(data, g.labels, args.out)
     print(f"wrote {args.n} x {g.d} data matrix to {args.out}")
     return 0

@@ -66,6 +66,8 @@ class ConfusionCounts:
     tn: int
 
     def __post_init__(self):
+        for name in ("tp", "fp", "fn", "tn"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, ValueError))
         if min(self.tp, self.fp, self.fn, self.tn) < 0:
             raise ValueError("confusion counts must be non-negative")
 

@@ -11,26 +11,12 @@ Two formats:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 from .graphs import Cpdag, Dag, GraphError, skeleton
 
 
 class ParseError(ValueError):
     """Malformed graph file."""
-
-
-@dataclass(frozen=True)
-class GraphFile:
-    path: str
-    format: str = "edge-list"  # or "adjacency-matrix"
-    kind: str = "dag"  # or "cpdag"
-
-    def __post_init__(self):
-        if self.format not in ("edge-list", "adjacency-matrix"):
-            raise ParseError(f"unknown format {self.format!r}")
-        if self.kind not in ("dag", "cpdag"):
-            raise ParseError(f"unknown graph kind {self.kind!r}")
 
 
 def _build(kind, labels, directed, undirected, path):
@@ -136,13 +122,17 @@ def _parse_adjacency_matrix(path):
     return labels, directed, undirected
 
 
-def parse_graph(gf):
-    """Read a GraphFile into a Dag or Cpdag; labels come from the file."""
-    if gf.format == "edge-list":
-        labels, directed, undirected = _parse_edge_list(gf.path)
-    else:
-        labels, directed, undirected = _parse_adjacency_matrix(gf.path)
-    return _build(gf.kind, labels, directed, undirected, gf.path)
+_PARSERS = {"edge-list": _parse_edge_list, "adjacency-matrix": _parse_adjacency_matrix}
+
+
+def parse_graph(path, fmt="edge-list", kind="dag"):
+    """Read a graph file of format fmt into a Dag or Cpdag (kind "dag" or
+    "cpdag"); labels come from the file."""
+    if fmt not in _PARSERS:
+        raise ParseError(f"unknown format {fmt!r}")
+    if kind not in ("dag", "cpdag"):
+        raise ParseError(f"unknown graph kind {kind!r}")
+    return _build(kind, *_PARSERS[fmt](path), path)
 
 
 def write_graph(g, path, fmt="edge-list"):

@@ -21,9 +21,7 @@ from .graphs import SID_CAP, Dag, _as_int, skeleton, with_labels
 from .metrics import SMALLER_IS_BETTER, check_metric_names
 from .pc import CiTestError, PcConfig, pc
 from .random_graphs import RngSeed, max_edges, sample_er_cpdag, sample_er_dag
-from .sem import (
-    DEFAULT_VARIANCE_RANGE, DEFAULT_WEIGHT_RANGE, SemConfig, draw_sem, simulate
-)
+from .sem import DEFAULT_VARIANCE_RANGE, DEFAULT_WEIGHT_RANGE, check_range, draw_sem, simulate
 
 DEFAULT_METRICS = (
     "shd",
@@ -53,8 +51,8 @@ def _check_real(name, value):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """A study config, checked in full at construction; SemConfig, PcConfig and
-    RngSeed check their fields. The shipped config schema documents the rules."""
+    """A study config, checked in full at construction; PcConfig and RngSeed
+    check their fields. The shipped config schema documents the rules."""
 
     b: int
     d: int
@@ -72,7 +70,7 @@ class PipelineConfig:
     def __post_init__(self):
         for name in ("b", "d", "m_true", "n", "seed", "sid_cap"):
             object.__setattr__(self, name, _as_int(getattr(self, name), name, ValueError))
-        for name, low in (("b", 1), ("d", 2), ("m_true", 0), ("sid_cap", 1)):
+        for name, low in (("b", 1), ("d", 2), ("m_true", 0), ("n", 1), ("sid_cap", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}")
         if self.m_true > max_edges(self.d):
@@ -83,6 +81,7 @@ class PipelineConfig:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ValueError(f"{name} must be two numbers, got {pair!r}")
             pair = tuple(_check_real(f"{name} entry", value) for value in pair)
+            check_range(name, pair)
             object.__setattr__(self, name, pair)
         if self.nc_kind not in ("dag", "cpdag"):
             raise ValueError("nc_kind must be 'dag' or 'cpdag'")
@@ -91,7 +90,6 @@ class PipelineConfig:
         check_metric_names(self.metrics)
         object.__setattr__(self, "metrics", tuple(self.metrics))
         PcConfig(alpha=self.alpha)
-        SemConfig(n=self.n, weight_range=self.weight_range, variance_range=self.variance_range)
         RngSeed(self.seed)
 
 
@@ -205,8 +203,7 @@ def _replicate(cfg, i):
     algorithm leaves the estimate, m_est and every value MISSING (None)."""
     rng = RngSeed(cfg.seed).child(i)
     truth = sample_er_dag(cfg.d, cfg.m_true, rng)
-    sem_cfg = SemConfig(n=cfg.n, weight_range=cfg.weight_range, variance_range=cfg.variance_range)
-    data = simulate(draw_sem(truth, sem_cfg, rng), cfg.n, rng)
+    data = simulate(draw_sem(truth, rng, cfg.weight_range, cfg.variance_range), cfg.n, rng)
     try:
         estimate = (cfg.algorithm or pc)(data, PcConfig(alpha=cfg.alpha))
     except CiTestError as exc:

@@ -18,7 +18,10 @@ from .graphs import Dag, _as_int, dag_to_cpdag
 
 @dataclass(frozen=True)
 class RngSeed:
-    """Master seed plus stream index; distinct indices give independent streams."""
+    """Master seed plus stream index; distinct indices give independent streams.
+
+    Entry points take an integer seed and every sampler a numpy Generator;
+    generator() and child(i) are the only conversions from one to the other."""
 
     seed: int
     stream: int = 0
@@ -56,16 +59,16 @@ def _pairs(d):
 
 
 def sample_er_dag(d, m, rng):
-    """DAG with exactly m edges: uniform skeleton, uniform-order orientation."""
+    """DAG with exactly m edges, drawn from the numpy Generator rng: uniform
+    skeleton, uniform-order orientation."""
     mmax = max_edges(d)
     m = _as_int(m, "m", ValueError)
     if not (0 <= m <= mmax):
         raise ValueError(f"m={m} out of range [0, {mmax}] for d={d}")
-    gen = rng.generator() if isinstance(rng, RngSeed) else rng
-    order = gen.permutation(d)
+    order = rng.permutation(d)
     rank = {int(v): pos for pos, v in enumerate(order)}
     pairs = _pairs(d)
-    chosen = gen.choice(len(pairs), size=m, replace=False)
+    chosen = rng.choice(len(pairs), size=m, replace=False)
     edges = set()
     for idx in chosen:
         i, j = pairs[int(idx)]

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from ncbench.graphs import Dag
+from ncbench.sem import draw_sem, simulate
 
 PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "ncbench"
 DATA_DIR = str(PACKAGE_DIR / "data")
@@ -13,6 +14,11 @@ def load_schema(name):
     """Load a shipped JSON schema. The program never reads the schemas; the
     tests check its inputs and outputs against them."""
     return json.loads((PACKAGE_DIR / "schemas" / name).read_text())
+
+
+def simulate_seeded(g, n, seed, **ranges):
+    """n rows on the streams of an RngSeed: the model from child 0, the noise from child 1."""
+    return simulate(draw_sem(g, seed.child(0), **ranges), n, seed.child(1))
 
 
 @pytest.fixture

@@ -28,7 +28,7 @@ from ncbench.hypergeom import (
     quantile,
     skeleton_fit_test,
 )
-from ncbench.io import GraphFile, align_to, parse_graph
+from ncbench.io import align_to, parse_graph
 from ncbench.metrics import shd
 from ncbench.pc import pc
 from ncbench.pipeline import PipelineConfig, run_study, single_truth_nc
@@ -229,11 +229,9 @@ def test_criterion_08_study_reproduction(capsys):
 
 def test_criterion_09_sachs_fixtures(capsys):
     start = time.perf_counter()
-    truth = parse_graph(GraphFile(f"{DATA_DIR}/sachs_truth.csv"))
+    truth = parse_graph(f"{DATA_DIR}/sachs_truth.csv")
     empty = Dag(truth.d, frozenset(), truth.labels)
-    est = align_to(
-        truth, parse_graph(GraphFile(f"{DATA_DIR}/sachs_pc_estimate.csv", kind="cpdag"))
-    )
+    est = align_to(truth, parse_graph(f"{DATA_DIR}/sachs_pc_estimate.csv", kind="cpdag"))
     nc = single_truth_nc(truth, est, ("shd",), b=1000, seed=5)["shd"]
     elapsed = time.perf_counter() - start
     checks = [

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -597,6 +598,26 @@ class TestSampleAndSimulate:
             ]
         )
         assert rc == 0
+
+    def test_seeded_outputs_are_pinned(self, tmp_path):
+        # sha256 of each output file: a changed seed stream changes them.
+        dag, cpdag, data = (str(tmp_path / name) for name in ("dag.csv", "cp.csv", "data.csv"))
+        runs = {
+            dag: ["sample", "--d", "6", "--m", "7", "--seed", "5", "--stream", "2", "--out", dag],
+            cpdag: [
+                "sample", "--d", "4", "--m", "3", "--kind", "cpdag", "--seed", "1",
+                "--format", "adjacency-matrix", "--out", cpdag,
+            ],
+            data: ["simulate-data", "--graph", dag, "--n", "5", "--seed", "2", "--out", data],
+        }
+        pinned = {
+            dag: "21550202cea2d5a196dd4d693f9cca2e73dfc923f2e6a4359ce7cc11eb52a849",
+            cpdag: "0beaefcc13082114e595e303c932924ea27f4f3bfd79f39989a70985368d6b2b",
+            data: "4fe2ea481ec3f1a4aa985e7f122c6ea972634432d4b00743d441af37fdd35d39",
+        }
+        for out, argv in runs.items():
+            assert main(argv) == 0
+            assert hashlib.sha256(Path(out).read_bytes()).hexdigest() == pinned[out], argv
 
     def test_sample_m_too_large(self, capsys):
         rc = main(["sample", "--d", "3", "--m", "4", "--out", "/tmp/x.csv"])

@@ -25,8 +25,8 @@ from ncbench.graphs import (
 )
 from ncbench.pc import CiTestError, pc
 from ncbench.random_graphs import RngSeed, sample_er_cpdag, sample_er_dag
-from ncbench.sem import SemConfig, simulate_from_dag
 
+from conftest import simulate_seeded
 from reference import all_dags, all_extensions
 
 
@@ -657,9 +657,9 @@ def _pc_on_small_data(gen):
     while True:
         d = int(gen.integers(4, 9))
         g = sample_er_dag(d, int(gen.integers(d // 2, min(2 * d, d * (d - 1) // 2 + 1))), gen)
-        cfg = SemConfig(n=int(gen.integers(10, 61)), seed=RngSeed(int(gen.integers(2**31))))
+        n, seed = int(gen.integers(10, 61)), RngSeed(int(gen.integers(2**31)))
         try:
-            return pc(simulate_from_dag(g, cfg))
+            return pc(simulate_seeded(g, n, seed))
         except CiTestError:
             continue
 
@@ -780,7 +780,7 @@ class TestExtensionSearchIsBounded:
 def test_cpdag_preserves_skeleton_and_vstructures(seed, m):
     from ncbench.random_graphs import RngSeed, sample_er_dag
 
-    g = sample_er_dag(6, m, RngSeed(seed))
+    g = sample_er_dag(6, m, RngSeed(seed).generator())
     cp = dag_to_cpdag(g)
     assert skeleton(cp) == skeleton(g)
     assert v_structures(cp) == v_structures(g)

@@ -312,7 +312,7 @@ class TestFullReport:
         # The complete undirected 25-node CPDAG: 25! extensions over 300 pairs.
         d = 25
         p = Cpdag(d, frozenset(), frozenset(itertools.combinations(range(d), 2)))
-        truth = sample_er_dag(d, 30, RngSeed(5))
+        truth = sample_er_dag(d, 30, RngSeed(5).generator())
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(200)
         try:

@@ -11,8 +11,8 @@ from scipy.stats import norm
 from ncbench.graphs import Cpdag, Dag, _meek_close, d_separated, dag_to_cpdag
 from ncbench.pc import CiTestError, FisherZTest, PcConfig, pc
 from ncbench.random_graphs import RngSeed, sample_er_dag
-from ncbench.sem import SemConfig, simulate_from_dag
 
+from conftest import simulate_seeded
 from reference import all_dags, fisher_z_test, per_call_decide
 
 pc_module = importlib.import_module("ncbench.pc")
@@ -65,7 +65,7 @@ class TestFisherZ:
 
     def test_conditioning_removes_dependence(self):
         g = Dag(3, frozenset({(0, 1), (1, 2)}))
-        data = simulate_from_dag(g, SemConfig(n=5000, seed=RngSeed(4)))
+        data = simulate_seeded(g, 5000, RngSeed(4))
         assert fisher_z_test(data, 0, 2, []) < 0.01
         assert fisher_z_test(data, 0, 2, [1]) > 0.05
 
@@ -87,8 +87,8 @@ class PerCallFisherZ:
 
 def _study_data(d, m_true, rep):
     stream = 100 * d + rep
-    g = sample_er_dag(d, m_true, RngSeed(20 + m_true, stream))
-    return simulate_from_dag(g, SemConfig(n=400, seed=RngSeed(21 + m_true, stream)))
+    g = sample_er_dag(d, m_true, RngSeed(20 + m_true, stream).generator())
+    return simulate_seeded(g, 400, RngSeed(21 + m_true, stream))
 
 
 class TestFisherZEngine:
@@ -239,7 +239,7 @@ class TestOraclePc:
 
     def test_order_independence(self):
         # relabeling nodes must relabel the output identically (stable PC)
-        g = sample_er_dag(6, 8, RngSeed(8))
+        g = sample_er_dag(6, 8, RngSeed(8).generator())
         perm = [3, 1, 5, 0, 2, 4]
         relabeled = Dag(6, frozenset((perm[i], perm[j]) for i, j in g.edges))
         out = pc(g)
@@ -259,10 +259,7 @@ class TestDataPc:
         collider = Dag(3, frozenset({(0, 1), (2, 1)}))
         hits = 0
         for rep in range(200):
-            cfg = SemConfig(
-                n=10_000, weight_range=(1.0, 2.0), seed=RngSeed(100, rep)
-            )
-            data = simulate_from_dag(collider, cfg)
+            data = simulate_seeded(collider, 10_000, RngSeed(100, rep), weight_range=(1.0, 2.0))
             est = pc(data, PcConfig(alpha=0.05))
             if est.directed == collider.edges and not est.undirected:
                 hits += 1
@@ -278,8 +275,8 @@ class TestDataPc:
         assert PcConfig(max_cond_size=size).max_cond_size == size
 
     def test_max_cond_size_limits_search(self):
-        g = sample_er_dag(5, 8, RngSeed(9))
-        data = simulate_from_dag(g, SemConfig(n=500, seed=RngSeed(10)))
+        g = sample_er_dag(5, 8, RngSeed(9).generator())
+        data = simulate_seeded(g, 500, RngSeed(10))
         out = pc(data, PcConfig(alpha=0.05, max_cond_size=0))
         assert len(out.directed) + len(out.undirected) <= 10
 
@@ -288,9 +285,8 @@ class TestDataPc:
         total = 0
         reps = 10
         for rep in range(reps):
-            rng = RngSeed(11, rep)
-            g = sample_er_dag(10, 30, rng)
-            data = simulate_from_dag(g, SemConfig(n=400, seed=RngSeed(12, rep)))
+            g = sample_er_dag(10, 30, RngSeed(11, rep).generator())
+            data = simulate_seeded(g, 400, RngSeed(12, rep))
             est = pc(data, PcConfig(alpha=0.05))
             total += len(est.directed) + len(est.undirected)
         assert total / reps < 20
@@ -464,7 +460,7 @@ class TestMatchesReferencePc:
         for rep in range(4):
             gen = RngSeed(23, 100 * d + rep).generator()
             g = sample_er_dag(d, int(gen.integers(d, 2 * d + 1)), gen)
-            data = simulate_from_dag(g, SemConfig(n=n, seed=RngSeed(24, 100 * d + rep)))
+            data = simulate_seeded(g, n, RngSeed(24, 100 * d + rep))
             est = pc(data, cfg)
             got = _consulted(levels, d)
             reference = PerTripleFisherZ(data, alpha)
@@ -576,7 +572,7 @@ class TestDecideContract:
             assert pc(g) == dag_to_cpdag(g)
 
     def test_fisher_z(self):
-        data = simulate_from_dag(self.GRAPH, SemConfig(n=1000, seed=RngSeed(1)))
+        data = simulate_seeded(self.GRAPH, 1000, RngSeed(1))
         flags = [[fisher_z_test(data, i, j, s) >= 0.05 for s in sets] for i, j, sets in self.PLAN]
         assert flags == [[True, True], [False, False, True], [False, False], [], [True, True]]
         assert FisherZTest(data, 0.05).decide(self.PLAN, 1) == self.FIRSTS

@@ -12,8 +12,8 @@ import pytest
 from ncbench.graphs import (
     SID_CAP, Cpdag, Dag, dag_to_cpdag, enumerate_extensions, skeleton, with_labels
 )
-from ncbench.hypergeom import HyperParams, expected_metric
-from ncbench.io import GraphFile, align_to, parse_graph
+from ncbench.hypergeom import ConfusionCounts, HyperParams, expected_metric
+from ncbench.io import align_to, parse_graph
 from ncbench.metrics import SMALLER_IS_BETTER, full_report, sid
 import ncbench.pipeline
 from ncbench.pc import CiTestError, PcConfig, pc
@@ -27,7 +27,7 @@ from ncbench.pipeline import (
     single_truth_nc,
 )
 from ncbench.random_graphs import RngSeed, max_edges, sample_er_cpdag, sample_er_dag
-from ncbench.sem import SemConfig, draw_sem, simulate
+from ncbench.sem import draw_sem, simulate
 
 from conftest import DATA_DIR, load_schema
 
@@ -419,10 +419,8 @@ def per_metric_nc(truth, est, name, b, seed):
 
 
 def test_shared_draws_match_per_metric_draws():
-    truth = parse_graph(GraphFile(f"{DATA_DIR}/sachs_truth.csv"))
-    est = align_to(
-        truth, parse_graph(GraphFile(f"{DATA_DIR}/sachs_pc_estimate.csv", kind="cpdag"))
-    )
+    truth = parse_graph(f"{DATA_DIR}/sachs_truth.csv")
+    est = align_to(truth, parse_graph(f"{DATA_DIR}/sachs_pc_estimate.csv", kind="cpdag"))
     names = DEFAULT_METRICS + ("sid_lower", "sid_upper")
     out = single_truth_nc(truth, est, names, b=200, seed=11)
     assert list(out) == list(names)
@@ -447,16 +445,17 @@ def test_every_sid_cap_default_is_sid_cap():
 # gives). Each must reject what is not an integer, bools included, with a
 # ValueError naming the argument, and treat a numpy integer as the int.
 _CHAIN = Dag(3, frozenset({(0, 1), (1, 2)}))
+_CHAIN_MODEL = draw_sem(_CHAIN, RngSeed(0).child(0))
 _PIPELINE_BASE = {"b": 3, "d": 3, "m_true": 1}
+_COUNTS_BASE = {"tp": 1, "fp": 0, "fn": 0, "tn": 0}
 INTEGER_DOORS = {
     "RngSeed.seed": ("seed", lambda v: RngSeed(v).seed),
     "RngSeed.stream": ("stream", lambda v: RngSeed(0, v).stream),
     "RngSeed.child": ("index", lambda v: RngSeed(0).child(v).random()),
     "max_edges": ("d", max_edges),
-    "sample_er_dag.d": ("d", lambda v: sample_er_dag(v, 1, RngSeed(0))),
-    "sample_er_dag.m": ("m", lambda v: sample_er_dag(5, v, RngSeed(0))),
-    "SemConfig.n": ("n", lambda v: SemConfig(n=v).n),
-    "simulate.n": ("n", lambda v: simulate(draw_sem(_CHAIN, SemConfig(n=1)), v).tolist()),
+    "sample_er_dag.d": ("d", lambda v: sample_er_dag(v, 1, RngSeed(0).generator())),
+    "sample_er_dag.m": ("m", lambda v: sample_er_dag(5, v, RngSeed(0).generator())),
+    "simulate.n": ("n", lambda v: simulate(_CHAIN_MODEL, v, RngSeed(0).generator()).tolist()),
     "single_truth_nc.b": ("b", lambda v: single_truth_nc(_CHAIN, _CHAIN, ("shd",), b=v)),
     "single_truth_nc.seed": (
         "seed", lambda v: single_truth_nc(_CHAIN, _CHAIN, ("shd",), b=2, seed=v)
@@ -468,6 +467,12 @@ INTEGER_DOORS = {
         "cap", lambda v: enumerate_extensions(Cpdag(2, undirected={(0, 1)}), cap=v)
     ),
     "HyperParams.m_est": ("m_est", lambda v: HyperParams(4, 2, v).m_est),
+    **{
+        f"ConfusionCounts.{name}": (
+            name, lambda v, name=name: getattr(ConfusionCounts(**{**_COUNTS_BASE, name: v}), name)
+        )
+        for name in _COUNTS_BASE
+    },
     **{
         f"PipelineConfig.{name}": (
             name, lambda v, name=name: getattr(PipelineConfig(**{**_PIPELINE_BASE, name: v}), name)

@@ -16,34 +16,34 @@ class TestRngSeed:
             RngSeed(0, -1)
 
     def test_streams_differ(self):
-        a = sample_er_dag(6, 7, RngSeed(5, 0))
-        b = sample_er_dag(6, 7, RngSeed(5, 1))
+        a = sample_er_dag(6, 7, RngSeed(5, 0).generator())
+        b = sample_er_dag(6, 7, RngSeed(5, 1).generator())
         assert a.edges != b.edges  # overwhelmingly likely by construction
 
 
 class TestSampleErDag:
     def test_empty(self):
-        assert sample_er_dag(5, 0, RngSeed(1)).edges == frozenset()
+        assert sample_er_dag(5, 0, RngSeed(1).generator()).edges == frozenset()
 
     def test_full_graph_is_tournament(self):
-        g = sample_er_dag(5, 10, RngSeed(2))
+        g = sample_er_dag(5, 10, RngSeed(2).generator())
         assert g.m == 10
         assert len(skeleton(g)) == 10
 
     def test_m_out_of_range(self):
         with pytest.raises(ValueError):
-            sample_er_dag(5, 11, RngSeed(0))
+            sample_er_dag(5, 11, RngSeed(0).generator())
 
     @pytest.mark.parametrize("m", [1, 4, 7])
     def test_exact_edge_count_and_acyclic(self, m):
         for rep in range(50):
-            g = sample_er_dag(5, m, RngSeed(3, rep))
+            g = sample_er_dag(5, m, RngSeed(3, rep).generator())
             assert g.m == m
             assert is_acyclic(g.edges, 5)
 
     def test_determinism(self):
-        a = sample_er_dag(8, 12, RngSeed(123, 4))
-        b = sample_er_dag(8, 12, RngSeed(123, 4))
+        a = sample_er_dag(8, 12, RngSeed(123, 4).generator())
+        b = sample_er_dag(8, 12, RngSeed(123, 4).generator())
         assert a.edges == b.edges
 
     def test_skeleton_marginal_uniform(self):
@@ -73,20 +73,19 @@ class TestSampleErDag:
 
 class TestSampleErCpdag:
     def test_empty(self):
-        p = sample_er_cpdag(3, 0, RngSeed(0))
+        p = sample_er_cpdag(3, 0, RngSeed(0).generator())
         assert p.directed == frozenset() and p.undirected == frozenset()
 
     def test_single_edge_is_undirected(self):
-        p = sample_er_cpdag(2, 1, RngSeed(0))
+        p = sample_er_cpdag(2, 1, RngSeed(0).generator())
         assert p.undirected == frozenset({(0, 1)})
         assert p.directed == frozenset()
 
     def test_matches_underlying_dag_class(self):
         # three-node two-edge draws: either an undirected chain or a collider
         for rep in range(40):
-            rng = RngSeed(30, rep)
-            dag = sample_er_dag(3, 2, rng)
-            cp = sample_er_cpdag(3, 2, rng)
+            dag = sample_er_dag(3, 2, RngSeed(30, rep).generator())
+            cp = sample_er_cpdag(3, 2, RngSeed(30, rep).generator())
             expected = dag_to_cpdag(dag)
             assert cp.directed == expected.directed
             assert cp.undirected == expected.undirected

@@ -1,11 +1,13 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ncbench"
+README = SRC.parent.parent / "README.md"
 
 
 def _unused_imports(tree):
@@ -104,3 +106,11 @@ def test_detects_a_second_integer_rule():
     assert _reads_integral(ast.parse("import numbers\nisinstance(1, numbers.Integral)\n"))
     assert _reads_integral(ast.parse("from numbers import Integral\n"))
     assert not _reads_integral(ast.parse("import numbers\nisinstance(1, numbers.Real)\n"))
+
+
+def test_readme_python_examples_run():
+    # Every ```python block of the README runs as written, each in a fresh namespace.
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert len(blocks) >= 3
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
