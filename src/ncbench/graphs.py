@@ -440,8 +440,14 @@ def dag_to_cpdag(g):
 
 
 def enumerate_extensions(p, cap=SID_CAP):
-    """All DAGs extending Cpdag p: same skeleton, all directed edges kept,
-    acyclic, and no v-structure absent from p.
+    """_extensions' DAGs as a list of Dags, in its order and with its cap and errors."""
+    edge_lists = ([(i, j) for j, pa in enumerate(ps) for i in pa] for ps in _extensions(p, cap))
+    return [Dag(p.d, edges, p.labels) for edges in edge_lists]
+
+
+def _extensions(p, cap):
+    """Yield the DAGs extending Cpdag p (same skeleton, all directed edges kept, acyclic, and
+    no v-structure absent from p) as the search's own per-node parent sets, changed on resume.
 
     a -> b is allowed while every parent of b is adjacent to a (no new
     v-structure) and b is not an ancestor of a (no cycle); more edges undo
@@ -520,7 +526,7 @@ def enumerate_extensions(p, cap=SID_CAP):
         ok = orient(forced)
     if not ok:
         raise GraphError("graph admits no consistent DAG extension")
-    results, stack, budget = [], [(len(trail), 0, None)], (cap + 1) * (len(undirected) + 1)
+    count, stack, budget = 0, [(len(trail), 0, None)], (cap + 1) * (len(undirected) + 1)
     while stack:
         n, k, e = stack.pop()  # undo to the trail's length n, then orient e
         undo(n)
@@ -532,15 +538,15 @@ def enumerate_extensions(p, cap=SID_CAP):
         while k < len(undirected) and not unset(*undirected[k]):
             k += 1
         if k == len(undirected):
-            results.append(Dag(p.d, p.directed.union(trail), p.labels))
-            if len(results) > cap:
+            count += 1
+            if count > cap:
                 raise ExtensionCapExceeded(cap)
+            yield pa
         else:
             i, j = undirected[k]
             stack += [(len(trail), k, (j, i)), (len(trail), k, (i, j))]
-    if not results:
+    if not count:
         raise GraphError("graph admits no consistent DAG extension")
-    return results
 
 
 def with_labels(g, labels):

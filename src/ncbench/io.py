@@ -1,18 +1,22 @@
 """Graph file ingestion and export.
 
 Two formats:
-  - edge list CSV with header ``from,to,type``, type in {directed, undirected},
-    plus a ``label,,node`` row (empty ``to`` cell) for each node that no edge
-    names, so a graph with isolated nodes keeps its node count;
-  - adjacency matrix CSV: labels in the header row and the first column,
-    entry (i, j)=1 with (j, i)=0 means i -> j, symmetric 1s mean undirected.
+  - edge list CSV with header ``from,to,type``, type in {directed, undirected,
+    node}; a ``label,,node`` row (empty ``to`` cell) names a node. Nodes are
+    numbered in order of first appearance. The writer puts a node row for
+    every node, in index order, ahead of the sorted edge rows;
+  - adjacency matrix CSV: labels in the header row (after an optional empty
+    corner cell) and the first column, in index order; entry (i, j)=1 with
+    (j, i)=0 means i -> j, symmetric 1s mean undirected.
+Either way, parsing a written graph gives it back, node order and labels
+included. A node label may not be empty.
 """
 
 from __future__ import annotations
 
 import csv
 
-from .graphs import Cpdag, Dag, GraphError, skeleton
+from .graphs import Cpdag, Dag, GraphError
 
 
 class ParseError(ValueError):
@@ -58,6 +62,8 @@ def _parse_edge_list(path):
                 raise ParseError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
             a, b, typ = (c.strip() for c in row)
             typ = typ.lower()
+            if not a:
+                raise ParseError(f"{path}:{lineno}: empty node label in the 'from' cell")
             if typ == "node":
                 if b:
                     raise ParseError(f"{path}:{lineno}: a node row needs an empty 'to' cell")
@@ -65,6 +71,8 @@ def _parse_edge_list(path):
                 continue
             if typ not in ("directed", "undirected"):
                 raise ParseError(f"{path}:{lineno}: unknown edge type {typ!r}")
+            if not b:
+                raise ParseError(f"{path}:{lineno}: empty node label in the 'to' cell")
             if a == b:
                 raise ParseError(f"{path}:{lineno}: self-loop at {a!r}")
             note(a)
@@ -86,9 +94,11 @@ def _parse_adjacency_matrix(path):
     if not rows:
         raise ParseError(f"{path}: empty file")
     header = [c.strip() for c in rows[0]]
-    if header and header[0] == "":
-        header = header[1:]
-    labels = header
+    corner = 1 if header[0] == "" else 0
+    labels = header[corner:]
+    if "" in labels:
+        column = corner + labels.index("") + 1
+        raise ParseError(f"{path}: empty node label in header column {column}")
     d = len(labels)
     if len(set(labels)) != d:
         raise ParseError(f"{path}: duplicate node labels in header")
@@ -136,15 +146,15 @@ def parse_graph(path, fmt="edge-list", kind="dag"):
 
 
 def write_graph(g, path, fmt="edge-list"):
-    """Write a graph in canonical form (sorted edges, normalized tokens)."""
+    """Write a graph in canonical form (node rows in index order, then sorted
+    edges, normalized tokens)."""
     if fmt == "edge-list":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["from", "to", "type"])
+            writer.writerows((lab, "", "node") for lab in g.labels)
             rows = [(g.labels[i], g.labels[j], "directed") for i, j in g.directed]
             rows += [(g.labels[i], g.labels[j], "undirected") for i, j in g.undirected]
-            linked = {v for e in skeleton(g) for v in e}
-            rows += [(lab, "", "node") for v, lab in enumerate(g.labels) if v not in linked]
             writer.writerows(sorted(rows))
     elif fmt == "adjacency-matrix":
         d = g.d

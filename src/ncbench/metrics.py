@@ -10,8 +10,8 @@ from .graphs import (
     Dag,
     ExtensionCapExceeded,
     GraphError,
+    _extensions,
     d_connected,
-    enumerate_extensions,
     skeleton,
     v_structures,
 )
@@ -170,22 +170,20 @@ def _sid_terms(truth):
     return term
 
 
-def _sid_dag(term, est):
-    """Ordered pairs (i, j) whose parent adjustment in the DAG `est` is invalid
-    in the truth behind `term`."""
-    return sum(term(i, est.parents(i)) for i in range(est.d))
+def _check_sid_truth(truth):
+    if not isinstance(truth, Dag):
+        raise GraphError("SID is defined against a true DAG")
 
 
 def sid(truth, est, cap=SID_CAP):
-    """SID of the estimate against a true DAG; (min, max) over the estimate's
-    equivalence class when the estimate is a CPDAG."""
+    """SID of the estimate against a true DAG; (min, max) over the parent sets
+    of the estimate's DAG extensions when the estimate is a CPDAG."""
+    _check_sid_truth(truth)
     _check_pair(truth, est)
     term = _sid_terms(truth)
-    if isinstance(est, Dag):
-        value = _sid_dag(term, est)
-        return SidBounds(value, value, True)
-    values = [_sid_dag(term, ext) for ext in enumerate_extensions(est, cap)]
-    return SidBounds(min(values), max(values), False)
+    extensions = [est._index[0]] if isinstance(est, Dag) else _extensions(est, cap)
+    values = [sum(term(i, frozenset(pa)) for i, pa in enumerate(pas)) for pas in extensions]
+    return SidBounds(min(values), max(values), isinstance(est, Dag))
 
 
 def full_report(truth, est, metrics=None, sid_cap=SID_CAP):
@@ -195,7 +193,8 @@ def full_report(truth, est, metrics=None, sid_cap=SID_CAP):
     SID bounds, which a caller requests by name. Both confusion tables and SHD
     come from one pass over the skeletons, and sid() runs at most once for
     both bounds. When the estimate has no DAG extension, or more than sid_cap of
-    them, the SID values are MISSING and every other value is kept.
+    them, the SID values are MISSING and every other value is kept; SID
+    requested against a truth that is not a DAG raises GraphError.
     """
     if metrics is None:
         metrics = _REPORT_NAMES
@@ -204,6 +203,7 @@ def full_report(truth, est, metrics=None, sid_cap=SID_CAP):
     confusions = {"adjacency": adjacency, "orientation": orientation}
     bounds = None
     if any(name in _SID_NAMES for name in metrics):
+        _check_sid_truth(truth)  # a caller's error, never a MISSING value
         try:
             bounds = sid(truth, est, sid_cap)
         except (GraphError, ExtensionCapExceeded):

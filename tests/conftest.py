@@ -1,9 +1,11 @@
+import functools
 import json
 from pathlib import Path
 
 import pytest
 
 from ncbench.graphs import Dag
+from ncbench.pipeline import run_study
 from ncbench.sem import draw_sem, simulate
 
 PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "ncbench"
@@ -14,6 +16,13 @@ def load_schema(name):
     """Load a shipped JSON schema. The program never reads the schemas; the
     tests check its inputs and outputs against them."""
     return json.loads((PACKAGE_DIR / "schemas" / name).read_text())
+
+
+@functools.cache
+def shared_study(config):
+    """run_study(config), run once per session: criterion 8 and the golden
+    study outputs read the same results."""
+    return run_study(config)
 
 
 def simulate_seeded(g, n, seed, **ranges):

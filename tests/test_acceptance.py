@@ -31,10 +31,10 @@ from ncbench.hypergeom import (
 from ncbench.io import align_to, parse_graph
 from ncbench.metrics import shd
 from ncbench.pc import pc
-from ncbench.pipeline import PipelineConfig, run_study, single_truth_nc
+from ncbench.pipeline import PipelineConfig, single_truth_nc
 from ncbench.random_graphs import RngSeed, max_edges, sample_er_dag
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, shared_study
 from reference import all_dags
 
 FIG1A = frozenset({(0, 1), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (3, 4), (4, 2)})
@@ -200,10 +200,10 @@ def test_criterion_08_study_reproduction(capsys):
     ok = True
     details = []
     for seed in (1, 2, 3):
-        sparse = run_study(
+        sparse = shared_study(
             PipelineConfig(b=200, d=10, m_true=15, n=400, alpha=0.05, seed=seed)
         ).summary
-        dense = run_study(
+        dense = shared_study(
             PipelineConfig(b=200, d=10, m_true=30, n=400, alpha=0.05, seed=seed)
         ).summary
         p_sparse = sparse["shd"]["p"]

@@ -611,13 +611,26 @@ class TestSampleAndSimulate:
             data: ["simulate-data", "--graph", dag, "--n", "5", "--seed", "2", "--out", data],
         }
         pinned = {
-            dag: "21550202cea2d5a196dd4d693f9cca2e73dfc923f2e6a4359ce7cc11eb52a849",
+            dag: "328e03c8b3f7edb09419cc739c3438d82d099dff2003d41eecb5534815ce1e50",
             cpdag: "0beaefcc13082114e595e303c932924ea27f4f3bfd79f39989a70985368d6b2b",
-            data: "4fe2ea481ec3f1a4aa985e7f122c6ea972634432d4b00743d441af37fdd35d39",
+            data: "c6cac70d9938b27db3d54a3ffc48fc41ba9c85622ca60073d8f1b6e0ca3525dd",
         }
         for out, argv in runs.items():
             assert main(argv) == 0
             assert hashlib.sha256(Path(out).read_bytes()).hexdigest() == pinned[out], argv
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_simulate_data_does_not_depend_on_the_format(self, tmp_path, seed):
+        data = []
+        for fmt in ("edge-list", "adjacency-matrix"):
+            graph, out = str(tmp_path / f"{fmt}.csv"), tmp_path / f"{fmt}.data.csv"
+            sample = ["sample", "--d", "12", "--m", "15", "--seed", str(seed), "--out", graph]
+            assert main([*sample, "--format", fmt]) == 0
+            simulate = ["simulate-data", "--graph", graph, "--n", "4", "--seed", str(seed)]
+            assert main([*simulate, "--format", fmt, "--out", str(out)]) == 0
+            data.append(out.read_bytes())
+        assert data[0] == data[1]
+        assert data[0].startswith(b"X1,X2,X3,X4,X5,X6,X7,X8,X9,X10,X11,X12\n")
 
     def test_sample_m_too_large(self, capsys):
         rc = main(["sample", "--d", "3", "--m", "4", "--out", "/tmp/x.csv"])

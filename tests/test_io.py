@@ -2,6 +2,7 @@ import pytest
 
 from ncbench.graphs import Cpdag, Dag, GraphError
 from ncbench.io import ParseError, align_to, parse_graph, write_graph
+from ncbench.random_graphs import RngSeed, max_edges, sample_er_cpdag, sample_er_dag
 
 from conftest import DATA_DIR
 
@@ -91,6 +92,22 @@ class TestEdgeList:
         with pytest.raises(ParseError, match="undirected"):
             parse_graph(path)
 
+    @pytest.mark.parametrize(
+        "row, cell",
+        [(",X1,directed", "from"), ("X1,,undirected", "to"), (",,node", "from")],
+    )
+    def test_empty_label_rejected(self, tmp_path, row, cell):
+        path = _write(tmp_path, f"from,to,type\nX2,X3,directed\n{row}\n")
+        with pytest.raises(ParseError, match=f":3: empty node label in the '{cell}' cell$"):
+            parse_graph(path, kind="cpdag")
+
+    def test_writes_every_node_in_index_order(self, tmp_path):
+        g = Dag(3, frozenset({(2, 0)}), labels=("b", "c", "a"))
+        out = tmp_path / "g.csv"
+        write_graph(g, str(out))
+        rows = ["from,to,type", "b,,node", "c,,node", "a,,node", "a,b,directed"]
+        assert out.read_text().splitlines() == rows
+
     def test_blank_lines_skipped(self, tmp_path):
         path = _write(tmp_path, "from,to,type\n\nA,B,directed\n\n")
         assert parse_graph(path).m == 1
@@ -127,6 +144,30 @@ class TestAdjacencyMatrix:
         path = _write(tmp_path, ",A,B\nA,1,0\nB,0,0\n")
         with pytest.raises(ParseError, match="self-loop"):
             parse_graph(path, "adjacency-matrix")
+
+    @pytest.mark.parametrize(
+        "header, column",
+        [(",A,,B", 3), ("A,,B", 2), (",A,B,", 4)],
+        ids=["corner", "no-corner", "last"],
+    )
+    def test_empty_label_rejected(self, tmp_path, header, column):
+        rows = "".join(f"{lab},0,0,0\n" for lab in ("A", "", "B"))
+        path = _write(tmp_path, f"{header}\n{rows}")
+        with pytest.raises(ParseError, match=f"empty node label in header column {column}$"):
+            parse_graph(path, "adjacency-matrix")
+
+
+@pytest.mark.parametrize("fmt", ["edge-list", "adjacency-matrix"])
+def test_write_then_parse_is_the_identity(tmp_path, fmt):
+    # Labels X1..Xd: past d = 9 their sorted order is not their index order.
+    gen = RngSeed(13).generator()
+    for d in range(1, 31):
+        for sample in (sample_er_dag, sample_er_cpdag):
+            g = sample(d, int(gen.integers(0, max_edges(d) + 1)), gen)
+            path = str(tmp_path / f"{g.kind}{d}.csv")
+            write_graph(g, path, fmt)
+            back = parse_graph(path, fmt, g.kind)
+            assert back == g and back.labels == g.labels, (fmt, d)
 
 
 class TestParseGraphArguments:

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from ncbench.graphs import (
+    SID_CAP,
     Cpdag,
     Dag,
     ExtensionCapExceeded,
@@ -27,6 +28,7 @@ from ncbench.hypergeom import metric_from_counts
 from ncbench.random_graphs import RngSeed, sample_er_cpdag, sample_er_dag
 
 from reference import all_dags, valid_adjustment
+from test_graphs import _partial_orientation, _pc_on_small_data, _proper_cpdag
 
 
 def reference_sid(truth, est):
@@ -227,6 +229,78 @@ class TestSid:
                 for v in values:
                     assert bounds.lower <= v <= bounds.upper
 
+    def test_cpdag_truth_is_rejected_before_any_work(self, five_node_truth):
+        with pytest.raises(GraphError, match="SID is defined against a true DAG"):
+            sid(dag_to_cpdag(five_node_truth), five_node_truth)
+        with pytest.raises(GraphError, match="SID is defined against a true DAG"):
+            sid(dag_to_cpdag(five_node_truth), Dag(3))  # before the node-count check
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and text of the error it raised."""
+    try:
+        return fn(*args)
+    except (ExtensionCapExceeded, ValueError) as exc:  # GraphError is a ValueError
+        return type(exc), str(exc)
+
+
+def _reference_bounds(truth, p, cap):
+    values = [reference_sid(truth, ext) for ext in enumerate_extensions(p, cap)]
+    return SidBounds(min(values), max(values), False)
+
+
+class TestSidOverExtensionSearch:
+    """sid scores the parent sets the extension search yields: it builds no
+    Dag, and on every input it gives what reference_sid over the public
+    enumerate_extensions gives, bounds or error, at and below the cap."""
+
+    @pytest.mark.parametrize(
+        "draw, seed, improper",
+        [(_partial_orientation, 1, True), (_pc_on_small_data, 2, True), (_proper_cpdag, 3, False)],
+    )
+    def test_seeded_corpus(self, draw, seed, improper):
+        # The inputs of test_graphs' extension corpus, and a truth for each.
+        gen, truths = RngSeed(180, seed).generator(), RngSeed(181, seed).generator()
+        outcomes = {"improper": 0, "several": 0}
+        checked = 0
+        while checked < 150:
+            p = draw(gen)
+            if len(p.undirected) > 10:
+                continue
+            checked += 1
+            truth = sample_er_dag(p.d, int(truths.integers(0, p.d * (p.d - 1) // 2 + 1)), truths)
+            try:
+                count = len(enumerate_extensions(p))
+            except GraphError:
+                outcomes["improper"] += 1
+                caps = [SID_CAP]
+            else:
+                outcomes["several"] += count > 1
+                caps = [count, count - 1]  # passes, then too small (or below 1)
+            for cap in caps:
+                expected = _outcome(_reference_bounds, truth, p, cap)
+                assert _outcome(sid, truth, p, cap) == expected
+                assert isinstance(expected, SidBounds) == (cap == count)
+        assert outcomes["several"] >= 10
+        assert (outcomes["improper"] > 0) == improper, outcomes
+
+    def test_builds_no_dag(self, five_node_truth, five_node_estimate, monkeypatch):
+        built = []
+        post_init = Dag.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        cp = dag_to_cpdag(five_node_truth)
+        expected = _reference_bounds(five_node_truth, cp, SID_CAP)
+        monkeypatch.setattr(Dag, "__post_init__", counting)
+        assert sid(five_node_truth, cp) == expected
+        sid(five_node_truth, five_node_estimate)
+        full_report(five_node_truth, cp, ("sid_lower", "sid_upper"))
+        assert built == []
+        assert len(enumerate_extensions(cp)) == len(built) > 1  # the counter counts
+
 
 class TestSidEquivalence:
     """The per-node reachability SID equals the per-pair definition."""
@@ -283,18 +357,24 @@ class TestFullReport:
 
     def test_sid_enumerates_once_for_both_bounds(self, five_node_truth, monkeypatch):
         calls = []
-        original = metrics.enumerate_extensions
+        original = metrics._extensions
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(metrics, "enumerate_extensions", counting)
+        monkeypatch.setattr(metrics, "_extensions", counting)
         est = dag_to_cpdag(five_node_truth)
         rep = full_report(five_node_truth, est, ("sid_lower", "sid_upper"))
         assert len(calls) == 1
         bounds = sid(five_node_truth, est)
         assert (rep["sid_lower"].value, rep["sid_upper"].value) == (bounds.lower, bounds.upper)
+
+    def test_sid_on_a_cpdag_truth_is_an_error_not_missing(self, five_node_truth):
+        cp = dag_to_cpdag(five_node_truth)
+        with pytest.raises(GraphError, match="SID is defined against a true DAG"):
+            full_report(cp, five_node_truth, ("shd", "sid_lower"))
+        assert full_report(cp, five_node_truth, ("shd",))["shd"].value == shd(cp, five_node_truth)
 
     def test_sid_failure_leaves_other_values(self, five_node_truth):
         cycle = Cpdag(5, frozenset({(0, 1), (1, 2), (2, 0)}), frozenset({(3, 4)}))
