@@ -8,7 +8,7 @@ index and its topological order. Queries read these and never rebuild them.
 Both graph kinds expose the same edge view: `directed` (for a Dag, the same
 frozenset as `edges`), `undirected` (empty for a Dag) and `kind` ("dag" or
 "cpdag"), so code that only reads edges never asks which kind it holds.
-A graph's v-structures are computed on first request and kept with it.
+A graph keeps nothing else: its v-structures are computed on each request.
 A Dag is completed to its CPDAG by Chickering's compelled-edge labelling
 (Chickering 1995, "A transformational characterization of equivalent
 Bayesian network structures", UAI): one pass over the kept topological
@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import numbers
+import sys
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -87,15 +89,6 @@ def _acyclic(edges, d):
     return len(_kahn(children)) == d
 
 
-class _Graph:
-    """What Dag and Cpdag keep beyond their dataclass fields, which alone
-    decide eq, hash and repr."""
-
-    @functools.cached_property
-    def _v_structures(self):
-        return frozenset(map(VStructure._make, _colliders(self.directed, self._skeleton)))
-
-
 def _as_int(v, what, error=GraphError):
     """The package's integer rule: v as an int if it is a Python or numpy integer
     (not a bool), else `error` naming `what`, GraphError for graph inputs."""
@@ -104,6 +97,25 @@ def _as_int(v, what, error=GraphError):
     if isinstance(v, numbers.Integral) and not isinstance(v, bool):
         return int(v)
     raise error(f"{what} must be an integer, got {v!r}")
+
+
+def _as_real(v, what):
+    """The package's real-number rule: v if it is a finite int or float (not a
+    bool), any other finite real (a numpy float, say) as a float, else
+    ValueError naming `what`. Kept values are JSON-ready."""
+    number = v
+    if type(v) is not float and type(v) is not int:
+        if not isinstance(v, numbers.Real) or isinstance(v, bool):
+            raise ValueError(f"{what} must be a number, got {v!r}")
+        try:
+            number = float(v)
+        except OverflowError:  # a Fraction past float range
+            number = math.inf
+    # json.load reads Infinity, NaN, 1e999 (as inf) and integers past float
+    # range; NaN fails the comparison, and no int is converted to a float.
+    if not abs(number) <= sys.float_info.max:
+        raise ValueError(f"{what} must be a finite number, got {v!r}")
+    return number
 
 
 def _checked_d(d):
@@ -159,7 +171,7 @@ def _checked_edges(g, directed, undirected=frozenset()):
 
 
 @dataclass(frozen=True)
-class Dag(_Graph):
+class Dag:
     """Directed acyclic graph over d labeled nodes.
 
     Shares Cpdag's edge view: `directed` is the same frozenset as `edges`,
@@ -221,7 +233,7 @@ class Dag(_Graph):
 
 
 @dataclass(frozen=True)
-class Cpdag(_Graph):
+class Cpdag:
     """Partially directed graph: directed plus undirected edges, no mixed pairs.
 
     Ingested external outputs may be improper (not a valid equivalence-class
@@ -274,8 +286,8 @@ def _colliders(directed, skel):
 
 def v_structures(g):
     """All v-structures of a Dag or Cpdag (only fully directed colliders
-    count), computed on the first call and kept by the graph."""
-    return g._v_structures
+    count), computed from its edges and kept skeleton on each call."""
+    return frozenset(map(VStructure._make, _colliders(g.directed, g._skeleton)))
 
 
 def d_separated(g, i, j, z):

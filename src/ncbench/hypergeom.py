@@ -19,7 +19,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .graphs import _as_int
+from .graphs import _as_int, _as_real
 
 METRICS = ("precision", "recall", "f1", "npv", "specificity")
 
@@ -153,6 +153,7 @@ def cdf(k, p):
 def quantile(level, p):
     """Smallest k in the support with CDF(k) >= level; CDF(last k) is exactly 1.
     Reads p's kept walk, whose CDF floats never decrease."""
+    level = _as_real(level, "level")
     if not (0 < level < 1):
         raise ValueError("level must be strictly between 0 and 1")
     target = level - 1e-12

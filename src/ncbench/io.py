@@ -9,7 +9,8 @@ Two formats:
     corner cell) and the first column, in index order; entry (i, j)=1 with
     (j, i)=0 means i -> j, symmetric 1s mean undirected.
 Either way, parsing a written graph gives it back, node order and labels
-included. A node label may not be empty.
+included. A node label is a non-empty string with no leading or trailing
+whitespace: the readers strip every cell, so the writer refuses any other.
 """
 
 from __future__ import annotations
@@ -147,7 +148,15 @@ def parse_graph(path, fmt="edge-list", kind="dag"):
 
 def write_graph(g, path, fmt="edge-list"):
     """Write a graph in canonical form (node rows in index order, then sorted
-    edges, normalized tokens)."""
+    edges, normalized tokens). A label the readers would not give back, one
+    that is not a non-empty string equal to its own strip(), raises GraphError
+    before the file is opened."""
+    for lab in g.labels:
+        if not (isinstance(lab, str) and lab and lab == lab.strip()):
+            raise GraphError(
+                f"node label {lab!r} cannot be written: labels must be non-empty "
+                "strings with no leading or trailing whitespace"
+            )
     if fmt == "edge-list":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

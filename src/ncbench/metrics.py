@@ -127,13 +127,16 @@ def shd(truth, est):
 
 
 def vstructure_recovery(truth, est):
-    """Fraction of the truth's v-structures present in the estimate; 1 if none."""
+    """Fraction of the truth's v-structures present in the estimate; 1 if none.
+    A true a -> b <- c is present iff the estimate directs both edges into b
+    and leaves a and c non-adjacent."""
     _check_pair(truth, est)
     vs_t = v_structures(truth)
     if not vs_t:
         return MetricValue("vstructure_recovery", 1.0)
-    vs_e = v_structures(est)
-    return MetricValue("vstructure_recovery", len(vs_t & vs_e) / len(vs_t))
+    arrows, skel = est.directed, skeleton(est)
+    found = sum((a, b) in arrows and (c, b) in arrows and (a, c) not in skel for a, c, b in vs_t)
+    return MetricValue("vstructure_recovery", found / len(vs_t))
 
 
 def _sid_terms(truth):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Cpdag, Dag, _as_int, _colliders, _meek_close, d_connected
+from .graphs import Cpdag, Dag, _as_int, _as_real, _colliders, _meek_close, d_connected
 
 
 class CiTestError(RuntimeError):
@@ -43,8 +43,10 @@ class PcConfig:
     max_cond_size: int | None = None
 
     def __post_init__(self):
-        if not (0 < self.alpha < 1):
+        alpha = _as_real(self.alpha, "alpha")
+        if not (0 < alpha < 1):
             raise ValueError("alpha must be in (0, 1)")
+        object.__setattr__(self, "alpha", alpha)
         if self.max_cond_size is not None:
             size = _as_int(self.max_cond_size, "max_cond_size", ValueError)
             if size < 0:

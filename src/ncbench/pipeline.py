@@ -10,14 +10,12 @@ RngSeed(seed).child(i). _nc_values draws and scores every negative control."""
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import metrics as _metrics
-from .graphs import SID_CAP, Dag, _as_int, skeleton, with_labels
+from .graphs import SID_CAP, Dag, _as_int, _as_real, skeleton, with_labels
 from .metrics import SMALLER_IS_BETTER, check_metric_names
 from .pc import CiTestError, PcConfig, pc
 from .random_graphs import RngSeed, max_edges, sample_er_cpdag, sample_er_dag
@@ -31,22 +29,6 @@ DEFAULT_METRICS = (
     "orientation_recall",
     "vstructure_recovery",
 )
-
-
-def _check_real(name, value):
-    """value if it is a finite int or float; any other real (a numpy float,
-    say) as a float, so the config stays JSON-ready."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    try:
-        number = value if isinstance(value, (int, float)) else float(value)
-    except OverflowError:  # a Fraction past float range
-        number = math.inf
-    # json.load reads Infinity, NaN, 1e999 (as inf) and integers past float
-    # range; NaN fails the comparison, and no int is converted to a float.
-    if not abs(number) <= sys.float_info.max:
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return number
 
 
 @dataclass(frozen=True)
@@ -75,14 +57,9 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be at least {low}")
         if self.m_true > max_edges(self.d):
             raise ValueError(f"m_true must be at most d(d-1)/2 = {max_edges(self.d)}")
-        object.__setattr__(self, "alpha", _check_real("alpha", self.alpha))
+        object.__setattr__(self, "alpha", _as_real(self.alpha, "alpha"))
         for name in ("weight_range", "variance_range"):
-            pair = getattr(self, name)
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ValueError(f"{name} must be two numbers, got {pair!r}")
-            pair = tuple(_check_real(f"{name} entry", value) for value in pair)
-            check_range(name, pair)
-            object.__setattr__(self, name, pair)
+            object.__setattr__(self, name, check_range(name, getattr(self, name)))
         if self.nc_kind not in ("dag", "cpdag"):
             raise ValueError("nc_kind must be 'dag' or 'cpdag'")
         if not isinstance(self.metrics, (list, tuple)) or not self.metrics:

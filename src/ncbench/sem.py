@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Dag, _as_int
+from .graphs import Dag, _as_int, _as_real
 
 # Weight magnitudes bounded away from zero to avoid near-unfaithful models.
 DEFAULT_WEIGHT_RANGE = (0.5, 2.0)
@@ -15,10 +14,14 @@ DEFAULT_VARIANCE_RANGE = (0.5, 1.5)
 
 
 def check_range(name, pair):
-    """Raise ValueError unless pair is (lo, hi) with 0 < lo <= hi, both finite."""
-    lo, hi = pair
-    if not (0 < lo <= hi <= sys.float_info.max):
+    """pair as a tuple (lo, hi) of numbers by the real-number rule, with
+    0 < lo <= hi; else ValueError naming `name`."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ValueError(f"{name} must be two numbers, got {pair!r}")
+    lo, hi = (_as_real(value, f"{name} entry") for value in pair)
+    if not 0 < lo <= hi:
         raise ValueError(f"{name} must satisfy 0 < lo <= hi, both finite")
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -33,10 +36,8 @@ class SemModel:
 def draw_sem(g, rng, weight_range=DEFAULT_WEIGHT_RANGE, variance_range=DEFAULT_VARIANCE_RANGE):
     """Random weights (uniform on +-[lo, hi]) and variances for each node,
     drawn from the numpy Generator rng."""
-    check_range("weight_range", weight_range)
-    check_range("variance_range", variance_range)
-    lo, hi = weight_range
-    vlo, vhi = variance_range
+    lo, hi = check_range("weight_range", weight_range)
+    vlo, vhi = check_range("variance_range", variance_range)
     weights = {}
     for i, j in sorted(g.edges):
         mag = rng.uniform(lo, hi)

@@ -255,12 +255,17 @@ def test_criterion_10_property_suites_standalone(capsys, tmp_path):
     start = time.perf_counter()
     here = Path(__file__).parent
     ok = True
+    details, tails = [], []
     for module in ("test_graphs.py", "test_metrics.py"):
-        rc = subprocess.run(
+        run = subprocess.run(
             [sys.executable, "-m", "pytest", str(here / module), "-q"],
             capture_output=True,
-        ).returncode
-        ok = ok and rc == 0
+            text=True,
+        )
+        ok = ok and run.returncode == 0
+        details.append(f"{module} rc={run.returncode}")
+        if run.returncode:
+            tails.append(f"--- {module} ---\n" + "\n".join(run.stdout.splitlines()[-15:]))
     # pipeline determinism across thread counts
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"b": 6, "d": 6, "m_true": 7, "n": 80, "seed": 17}))
@@ -281,8 +286,11 @@ def test_criterion_10_property_suites_standalone(capsys, tmp_path):
         ok = ok and rc == 0
         summaries.append((out_dir / "summary.json").read_text())
     capsys.readouterr()
-    ok = ok and summaries[0] == summaries[1]
+    same = summaries[0] == summaries[1]
+    ok = ok and same
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 300.0
+    details.append(f"summaries at 1 and 4 threads {'match' if same else 'differ'}")
+    detail = ", ".join(details) + f", {elapsed:.0f}s" + "".join(f"\n{t}" for t in tails)
     with capsys.disabled():
-        _report(10, ok, f"standalone suites green, thread-invariant, {elapsed:.0f}s")
+        _report(10, ok, detail)

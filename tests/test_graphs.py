@@ -301,10 +301,9 @@ class TestVStructures:
         for graph in (g, dag_to_cpdag(g)):
             before = repr(graph), hash(graph)
             vs = v_structures(graph)
-            assert vs == {VStructure(0, 1, 2)} and v_structures(graph) is vs
+            assert vs == {VStructure(0, 1, 2)}
             assert (repr(graph), hash(graph)) == before
             copy = with_labels(graph, graph.labels)
-            assert "_v_structures" in vars(graph) and "_v_structures" not in vars(copy)
             assert copy == graph and hash(copy) == hash(graph) and repr(copy) == repr(graph)
             assert v_structures(with_labels(graph, None)) == vs
 

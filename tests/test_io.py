@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from ncbench.graphs import Cpdag, Dag, GraphError
@@ -168,6 +170,40 @@ def test_write_then_parse_is_the_identity(tmp_path, fmt):
             write_graph(g, path, fmt)
             back = parse_graph(path, fmt, g.kind)
             assert back == g and back.labels == g.labels, (fmt, d)
+
+
+@pytest.mark.parametrize("fmt", ["edge-list", "adjacency-matrix"])
+@pytest.mark.parametrize(
+    "labels, bad",
+    [
+        ((" a", "a", "b"), " a"),  # the edge-list reader would merge " a" into "a"
+        (("a", "b "), "b "),
+        (("a", "\tb"), "\tb"),
+        (("a", ""), ""),
+        ((1, 2, 3), 1),  # read back as strings
+        (("a", None), None),
+    ],
+    ids=repr,
+)
+def test_writer_refuses_labels_a_file_cannot_carry(tmp_path, fmt, labels, bad):
+    # Refused before the file is opened: an existing file is left intact.
+    g = Dag(len(labels), frozenset({(0, 1)}), labels)
+    path = tmp_path / "g.csv"
+    path.write_text("kept\n")
+    with pytest.raises(GraphError, match=f"^node label {re.escape(repr(bad))} cannot be written"):
+        write_graph(g, str(path), fmt)
+    assert path.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("fmt", ["edge-list", "adjacency-matrix"])
+def test_written_labels_come_back_as_written(tmp_path, fmt):
+    # Inner spaces, commas and quotes are quoted by the writer and kept.
+    labels = ("a b", "c,d", 'e"f', "g")
+    g = Cpdag(4, frozenset({(0, 1)}), frozenset({(2, 3)}), labels)
+    path = str(tmp_path / "g.csv")
+    write_graph(g, path, fmt)
+    back = parse_graph(path, fmt, "cpdag")
+    assert back == g and back.labels == labels
 
 
 class TestParseGraphArguments:

@@ -12,8 +12,9 @@ from ncbench.graphs import (
     dag_to_cpdag,
     enumerate_extensions,
     skeleton,
+    v_structures,
 )
-from ncbench import metrics
+from ncbench import graphs, metrics
 from ncbench.metrics import (
     METRIC_NAMES,
     SidBounds,
@@ -25,8 +26,11 @@ from ncbench.metrics import (
     vstructure_recovery,
 )
 from ncbench.hypergeom import metric_from_counts
-from ncbench.random_graphs import RngSeed, sample_er_cpdag, sample_er_dag
+from ncbench.pc import CiTestError, pc
+from ncbench.pipeline import single_truth_nc
+from ncbench.random_graphs import RngSeed, max_edges, sample_er_cpdag, sample_er_dag
 
+from conftest import simulate_seeded
 from reference import all_dags, valid_adjustment
 from test_graphs import _partial_orientation, _pc_on_small_data, _proper_cpdag
 
@@ -170,6 +174,57 @@ class TestVStructureRecovery:
         )  # two v-structures
         est = Dag(5, frozenset({(0, 1), (2, 1)}))  # recovers one
         assert vstructure_recovery(truth, est).value == 0.5
+
+    @pytest.mark.parametrize("kind", ["dag", "cpdag", "pc"])
+    def test_matches_set_intersection_on_seeded_corpus(self, kind):
+        # Estimates near the truth (a subset of its edges plus extra edges in
+        # its order), their CPDAGs, and PC on 10 to 200 rows of the truth's
+        # data, improper CPDAGs among them.
+        gen = RngSeed(220, ["dag", "cpdag", "pc"].index(kind)).generator()
+        values, improper = set(), 0
+        for _ in range(250):
+            d = int(gen.integers(3, 9))
+            truth = sample_er_dag(d, int(gen.integers(d // 2, max_edges(d) + 1)), gen)
+            if kind == "pc":
+                n, seed = int(gen.integers(10, 201)), RngSeed(int(gen.integers(2**31)))
+                try:
+                    est = pc(simulate_seeded(truth, n, seed))
+                except CiTestError:
+                    continue
+                try:
+                    enumerate_extensions(est)
+                except GraphError:
+                    improper += 1
+            else:
+                rank = {v: k for k, v in enumerate(truth.topological_order())}
+                pairs = itertools.combinations(range(d), 2)
+                forward = [(i, j) if rank[i] < rank[j] else (j, i) for i, j in pairs]
+                odds = [0.7 if e in truth.edges else 0.2 for e in forward]
+                keep = gen.random(len(forward)) < odds
+                est = Dag(d, frozenset(e for e, k in zip(forward, keep) if k))
+                est = est if kind == "dag" else dag_to_cpdag(est)
+            vs_t = v_structures(truth)
+            expected = len(vs_t & v_structures(est)) / len(vs_t) if vs_t else 1.0
+            assert vstructure_recovery(truth, est).value == expected
+            values.add(expected)
+        assert 0.0 in values and 1.0 in values and any(0 < v < 1 for v in values), values
+        assert (improper > 0) == (kind == "pc")
+
+    def test_scoring_reads_only_the_truths_v_structures(self, monkeypatch):
+        # No v-structure set is built for an estimate or a negative control.
+        truth = Dag(5, frozenset({(0, 1), (2, 1), (2, 3), (4, 3)}))
+        est = Cpdag(5, frozenset({(0, 1), (2, 1)}), frozenset({(3, 4)}))
+        sets_of, colliders_of = [], []
+        find_sets, find_colliders = metrics.v_structures, graphs._colliders
+        monkeypatch.setattr(metrics, "v_structures", lambda g: sets_of.append(g) or find_sets(g))
+        monkeypatch.setattr(
+            graphs, "_colliders", lambda dr, sk: colliders_of.append(dr) or find_colliders(dr, sk)
+        )
+        assert vstructure_recovery(truth, est).value == 0.5
+        assert full_report(truth, est)["vstructure_recovery"].value == 0.5
+        single_truth_nc(truth, est, ("vstructure_recovery",), b=20)
+        assert len(sets_of) == 23 and {g.directed for g in sets_of} == {truth.directed}
+        assert len(colliders_of) == 23 and set(colliders_of) == {truth.directed}
 
 
 class TestValidAdjustment:

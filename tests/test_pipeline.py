@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import math
 import re
 import warnings
 from fractions import Fraction
@@ -12,7 +13,7 @@ import pytest
 from ncbench.graphs import (
     SID_CAP, Cpdag, Dag, dag_to_cpdag, enumerate_extensions, skeleton, with_labels
 )
-from ncbench.hypergeom import ConfusionCounts, HyperParams, expected_metric
+from ncbench.hypergeom import ConfusionCounts, HyperParams, expected_metric, quantile
 from ncbench.io import align_to, parse_graph
 from ncbench.metrics import SMALLER_IS_BETTER, full_report, sid
 import ncbench.pipeline
@@ -498,3 +499,60 @@ def test_integer_rule_takes_numpy_integers_as_ints(door):
     for value in (np.int64(2), np.uint8(2)):
         kept = call(value)
         assert type(kept) is type(plain) and kept == plain
+
+
+# Every door that takes a real number: name -> (the argument its errors
+# name, a call that passes a value there and returns what it keeps or gives).
+# Each must reject a bool, a string, None and a non-finite float with a
+# ValueError naming the argument, and treat a numpy float as the float.
+_PARAMS = HyperParams(10, 8, 7)
+REAL_DOORS = {
+    "PcConfig.alpha": ("alpha", lambda v: PcConfig(alpha=v).alpha),
+    "quantile.level": ("level", lambda v: quantile(v, _PARAMS)),
+    "PipelineConfig.alpha": ("alpha", lambda v: PipelineConfig(**_PIPELINE_BASE, alpha=v).alpha),
+    **{
+        f"draw_sem.{name}": (
+            f"{name} entry",
+            lambda v, name=name: draw_sem(_CHAIN, RngSeed(0).child(0), **{name: (0.5, v)}),
+        )
+        for name in ("weight_range", "variance_range")
+    },
+    **{
+        f"PipelineConfig.{name}": (
+            f"{name} entry",
+            lambda v, name=name: getattr(
+                PipelineConfig(**{**_PIPELINE_BASE, name: (0.5, v)}), name
+            ),
+        )
+        for name in ("weight_range", "variance_range")
+    },
+}
+
+
+@pytest.mark.parametrize("value", [True, "0.5", None, math.nan, math.inf], ids=repr)
+@pytest.mark.parametrize("door", REAL_DOORS)
+def test_real_rule_rejects(door, value):
+    name, call = REAL_DOORS[door]
+    message = f"^{name} must be a (finite )?number, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
+@pytest.mark.parametrize("door", REAL_DOORS)
+def test_real_rule_takes_numpy_floats_as_floats(door):
+    _, call = REAL_DOORS[door]
+    plain, kept = call(0.5), call(np.float64(0.5))
+    assert kept == plain
+    pairs = zip(kept, plain) if isinstance(kept, tuple) else [(kept, plain)]  # a range's entries
+    assert all(type(k) is type(p) for k, p in pairs)
+
+
+@pytest.mark.parametrize("pair", [1.0, (0.5, 2, 3), [0.5], "ab"], ids=repr)
+def test_a_range_must_be_two_numbers(pair):
+    for call in (
+        lambda: draw_sem(_CHAIN, RngSeed(0).child(0), weight_range=pair),
+        lambda: PipelineConfig(**_PIPELINE_BASE, weight_range=pair),
+    ):
+        message = f"^weight_range must be two numbers, got {re.escape(repr(pair))}$"
+        with pytest.raises(ValueError, match=message):
+            call()

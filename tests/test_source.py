@@ -85,15 +85,19 @@ def test_detects_an_unreferenced_definition():
     assert _unreferenced_definitions(modules, {"Kept"}) == ["a.helper"]
 
 
-def _reads_integral(tree):
-    """True if the module reads numbers.Integral, as an attribute or by import."""
+def _reads_numbers(tree, name):
+    """True if the module reads numbers.<name>, as an attribute or by import."""
     return any(
-        isinstance(node, ast.Attribute) and node.attr == "Integral"
+        isinstance(node, ast.Attribute) and node.attr == name
         or isinstance(node, ast.ImportFrom)
         and node.module == "numbers"
-        and any(alias.name == "Integral" for alias in node.names)
+        and any(alias.name == name for alias in node.names)
         for node in ast.walk(tree)
     )
+
+
+def _reads_integral(tree):
+    return _reads_numbers(tree, "Integral")
 
 
 def test_one_integer_rule():
@@ -106,6 +110,19 @@ def test_detects_a_second_integer_rule():
     assert _reads_integral(ast.parse("import numbers\nisinstance(1, numbers.Integral)\n"))
     assert _reads_integral(ast.parse("from numbers import Integral\n"))
     assert not _reads_integral(ast.parse("import numbers\nisinstance(1, numbers.Real)\n"))
+
+
+def test_one_real_rule():
+    # graphs._as_real is the package's real-number rule; every other module calls it.
+    modules = sorted(SRC.glob("*.py"))
+    real = [p.name for p in modules if _reads_numbers(ast.parse(p.read_text()), "Real")]
+    assert real == ["graphs.py"]
+
+
+def test_detects_a_second_real_rule():
+    assert _reads_numbers(ast.parse("import numbers\nisinstance(1.0, numbers.Real)\n"), "Real")
+    assert _reads_numbers(ast.parse("from numbers import Real\n"), "Real")
+    assert not _reads_numbers(ast.parse("import numbers\nnumbers.Integral\n"), "Real")
 
 
 def test_readme_python_examples_run():
