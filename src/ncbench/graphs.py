@@ -2,19 +2,22 @@
 
 Nodes are positional indices 0..d-1 internally; labels are only attached
 for I/O. All functions here are pure and operate on immutable graphs.
-Each graph is checked in one pass at construction, which keeps what the
-checks compute: its skeleton and, for a Dag, its per-node parent and child
-index and its topological order. Queries read these and never rebuild them.
+Graphs are checked at the door and trusted inside: the public constructors
+check every graph in one pass and keep what the checks compute, its
+skeleton and, for a Dag, its per-node parent and child index and its
+topological order. Only the random samplers and dag_to_cpdag, which build
+graphs from parts they already hold valid, skip the checks, through _built,
+which keeps the same fields. Queries read these and never rebuild them.
 Both graph kinds expose the same edge view: `directed` (for a Dag, the same
 frozenset as `edges`), `undirected` (empty for a Dag) and `kind` ("dag" or
 "cpdag"), so code that only reads edges never asks which kind it holds.
 A graph keeps nothing else: its v-structures are computed on each request.
 A Dag is completed to its CPDAG by Chickering's compelled-edge labelling
 (Chickering 1995, "A transformational characterization of equivalent
-Bayesian network structures", UAI): one pass over the kept topological
-order. The Meek rules close PC's partial orientations only; extensions
-are enumerated with two local checks per orientation, propagated to the
-open pairs at each new edge's ends.
+Bayesian network structures", UAI): one pass over a topological order,
+the kept one or a sampler's own. The Meek rules close PC's partial
+orientations only; extensions are enumerated with two local checks per
+orientation, propagated to the open pairs at each new edge's ends.
 """
 
 from __future__ import annotations
@@ -170,6 +173,40 @@ def _checked_edges(g, directed, undirected=frozenset()):
     return directed, undirected
 
 
+def _set_index(g):
+    """Set Dag g's per-node parent and child index, each ascending, and its
+    Kahn order, all read from g.edges; the order is short iff g has a cycle."""
+    parents = [[] for _ in range(g.d)]
+    children = [[] for _ in range(g.d)]
+    for i, j in sorted(g.edges):
+        parents[j].append(i)
+        children[i].append(j)
+    object.__setattr__(g, "_index", (tuple(map(tuple, parents)), tuple(map(tuple, children))))
+    object.__setattr__(g, "_order", tuple(_kahn(children)))
+
+
+def _built(d, directed, skel, undirected=None, labels=None):
+    """A graph from parts the package already holds valid, its fields set
+    directly with no door check: the Dag with edges `directed` when
+    `undirected` is None, indexed as its constructor indexes it, else the
+    Cpdag. The parts must be what the constructor keeps: d an int >= 1,
+    `directed` int pairs in 0..d-1 (acyclic for a Dag), `undirected`
+    canonical pairs, `skel` the canonical pairs of both with no pair twice,
+    and labels d distinct strings or None for the defaults. Only graphs.py
+    and random_graphs.py call it: a graph from a user or a file is checked."""
+    g = object.__new__(Dag if undirected is None else Cpdag)
+    object.__setattr__(g, "d", d)
+    object.__setattr__(g, "labels", _default_labels(d) if labels is None else labels)
+    object.__setattr__(g, "directed", directed)
+    object.__setattr__(g, "_skeleton", skel)
+    if undirected is None:
+        object.__setattr__(g, "edges", directed)
+        _set_index(g)
+    else:
+        object.__setattr__(g, "undirected", undirected)
+    return g
+
+
 @dataclass(frozen=True)
 class Dag:
     """Directed acyclic graph over d labeled nodes.
@@ -191,19 +228,11 @@ class Dag:
 
     def __post_init__(self):
         edges, _ = _checked_edges(self, self.edges)
-        parents = [[] for _ in range(self.d)]
-        children = [[] for _ in range(self.d)]
-        for i, j in edges:
-            parents[j].append(i)
-            children[i].append(j)
-        order = _kahn(children)
-        if len(order) != self.d:
-            raise GraphError("edge set contains a directed cycle")
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "directed", edges)
-        index = tuple(map(tuple, parents)), tuple(map(tuple, children))
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_order", tuple(order))
+        _set_index(self)
+        if len(self._order) != self.d:
+            raise GraphError("edge set contains a directed cycle")
 
     @property
     def m(self):
@@ -410,24 +439,30 @@ def _meek_close(d, skel, directed):
 
 def dag_to_cpdag(g):
     """Completed partially directed graph of the Dag g's Markov equivalence
-    class: its compelled edges stay directed, its reversible ones undirected.
-
-    Chickering's (1995) Find-Compelled, one pass over g's kept topological
-    order. For each node y with parents, let x be the parent latest in that
-    order; every edge into x is labelled by then. A compelled w -> x with w
-    not a parent of y compels every edge into y. Otherwise each such w -> y
-    is compelled, and the rest of y's edges are compelled iff some parent of
-    y other than x is not a parent of x, else reversible.
-    """
+    class: its compelled edges stay directed, its reversible ones undirected."""
     if not isinstance(g, Dag):
         raise GraphError("dag_to_cpdag completes a Dag")
-    parents = g._index[0]
-    position = [0] * g.d
-    for k, v in enumerate(g._order):
+    return _compelled(g.d, g._index[0], g._order, g._skeleton, g.labels)
+
+
+def _compelled(d, parents, order, skel, labels):
+    """The CPDAG of the DAG over nodes 0..d-1 with per-node `parents`,
+    topological `order` and skeleton `skel`, built with no door check.
+
+    Chickering's (1995) Find-Compelled, one pass over `order`. For each node
+    y with parents, let x be the parent latest in that order; every edge
+    into x is labelled by then. A compelled w -> x with w not a parent of y
+    compels every edge into y. Otherwise each such w -> y is compelled, and
+    the rest of y's edges are compelled iff some parent of y other than x is
+    not a parent of x, else reversible. The labels depend only on the
+    equivalence class, so any topological order gives the same CPDAG.
+    """
+    position = [0] * d
+    for k, v in enumerate(order):
         position[v] = k
-    compelled = [()] * g.d  # per node, its parents along compelled edges
+    compelled = [()] * d  # per node, its parents along compelled edges
     directed, undirected = [], []
-    for y in g._order:
+    for y in order:
         pa_y = parents[y]
         if not pa_y:
             continue
@@ -448,7 +483,7 @@ def dag_to_cpdag(g):
                 directed.append((z, y))
             else:
                 undirected.append((z, y) if z < y else (y, z))
-    return Cpdag(g.d, frozenset(directed), frozenset(undirected), g.labels)
+    return _built(d, frozenset(directed), skel, frozenset(undirected), labels)
 
 
 def enumerate_extensions(p, cap=SID_CAP):

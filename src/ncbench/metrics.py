@@ -131,12 +131,16 @@ def vstructure_recovery(truth, est):
     A true a -> b <- c is present iff the estimate directs both edges into b
     and leaves a and c non-adjacent."""
     _check_pair(truth, est)
-    vs_t = v_structures(truth)
+    return MetricValue("vstructure_recovery", _recovered(v_structures(truth), est))
+
+
+def _recovered(vs_t, est):
+    """vstructure_recovery's value, given the truth's v-structures vs_t."""
     if not vs_t:
-        return MetricValue("vstructure_recovery", 1.0)
+        return 1.0
     arrows, skel = est.directed, skeleton(est)
     found = sum((a, b) in arrows and (c, b) in arrows and (a, c) not in skel for a, c, b in vs_t)
-    return MetricValue("vstructure_recovery", found / len(vs_t))
+    return found / len(vs_t)
 
 
 def _sid_terms(truth):
@@ -183,9 +187,20 @@ def sid(truth, est, cap=SID_CAP):
     of the estimate's DAG extensions when the estimate is a CPDAG."""
     _check_sid_truth(truth)
     _check_pair(truth, est)
-    term = _sid_terms(truth)
-    extensions = [est._index[0]] if isinstance(est, Dag) else _extensions(est, cap)
-    values = [sum(term(i, frozenset(pa)) for i, pa in enumerate(pas)) for pas in extensions]
+    return _sid_bounds(_sid_terms(truth), est, cap)
+
+
+def _sid_bounds(term, est, cap):
+    """sid's bounds from the truth's term memo. A node with no undirected
+    pair keeps its directed parents in every extension, so its terms are
+    summed once; each extension rescores only the undirected pairs' ends."""
+    parents = [[] for _ in range(est.d)]
+    for i, j in est.directed:
+        parents[j].append(i)
+    free = {v for pair in est.undirected for v in pair}
+    fixed = sum(term(i, frozenset(pa)) for i, pa in enumerate(parents) if i not in free)
+    extensions = [parents] if isinstance(est, Dag) else _extensions(est, cap)
+    values = [fixed + sum(term(i, frozenset(pas[i])) for i in free) for pas in extensions]
     return SidBounds(min(values), max(values), isinstance(est, Dag))
 
 
@@ -199,31 +214,45 @@ def full_report(truth, est, metrics=None, sid_cap=SID_CAP):
     them, the SID values are MISSING and every other value is kept; SID
     requested against a truth that is not a DAG raises GraphError.
     """
-    if metrics is None:
-        metrics = _REPORT_NAMES
-    check_metric_names(metrics)
-    adjacency, orientation, distance = _compare_pairs(truth, est)
-    confusions = {"adjacency": adjacency, "orientation": orientation}
-    bounds = None
-    if any(name in _SID_NAMES for name in metrics):
+    return _scorer(truth, _REPORT_NAMES if metrics is None else metrics, sid_cap)(est)
+
+
+def _scorer(truth, names, sid_cap):
+    """score(est, names=names): full_report(truth, est, names, sid_cap), for
+    `names` or a subset of them. The truth-side work is done once, here: the
+    name check, the SID truth check, the truth's v-structures and its SID
+    term memo, which every estimate scored shares."""
+    check_metric_names(names)
+    vs_t = v_structures(truth) if "vstructure_recovery" in names else None
+    term = None
+    if any(name in _SID_NAMES for name in names):
         _check_sid_truth(truth)  # a caller's error, never a MISSING value
-        try:
-            bounds = sid(truth, est, sid_cap)
-        except (GraphError, ExtensionCapExceeded):
-            pass
-    values = {}
-    for name in metrics:
-        if name == "shd":
-            value = float(distance)
-        elif name == "vstructure_recovery":
-            value = vstructure_recovery(truth, est).value
-        elif name in _SID_NAMES:
-            if bounds is None:
-                value = None
+        term = _sid_terms(truth)
+
+    def score(est, names=names):
+        adjacency, orientation, distance = _compare_pairs(truth, est)
+        confusions = {"adjacency": adjacency, "orientation": orientation}
+        bounds = None
+        if term is not None and any(name in _SID_NAMES for name in names):
+            try:
+                bounds = _sid_bounds(term, est, sid_cap)
+            except (GraphError, ExtensionCapExceeded):
+                pass
+        values = {}
+        for name in names:
+            if name == "shd":
+                value = float(distance)
+            elif name == "vstructure_recovery":
+                value = _recovered(vs_t, est)
+            elif name in _SID_NAMES:
+                if bounds is None:
+                    value = None
+                else:
+                    value = float(bounds.lower if name == "sid_lower" else bounds.upper)
             else:
-                value = float(bounds.lower if name == "sid_lower" else bounds.upper)
-        else:
-            kind, metric = name.split("_", 1)
-            value = metric_from_counts(metric, confusions[kind]).value
-        values[name] = MetricValue(name, value)
-    return MetricReport(values)
+                kind, metric = name.split("_", 1)
+                value = metric_from_counts(metric, confusions[kind]).value
+            values[name] = MetricValue(name, value)
+        return MetricReport(values)
+
+    return score

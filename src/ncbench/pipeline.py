@@ -5,7 +5,11 @@ edge count) and the single-truth variant for real-data applications.
 Each replication is one call per step on its own stream, independent of b and
 of the other replications: _replicate(cfg, i) on RngSeed(seed).child(i) and
 _control on RngSeed(seed, 1).child(i); draw i of single_truth_nc uses
-RngSeed(seed).child(i). _nc_values draws and scores every negative control."""
+RngSeed(seed).child(i). _nc_values draws and scores every negative control,
+with a scorer (metrics._scorer) that has done the truth's share of the work
+once: its v-structures and its SID term memo. single_truth_nc builds one
+scorer per evaluation, for the estimate and all b draws; _control one per
+replication."""
 
 from __future__ import annotations
 
@@ -150,18 +154,16 @@ def _summarize(values):
     }
 
 
-def _values(truth, est, metrics, sid_cap):
-    """{name: value or None (MISSING)} for one scoring pass. Called through
-    the metrics module so that a wrapper on metrics.full_report sees it."""
-    report = _metrics.full_report(truth, est, metrics, sid_cap=sid_cap)
+def _values(report):
+    """{name: value or None (MISSING)} of a MetricReport."""
     return {name: mv.value for name, mv in report.values.items()}
 
 
-def _nc_values(truth, kind, m, rng, metrics, sid_cap):
+def _nc_values(score, kind, d, m, rng, metrics):
     """(nc, values): one negative control of the given kind with m edges over
-    truth's nodes, drawn from rng, and its values against truth."""
-    nc = (sample_er_dag if kind == "dag" else sample_er_cpdag)(truth.d, m, rng)
-    return nc, _values(truth, nc, metrics, sid_cap)
+    d nodes, drawn from rng, and its `metrics` values from the scorer `score`."""
+    nc = (sample_er_dag if kind == "dag" else sample_er_cpdag)(d, m, rng)
+    return nc, _values(score(nc, metrics))
 
 
 def _paired(name, algo_vals, nc_vals):
@@ -185,7 +187,7 @@ def _replicate(cfg, i):
         estimate = (cfg.algorithm or pc)(data, PcConfig(alpha=cfg.alpha))
     except CiTestError as exc:
         return Replication(i, truth, None, None, None, dict.fromkeys(cfg.metrics), {}, exc)
-    algo_values = _values(truth, estimate, cfg.metrics, cfg.sid_cap)
+    algo_values = _values(_metrics.full_report(truth, estimate, cfg.metrics, sid_cap=cfg.sid_cap))
     return Replication(i, truth, estimate, None, len(skeleton(estimate)), algo_values, {})
 
 
@@ -194,7 +196,8 @@ def _control(cfg, rep, pool):
     count drawn from pool, the study's m_ests, then the NC and its values."""
     rng = RngSeed(cfg.seed, 1).child(rep.index)
     m = int(rng.choice(pool))
-    nc, nc_values = _nc_values(rep.truth, cfg.nc_kind, m, rng, cfg.metrics, cfg.sid_cap)
+    score = _metrics._scorer(rep.truth, cfg.metrics, cfg.sid_cap)
+    nc, nc_values = _nc_values(score, cfg.nc_kind, rep.truth.d, m, rng, cfg.metrics)
     return replace(rep, nc=nc, nc_values=nc_values)
 
 
@@ -246,13 +249,16 @@ def single_truth_nc(truth, estimate, metrics, b=1000, seed=0, sid_cap=SID_CAP):
     if b < 1:
         raise ValueError("need at least one negative control")
     master = RngSeed(seed)
-    observed = _values(truth, estimate, metrics, sid_cap)
+    # Draws carry default labels and metrics ignore labels, so once the pair
+    # is checked, one scorer on the unlabelled truth scores the estimate and
+    # every draw.
+    score = _metrics._scorer(with_labels(truth, None), metrics, sid_cap)
+    _metrics._check_pair(truth, estimate)
+    observed = _values(score(with_labels(estimate, None)))
     defined = [name for name in metrics if observed[name] is not None]
     m_est = len(skeleton(estimate))
-    # Draws carry default labels; metrics ignore labels, so relabel the truth once.
-    plain_truth = with_labels(truth, None)
     draws = [
-        _nc_values(plain_truth, estimate.kind, m_est, master.child(i), defined, sid_cap)[1]
+        _nc_values(score, estimate.kind, truth.d, m_est, master.child(i), defined)[1]
         for i in range(b if defined else 0)
     ]
     rows = {}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Dag, _as_int, dag_to_cpdag
+from .graphs import _as_int, _built, _checked_d, _compelled
 
 
 @dataclass(frozen=True)
@@ -58,27 +58,41 @@ def _pairs(d):
     return tuple(itertools.combinations(range(d), 2))
 
 
-def sample_er_dag(d, m, rng):
-    """DAG with exactly m edges, drawn from the numpy Generator rng: uniform
-    skeleton, uniform-order orientation."""
+def _draw(d, m, rng):
+    """The draw both samplers share: a uniform node order, then m of
+    _pairs(d) without replacement, each oriented along the order. Returns
+    (d, order, per-node parents, skeleton); d and m pass their doors first."""
     mmax = max_edges(d)
     m = _as_int(m, "m", ValueError)
     if not (0 <= m <= mmax):
         raise ValueError(f"m={m} out of range [0, {mmax}] for d={d}")
-    order = rng.permutation(d)
-    rank = {int(v): pos for pos, v in enumerate(order)}
+    d = _checked_d(d)
+    order = rng.permutation(d).tolist()
+    rank = [0] * d
+    for pos, v in enumerate(order):
+        rank[v] = pos
     pairs = _pairs(d)
-    chosen = rng.choice(len(pairs), size=m, replace=False)
-    edges = set()
-    for idx in chosen:
-        i, j = pairs[int(idx)]
+    parents = [[] for _ in range(d)]
+    skel = []
+    for idx in rng.choice(len(pairs), size=m, replace=False).tolist():
+        i, j = pairs[idx]
+        skel.append((i, j))
         if rank[i] < rank[j]:
-            edges.add((i, j))
+            parents[j].append(i)
         else:
-            edges.add((j, i))
-    return Dag(d, frozenset(edges))
+            parents[i].append(j)
+    return d, order, parents, frozenset(skel)
+
+
+def sample_er_dag(d, m, rng):
+    """DAG with exactly m edges, drawn from the numpy Generator rng: uniform
+    skeleton, uniform-order orientation."""
+    d, _, parents, skel = _draw(d, m, rng)
+    return _built(d, frozenset((i, j) for j, pa in enumerate(parents) for i in pa), skel)
 
 
 def sample_er_cpdag(d, m, rng):
-    """CPDAG of the Markov equivalence class of a sample_er_dag draw."""
-    return dag_to_cpdag(sample_er_dag(d, m, rng))
+    """CPDAG of the Markov equivalence class of a sample_er_dag draw: the same
+    draw, labelled along its own order with no intermediate Dag."""
+    d, order, parents, skel = _draw(d, m, rng)
+    return _compelled(d, parents, order, skel, None)

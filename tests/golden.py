@@ -5,10 +5,14 @@ The outputs, each made through the `ncbench` command line:
     estimate, default metrics and draws, seeds 0-15;
   - the same with `--metrics shd,sid_lower,sid_upper --nc-reps 200`,
     seeds 0-3, which pins the SID bounds of CPDAG estimates;
+  - `compare --est-kind dag --json` on the bundled five-node truth and DAG
+    estimate, default metrics and with `--metrics shd,sid_lower,sid_upper`,
+    seeds 0-3, which pins DAG negative controls and SID of a DAG estimate;
   - `pipeline`'s summary.json, and digests of its replications.csv, for the
     criterion-8 configs (b = 200, d = 10, m_true 15 and 30, seeds 1-3), the
-    dense study config (b = 50, m_true = 30, seeds 0 and 7) and the n = 4
-    probe, where PC fails on most replications.
+    dense study config (b = 50, m_true = 30, seeds 0 and 7), the n = 4
+    probe, where PC fails on most replications, and a study with DAG
+    negative controls (b = 50, d = 10, m_true = 15, seed 1).
 
 test_golden.py compares every output with its file byte for byte. A change
 that moves an output re-records it, by hand, from the root of a checkout:
@@ -31,10 +35,20 @@ SACHS = [
     "--est", str(DATA / "sachs_pc_estimate.csv"),
     "--est-kind", "cpdag",
 ]
-SID = ["--metrics", "shd,sid_lower,sid_upper", "--nc-reps", "200"]
+FIVE_NODE = [
+    "--truth", str(DATA / "five_node_truth.csv"),
+    "--est", str(DATA / "five_node_estimate.csv"),
+    "--est-kind", "dag",
+]
+SID_NAMES = ["--metrics", "shd,sid_lower,sid_upper"]
 COMPARES = {
     **{f"compare_seed{s:02d}": [*SACHS, "--seed", str(s)] for s in range(16)},
-    **{f"compare_sid_seed{s}": [*SACHS, *SID, "--seed", str(s)] for s in range(4)},
+    **{
+        f"compare_sid_seed{s}": [*SACHS, *SID_NAMES, "--nc-reps", "200", "--seed", str(s)]
+        for s in range(4)
+    },
+    **{f"compare_dag_seed{s}": [*FIVE_NODE, "--seed", str(s)] for s in range(4)},
+    **{f"compare_dag_sid_seed{s}": [*FIVE_NODE, *SID_NAMES, "--seed", str(s)] for s in range(4)},
 }
 STUDIES = {
     **{
@@ -44,6 +58,7 @@ STUDIES = {
     },
     **{f"dense_seed{s}": {"b": 50, "d": 10, "m_true": 30, "n": 400, "seed": s} for s in (0, 7)},
     "probe_n4": {"b": 4, "d": 8, "m_true": 20, "n": 4, "seed": 1},
+    "dag_nc_seed1": {"b": 50, "d": 10, "m_true": 15, "n": 400, "seed": 1, "nc_kind": "dag"},
 }
 
 

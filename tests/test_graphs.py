@@ -14,6 +14,7 @@ from ncbench.graphs import (
     GraphError,
     VStructure,
     _colliders,
+    _compelled,
     _meek_close,
     d_separated,
     dag_to_cpdag,
@@ -484,6 +485,67 @@ class TestDagToCpdag:
         assert dag_to_cpdag(g).labels == ("a", "b", "c")
         with pytest.raises(GraphError):
             dag_to_cpdag(dag_to_cpdag(g))
+
+
+def _assert_same_as_checked(g):
+    """g, built with no door check, is what the checked constructor makes of
+    its parts, on == and on every kept field, with int nodes throughout."""
+    if g.kind == "dag":
+        checked, kept = Dag(g.d, g.edges, g.labels), ("_skeleton", "_index", "_order")
+    else:
+        checked, kept = Cpdag(g.d, g.directed, g.undirected, g.labels), ("_skeleton",)
+    assert g == checked and type(g) is type(checked)
+    assert type(g.d) is int and g.labels == checked.labels
+    assert g.directed == checked.directed and g.undirected == checked.undirected
+    for name in kept:
+        assert getattr(g, name) == getattr(checked, name), name
+    assert all(type(v) is int for e in g._skeleton | g.directed for v in e)
+
+
+def _unchecked_corpus():
+    """(d, m) for d = 1..15 and m in {0, 1, m_max // 2, m_max}."""
+    for d in range(1, 16):
+        m_max = d * (d - 1) // 2
+        for m in sorted({0, 1, m_max // 2, m_max}):
+            if m <= m_max:
+                yield d, m
+
+
+class TestUncheckedBuilds:
+    """sample_er_dag, sample_er_cpdag and dag_to_cpdag build graphs from parts
+    they hold valid, with no door check."""
+
+    def test_each_build_matches_the_checked_constructor(self):
+        gen = RngSeed(240).generator()
+        for d, m in _unchecked_corpus():
+            for _ in range(3):
+                g = sample_er_dag(d, m, gen)
+                for built in (g, dag_to_cpdag(g), sample_er_cpdag(d, m, gen)):
+                    _assert_same_as_checked(built)
+            labels = tuple(f"v{k}" for k in range(d))
+            cp = dag_to_cpdag(with_labels(g, labels))
+            _assert_same_as_checked(cp)
+            assert cp.labels == labels
+
+    def test_cpdag_sampler_labels_the_dag_samplers_draw(self):
+        # The same RNG calls in the same order: equal graphs, and the two
+        # generators end in the same state.
+        for d, m in _unchecked_corpus():
+            for rep in range(4):
+                gen_cpdag, gen_dag = (RngSeed(241, rep).child(100 * d + m) for _ in range(2))
+                assert sample_er_cpdag(d, m, gen_cpdag) == dag_to_cpdag(
+                    sample_er_dag(d, m, gen_dag)
+                )
+                assert gen_cpdag.random() == gen_dag.random()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_every_topological_order_gives_the_same_cpdag(self, d):
+        for g in all_dags(d):
+            expected = dag_to_cpdag(g)
+            for order in itertools.permutations(range(d)):
+                position = {v: k for k, v in enumerate(order)}
+                if all(position[i] < position[j] for i, j in g.edges):
+                    assert _compelled(d, g._index[0], order, g._skeleton, None) == expected
 
 
 def meek_cpdag(g):

@@ -223,8 +223,10 @@ class TestVStructureRecovery:
         assert vstructure_recovery(truth, est).value == 0.5
         assert full_report(truth, est)["vstructure_recovery"].value == 0.5
         single_truth_nc(truth, est, ("vstructure_recovery",), b=20)
-        assert len(sets_of) == 23 and {g.directed for g in sets_of} == {truth.directed}
-        assert len(colliders_of) == 23 and set(colliders_of) == {truth.directed}
+        # Once per scoring above: single_truth_nc reads the truth's set once
+        # for the estimate and all 20 draws.
+        assert len(sets_of) == 3 and {g.directed for g in sets_of} == {truth.directed}
+        assert len(colliders_of) == 3 and set(colliders_of) == {truth.directed}
 
 
 class TestValidAdjustment:
@@ -389,6 +391,43 @@ class TestSidEquivalence:
                 cp = sample_er_cpdag(d, int(gen.integers(0, m_max + 1)), gen)
                 values = [reference_sid(truth, ext) for ext in enumerate_extensions(cp)]
                 assert sid(truth, cp) == SidBounds(min(values), max(values), False)
+
+
+class TestScorer:
+    def test_one_scorer_reused_gives_full_reports_values(self):
+        # One scorer on one truth, reused over 200 estimates: DAG and CPDAG
+        # draws, random partial orientations and PC on 10 to 60 rows, with
+        # improper CPDAGs and more extensions than the cap among them.
+        gen = RngSeed(250).generator()
+        truth = sample_er_dag(7, 10, gen)
+        names = sorted(METRIC_NAMES)
+        score = metrics._scorer(truth, names, 12)
+        sid_missing = proper = 0
+        for k in range(200):
+            kind, m = k % 4, int(gen.integers(0, 22))
+            if kind == 0:
+                est = sample_er_dag(7, m, gen)
+            elif kind == 1:
+                est = sample_er_cpdag(7, m, gen)
+            elif kind == 2:
+                marks = {e: gen.random() for e in sorted(skeleton(sample_er_dag(7, m, gen)))}
+                est = Cpdag(
+                    7,
+                    frozenset((i, j) if u < 0.3 else (j, i) for (i, j), u in marks.items() if u < 0.6),
+                    frozenset(e for e, u in marks.items() if u >= 0.6),
+                )
+            else:
+                seed = RngSeed(int(gen.integers(2**31)))
+                try:
+                    est = pc(simulate_seeded(truth, int(gen.integers(10, 61)), seed))
+                except CiTestError:
+                    continue
+            report = score(est)
+            assert report.values == full_report(truth, est, names, sid_cap=12).values
+            assert score(est, names[:3]).values == full_report(truth, est, names[:3]).values
+            sid_missing += report["sid_lower"].value is None
+            proper += report["sid_lower"].value is not None and est.kind == "cpdag"
+        assert sid_missing >= 10 and proper >= 10, (sid_missing, proper)
 
 
 class TestFullReport:

@@ -334,14 +334,20 @@ class TestSingleTruthNc:
 
     def test_missing_observed_is_a_missing_row(self, five_node_truth, monkeypatch):
         # Precision of the empty estimate is 0/0; recall (0) and SHD are defined.
-        scored = []
-        original = ncbench.pipeline._metrics.full_report
+        scorers, scored = [], []
+        original = ncbench.pipeline._metrics._scorer
 
-        def full_report_spy(truth, est, metrics, sid_cap):
-            scored.append(tuple(metrics))
-            return original(truth, est, metrics, sid_cap=sid_cap)
+        def scorer_spy(truth, metrics, sid_cap):
+            scorers.append(tuple(metrics))
+            score = original(truth, metrics, sid_cap)
 
-        monkeypatch.setattr(ncbench.pipeline._metrics, "full_report", full_report_spy)
+            def score_spy(est, names=metrics):
+                scored.append(tuple(names))
+                return score(est, names)
+
+            return score_spy
+
+        monkeypatch.setattr(ncbench.pipeline._metrics, "_scorer", scorer_spy)
         names = ("adjacency_precision", "adjacency_recall", "shd")
         out = single_truth_nc(five_node_truth, Dag(5), names, b=10, seed=5)
         assert list(out) == list(names)
@@ -352,16 +358,19 @@ class TestSingleTruthNc:
             "nc_kind": "dag",
             "p": None,
         }
-        # The estimate is scored once, and the draws score the defined metrics only.
+        # One scorer per evaluation scores the estimate once, and the draws
+        # score the defined metrics only.
+        assert scorers == [names]
         assert scored == [names] + [("adjacency_recall", "shd")] * 10
         defined = single_truth_nc(five_node_truth, Dag(5), names[1:], b=10, seed=5)
         assert {name: out[name] for name in names[1:]} == defined
         assert defined["shd"]["observed"] == 8.0 and defined["shd"]["p"] == 1.0
         # With no metric defined, nothing is drawn.
+        scorers.clear()
         scored.clear()
         out = single_truth_nc(five_node_truth, Dag(5), ("adjacency_precision",), b=10)
         assert out["adjacency_precision"]["p"] is None
-        assert scored == [("adjacency_precision",)]
+        assert scorers == scored == [("adjacency_precision",)]
 
     def test_labeled_truth(self, five_node_truth, five_node_estimate):
         from ncbench.graphs import with_labels
@@ -456,6 +465,8 @@ INTEGER_DOORS = {
     "max_edges": ("d", max_edges),
     "sample_er_dag.d": ("d", lambda v: sample_er_dag(v, 1, RngSeed(0).generator())),
     "sample_er_dag.m": ("m", lambda v: sample_er_dag(5, v, RngSeed(0).generator())),
+    "sample_er_cpdag.d": ("d", lambda v: sample_er_cpdag(v, 1, RngSeed(0).generator())),
+    "sample_er_cpdag.m": ("m", lambda v: sample_er_cpdag(5, v, RngSeed(0).generator())),
     "simulate.n": ("n", lambda v: simulate(_CHAIN_MODEL, v, RngSeed(0).generator()).tolist()),
     "single_truth_nc.b": ("b", lambda v: single_truth_nc(_CHAIN, _CHAIN, ("shd",), b=v)),
     "single_truth_nc.seed": (

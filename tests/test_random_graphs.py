@@ -1,9 +1,10 @@
 import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from ncbench.graphs import dag_to_cpdag, is_acyclic, skeleton
+from ncbench.graphs import GraphError, dag_to_cpdag, is_acyclic, skeleton
 from ncbench.hypergeom import HyperParams, pmf
 from ncbench.random_graphs import RngSeed, max_edges, sample_er_cpdag, sample_er_dag
 
@@ -90,6 +91,29 @@ class TestSampleErCpdag:
             assert cp.directed == expected.directed
             assert cp.undirected == expected.undirected
             assert len(cp.directed) == 2 or len(cp.undirected) == 2
+
+
+@pytest.mark.parametrize("sampler", [sample_er_dag, sample_er_cpdag])
+class TestSamplerDoors:
+    def test_numpy_d_is_stored_as_an_int(self, sampler):
+        plain = sampler(4, 3, RngSeed(7).generator())
+        for d in (np.int64(4), np.uint8(4)):
+            g = sampler(d, 3, RngSeed(7).generator())
+            assert type(g.d) is int and g == plain
+
+    @pytest.mark.parametrize(
+        "d, m, error, message",
+        [
+            (0, 0, GraphError, "d must be positive"),
+            (0, 1, ValueError, "m=1 out of range [0, 0] for d=0"),
+            (-1, 0, ValueError, "node count d=-1 must be non-negative"),
+            (-1, 1, ValueError, "node count d=-1 must be non-negative"),
+        ],
+    )
+    def test_no_nodes_is_an_error(self, sampler, d, m, error, message):
+        with pytest.raises(ValueError) as raised:
+            sampler(d, m, RngSeed(0).generator())
+        assert type(raised.value) is error and str(raised.value) == message
 
 
 def test_max_edges():

@@ -125,6 +125,36 @@ def test_detects_a_second_real_rule():
     assert not _reads_numbers(ast.parse("import numbers\nnumbers.Integral\n"), "Real")
 
 
+# The builders that set a graph's fields with no door check.
+UNCHECKED_BUILDERS = {"_built", "_compelled"}
+
+
+def _reads_unchecked_builder(tree):
+    """True if the module names an unchecked builder: calls, reads or imports it."""
+    return any(
+        isinstance(node, ast.Name) and node.id in UNCHECKED_BUILDERS
+        or isinstance(node, ast.Attribute) and node.attr in UNCHECKED_BUILDERS
+        or isinstance(node, ast.ImportFrom)
+        and any(alias.name in UNCHECKED_BUILDERS for alias in node.names)
+        for node in ast.walk(tree)
+    )
+
+
+def test_unchecked_builds_stay_in_the_samplers_and_the_graph_core():
+    # Every door that takes user or file input builds its graphs through the
+    # checked constructors.
+    modules = sorted(SRC.glob("*.py"))
+    readers = [p.name for p in modules if _reads_unchecked_builder(ast.parse(p.read_text()))]
+    assert readers == ["graphs.py", "random_graphs.py"]
+
+
+def test_detects_an_unchecked_build():
+    assert _reads_unchecked_builder(ast.parse("from .graphs import _built\n"))
+    assert _reads_unchecked_builder(ast.parse("from . import graphs\ngraphs._compelled(1)\n"))
+    assert _reads_unchecked_builder(ast.parse("_built(2, frozenset(), frozenset())\n"))
+    assert not _reads_unchecked_builder(ast.parse("from .graphs import Dag\nDag(2)\n"))
+
+
 def test_readme_python_examples_run():
     # Every ```python block of the README runs as written, each in a fresh namespace.
     blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
