@@ -17,7 +17,6 @@ from .hypergeom import (
     ConfusionCounts,
     DegenerateParamsError,
     HyperParams,
-    MetricValue,
     expected_metric,
     expected_tp,
     metric_from_counts,
@@ -30,6 +29,7 @@ from .hypergeom import (
 from .io import ParseError, parse_graph, write_graph
 from .metrics import (
     MetricReport,
+    MetricValue,
     SidBounds,
     adjacency_confusion,
     full_report,

@@ -298,7 +298,7 @@ def main(argv=None):
         if args.command in ("sample", "simulate-data", "compare") and args.seed is None:
             args.seed = _default_seed()
         return args.func(args)
-    except (ParseError, GraphError, hg.DegenerateParamsError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, GraphError, hg.DegenerateParamsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (CiTestError, ExtensionCapExceeded, ArithmeticError) as exc:

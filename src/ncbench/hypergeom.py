@@ -76,18 +76,6 @@ class ConfusionCounts:
         return self.tp + self.fp + self.fn + self.tn
 
 
-@dataclass(frozen=True)
-class MetricValue:
-    """Named metric result; value None means an undefined (0/0) denominator."""
-
-    name: str
-    value: float | None
-
-    @property
-    def missing(self):
-        return self.value is None
-
-
 def _bottom(p):
     """The walk state (k, a, b) at the bottom of the support."""
     lo = p.support.start
@@ -188,11 +176,10 @@ def _linear(metric, m_max, m_true, m_est):
 
 
 def metric_from_counts(metric, c):
-    """Evaluate one of the five adjacency metrics on a confusion table."""
+    """One of the five adjacency metrics on a confusion table; None when its
+    denominator is 0 (MISSING)."""
     a, b, den = _linear(metric, c.total, c.tp + c.fn, c.tp + c.fp)
-    if den == 0:
-        return MetricValue(metric, None)
-    return MetricValue(metric, (a * c.tp + b) / den)
+    return None if den == 0 else (a * c.tp + b) / den
 
 
 def _linear_params(metric, p):

@@ -15,7 +15,7 @@ from .graphs import (
     skeleton,
     v_structures,
 )
-from .hypergeom import METRICS, ConfusionCounts, MetricValue, metric_from_counts
+from .hypergeom import METRICS, ConfusionCounts, metric_from_counts
 
 # Direction conventions for negative-control comparisons.
 SMALLER_IS_BETTER = frozenset({"shd", "sid_lower", "sid_upper"})
@@ -31,11 +31,16 @@ METRIC_NAMES = frozenset(_REPORT_NAMES + _SID_NAMES)
 
 
 def check_metric_names(names):
-    """Raise ValueError naming the first name full_report does not know."""
+    """Raise ValueError naming the first name full_report does not know, or
+    else the first name given twice."""
+    seen = set()
     for name in names:
         if not isinstance(name, str) or name not in METRIC_NAMES:
             known = ", ".join(sorted(METRIC_NAMES))
             raise ValueError(f"unknown metric {name!r}; metrics are {known}")
+        if name in seen:
+            raise ValueError(f"metric {name!r} is repeated; metrics must be distinct")
+        seen.add(name)
 
 
 @dataclass(frozen=True)
@@ -52,8 +57,16 @@ class SidBounds:
 
 
 @dataclass(frozen=True)
+class MetricValue:
+    """Named metric result; value None means MISSING (undefined)."""
+
+    name: str
+    value: float | None
+
+
+@dataclass(frozen=True)
 class MetricReport:
-    """Named metric values for one truth/estimate pair."""
+    """full_report's MetricValues for one truth/estimate pair, by name."""
 
     values: dict
 
@@ -131,7 +144,7 @@ def vstructure_recovery(truth, est):
     A true a -> b <- c is present iff the estimate directs both edges into b
     and leaves a and c non-adjacent."""
     _check_pair(truth, est)
-    return MetricValue("vstructure_recovery", _recovered(v_structures(truth), est))
+    return _recovered(v_structures(truth), est)
 
 
 def _recovered(vs_t, est):
@@ -214,14 +227,16 @@ def full_report(truth, est, metrics=None, sid_cap=SID_CAP):
     them, the SID values are MISSING and every other value is kept; SID
     requested against a truth that is not a DAG raises GraphError.
     """
-    return _scorer(truth, _REPORT_NAMES if metrics is None else metrics, sid_cap)(est)
+    values = _scorer(truth, _REPORT_NAMES if metrics is None else metrics, sid_cap)(est)
+    return MetricReport({name: MetricValue(name, value) for name, value in values.items()})
 
 
 def _scorer(truth, names, sid_cap):
-    """score(est, names=names): full_report(truth, est, names, sid_cap), for
-    `names` or a subset of them. The truth-side work is done once, here: the
-    name check, the SID truth check, the truth's v-structures and its SID
-    term memo, which every estimate scored shares."""
+    """score(est, names=names): full_report(truth, est, names, sid_cap)'s
+    values as {name: float, or None when MISSING}, for `names` or a subset of
+    them. The truth-side work is done once, here: the name check, the SID
+    truth check, the truth's v-structures and its SID term memo, which every
+    estimate scored shares."""
     check_metric_names(names)
     vs_t = v_structures(truth) if "vstructure_recovery" in names else None
     term = None
@@ -251,8 +266,8 @@ def _scorer(truth, names, sid_cap):
                     value = float(bounds.lower if name == "sid_lower" else bounds.upper)
             else:
                 kind, metric = name.split("_", 1)
-                value = metric_from_counts(metric, confusions[kind]).value
-            values[name] = MetricValue(name, value)
-        return MetricReport(values)
+                value = metric_from_counts(metric, confusions[kind])
+            values[name] = value
+        return values
 
     return score

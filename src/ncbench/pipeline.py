@@ -7,9 +7,10 @@ of the other replications: _replicate(cfg, i) on RngSeed(seed).child(i) and
 _control on RngSeed(seed, 1).child(i); draw i of single_truth_nc uses
 RngSeed(seed).child(i). _nc_values draws and scores every negative control,
 with a scorer (metrics._scorer) that has done the truth's share of the work
-once: its v-structures and its SID term memo. single_truth_nc builds one
-scorer per evaluation, for the estimate and all b draws; _control one per
-replication."""
+once: its v-structures and its SID term memo. A score is a plain
+{name: float, or None when MISSING} dict. single_truth_nc builds one scorer
+per evaluation, for the estimate and all b draws; _replicate and _control
+one each per replication."""
 
 from __future__ import annotations
 
@@ -154,16 +155,11 @@ def _summarize(values):
     }
 
 
-def _values(report):
-    """{name: value or None (MISSING)} of a MetricReport."""
-    return {name: mv.value for name, mv in report.values.items()}
-
-
 def _nc_values(score, kind, d, m, rng, metrics):
     """(nc, values): one negative control of the given kind with m edges over
     d nodes, drawn from rng, and its `metrics` values from the scorer `score`."""
     nc = (sample_er_dag if kind == "dag" else sample_er_cpdag)(d, m, rng)
-    return nc, _values(score(nc, metrics))
+    return nc, score(nc, metrics)
 
 
 def _paired(name, algo_vals, nc_vals):
@@ -187,7 +183,7 @@ def _replicate(cfg, i):
         estimate = (cfg.algorithm or pc)(data, PcConfig(alpha=cfg.alpha))
     except CiTestError as exc:
         return Replication(i, truth, None, None, None, dict.fromkeys(cfg.metrics), {}, exc)
-    algo_values = _values(_metrics.full_report(truth, estimate, cfg.metrics, sid_cap=cfg.sid_cap))
+    algo_values = _metrics._scorer(truth, cfg.metrics, cfg.sid_cap)(estimate)
     return Replication(i, truth, estimate, None, len(skeleton(estimate)), algo_values, {})
 
 
@@ -254,7 +250,7 @@ def single_truth_nc(truth, estimate, metrics, b=1000, seed=0, sid_cap=SID_CAP):
     # every draw.
     score = _metrics._scorer(with_labels(truth, None), metrics, sid_cap)
     _metrics._check_pair(truth, estimate)
-    observed = _values(score(with_labels(estimate, None)))
+    observed = score(with_labels(estimate, None))
     defined = [name for name in metrics if observed[name] is not None]
     m_est = len(skeleton(estimate))
     draws = [

@@ -159,7 +159,7 @@ def test_criterion_06_linearity_grid(capsys):
                             ConfusionCounts(
                                 k, m_est - k, m_true - k, m_max - m_est - m_true + k
                             ),
-                        ).value
+                        )
                         for k, w in weights.items()
                     )
                     worst = max(worst, abs(expected - avg))

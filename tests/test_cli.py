@@ -258,7 +258,7 @@ class TestCompare:
         payload = json.loads(open(out_path).read())
         ori = orientation_confusion(five_node_truth, five_node_estimate)
         for name in names:
-            expected = metric_from_counts(name.removeprefix("orientation_"), ori).value
+            expected = metric_from_counts(name.removeprefix("orientation_"), ori)
             assert payload["metrics"][name]["observed"] == expected
             assert payload["metrics"][name]["p"] is not None
 
@@ -301,6 +301,17 @@ class TestCompare:
         assert rc == EXIT_INPUT
         captured = capsys.readouterr()
         assert "'adjacency_precsion'" in captured.err
+        assert captured.out == ""
+
+    def test_repeated_metric_rejected_before_reading(self, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a repeated metric reached the inputs")
+
+        monkeypatch.setattr(ncbench.cli, "parse_graph", must_not_run)
+        rc = main(["compare", "--truth", TRUTH, "--est", EST, "--metrics", "shd,shd"])
+        assert rc == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "metric 'shd' is repeated" in captured.err
         assert captured.out == ""
 
 
@@ -374,6 +385,26 @@ def test_compare_and_pipeline_leave_numpy_ma_unimported(tmp_path):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def test_os_errors_exit_2_with_one_error_line(tmp_path):
+    # A directory where a file is expected: the error is an input error on
+    # one stderr line, with no traceback.
+    src = str(Path(ncbench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    runs = [
+        ["sample", "--d", "3", "--m", "1", "--out", str(tmp_path)],
+        ["fit-test", "--truth", str(tmp_path), "--est", EST],
+        ["pipeline", "--config", str(tmp_path), "--out-dir", str(tmp_path / "out")],
+    ]
+    for argv in runs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ncbench.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == EXIT_INPUT, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: ") and str(tmp_path) in line, line
+
+
 def test_config_schema_lists_every_metric_name():
     schema = load_schema("pipeline-config.schema.json")
     assert set(schema["properties"]["metrics"]["items"]["enum"]) == METRIC_NAMES
@@ -394,7 +425,7 @@ FIELD_VALUES = {  # field -> (valid values, invalid values)
     "alpha": ([0.05, 0.999], ["0.05", True, None, 0, 1, 1.5, -0.1, math.inf, -math.inf]),
     "metrics": (
         [["shd"], sorted(METRIC_NAMES)],
-        ["shd", [], ["shd", "sid_lowr"], [1], [True], None],
+        ["shd", [], ["shd", "sid_lowr"], ["shd", "shd"], [1], [True], None],
     ),
     "nc_kind": (["dag", "cpdag"], ["pdag", "DAG", 1, True, None]),
     "seed": ([0, 2**64 - 1], ["3", True, -1, 2**64, 1.5]),

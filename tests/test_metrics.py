@@ -17,6 +17,7 @@ from ncbench.graphs import (
 from ncbench import graphs, metrics
 from ncbench.metrics import (
     METRIC_NAMES,
+    MetricValue,
     SidBounds,
     adjacency_confusion,
     full_report,
@@ -158,22 +159,23 @@ class TestShd:
 
 class TestVStructureRecovery:
     def test_no_truth_vstructures_gives_one(self, five_node_truth, five_node_estimate):
-        assert vstructure_recovery(five_node_truth, five_node_estimate).value == 1.0
+        assert vstructure_recovery(five_node_truth, five_node_estimate) == 1.0
 
     def test_exact_recovery(self):
         g = Dag(3, frozenset({(0, 1), (2, 1)}))
-        assert vstructure_recovery(g, g).value == 1.0
+        assert vstructure_recovery(g, g) == 1.0
 
     def test_empty_estimate(self):
         g = Dag(3, frozenset({(0, 1), (2, 1)}))
-        assert vstructure_recovery(g, Dag(3)).value == 0.0
+        assert vstructure_recovery(g, Dag(3)) == 0.0
 
     def test_partial(self):
         truth = Dag(
             5, frozenset({(0, 1), (2, 1), (2, 3), (4, 3)})
         )  # two v-structures
         est = Dag(5, frozenset({(0, 1), (2, 1)}))  # recovers one
-        assert vstructure_recovery(truth, est).value == 0.5
+        assert type(vstructure_recovery(truth, est)) is float
+        assert vstructure_recovery(truth, est) == 0.5
 
     @pytest.mark.parametrize("kind", ["dag", "cpdag", "pc"])
     def test_matches_set_intersection_on_seeded_corpus(self, kind):
@@ -205,7 +207,7 @@ class TestVStructureRecovery:
                 est = est if kind == "dag" else dag_to_cpdag(est)
             vs_t = v_structures(truth)
             expected = len(vs_t & v_structures(est)) / len(vs_t) if vs_t else 1.0
-            assert vstructure_recovery(truth, est).value == expected
+            assert vstructure_recovery(truth, est) == expected
             values.add(expected)
         assert 0.0 in values and 1.0 in values and any(0 < v < 1 for v in values), values
         assert (improper > 0) == (kind == "pc")
@@ -220,7 +222,7 @@ class TestVStructureRecovery:
         monkeypatch.setattr(
             graphs, "_colliders", lambda dr, sk: colliders_of.append(dr) or find_colliders(dr, sk)
         )
-        assert vstructure_recovery(truth, est).value == 0.5
+        assert vstructure_recovery(truth, est) == 0.5
         assert full_report(truth, est)["vstructure_recovery"].value == 0.5
         single_truth_nc(truth, est, ("vstructure_recovery",), b=20)
         # Once per scoring above: single_truth_nc reads the truth's set once
@@ -393,6 +395,11 @@ class TestSidEquivalence:
                 assert sid(truth, cp) == SidBounds(min(values), max(values), False)
 
 
+def _wrapped(values):
+    """A scorer's {name: float | None} as full_report's {name: MetricValue}."""
+    return {name: MetricValue(name, value) for name, value in values.items()}
+
+
 class TestScorer:
     def test_one_scorer_reused_gives_full_reports_values(self):
         # One scorer on one truth, reused over 200 estimates: DAG and CPDAG
@@ -422,11 +429,11 @@ class TestScorer:
                     est = pc(simulate_seeded(truth, int(gen.integers(10, 61)), seed))
                 except CiTestError:
                     continue
-            report = score(est)
-            assert report.values == full_report(truth, est, names, sid_cap=12).values
-            assert score(est, names[:3]).values == full_report(truth, est, names[:3]).values
-            sid_missing += report["sid_lower"].value is None
-            proper += report["sid_lower"].value is not None and est.kind == "cpdag"
+            values = score(est)
+            assert _wrapped(values) == full_report(truth, est, names, sid_cap=12).values
+            assert _wrapped(score(est, names[:3])) == full_report(truth, est, names[:3]).values
+            sid_missing += values["sid_lower"] is None
+            proper += values["sid_lower"] is not None and est.kind == "cpdag"
         assert sid_missing >= 10 and proper >= 10, (sid_missing, proper)
 
 
@@ -445,7 +452,7 @@ class TestFullReport:
 
     def test_empty_estimate_missing_precision(self, five_node_truth):
         rep = full_report(five_node_truth, Dag(5))
-        assert rep["adjacency_precision"].missing
+        assert rep["adjacency_precision"].value is None
         assert rep["adjacency_recall"].value == 0.0
 
 
@@ -473,7 +480,7 @@ class TestFullReport:
     def test_sid_failure_leaves_other_values(self, five_node_truth):
         cycle = Cpdag(5, frozenset({(0, 1), (1, 2), (2, 0)}), frozenset({(3, 4)}))
         rep = full_report(five_node_truth, cycle, ("shd", "sid_lower", "sid_upper"))
-        assert rep["sid_lower"].missing and rep["sid_upper"].missing
+        assert rep["sid_lower"].value is None and rep["sid_upper"].value is None
         assert rep["shd"].value == float(shd(five_node_truth, cycle))
 
     def test_sid_cap_below_one_is_an_error_not_missing(self, five_node_truth):
@@ -495,7 +502,7 @@ class TestFullReport:
             rep = full_report(truth, p, ("shd", "sid_lower"), sid_cap=5)
         finally:
             sys.setrecursionlimit(limit)
-        assert rep["sid_lower"].missing
+        assert rep["sid_lower"].value is None
         assert rep["shd"].value == float(shd(truth, p))
 
     def test_requested_names_in_order(self, five_node_truth, five_node_estimate):
@@ -503,9 +510,19 @@ class TestFullReport:
         rep = full_report(five_node_truth, five_node_estimate, names)
         assert tuple(rep.values) == names
         ori = orientation_confusion(five_node_truth, five_node_estimate)
-        assert rep["orientation_npv"].value == metric_from_counts("npv", ori).value
+        assert rep["orientation_npv"].value == metric_from_counts("npv", ori)
 
 
 def test_full_report_unknown_name(five_node_truth):
     with pytest.raises(ValueError):
         full_report(five_node_truth, five_node_truth, ("nope",))
+
+
+def test_full_report_rejects_a_repeated_name_before_scoring(five_node_truth, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a repeated name reached the scoring")
+
+    monkeypatch.setattr(metrics, "_compare_pairs", must_not_run)
+    monkeypatch.setattr(metrics, "_sid_terms", must_not_run)
+    with pytest.raises(ValueError, match="metric 'sid_lower' is repeated"):
+        full_report(five_node_truth, five_node_truth, ("sid_lower", "shd", "sid_lower"))

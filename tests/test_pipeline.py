@@ -16,6 +16,7 @@ from ncbench.graphs import (
 from ncbench.hypergeom import ConfusionCounts, HyperParams, expected_metric, quantile
 from ncbench.io import align_to, parse_graph
 from ncbench.metrics import SMALLER_IS_BETTER, full_report, sid
+import ncbench.metrics
 import ncbench.pipeline
 from ncbench.pc import CiTestError, PcConfig, pc
 from ncbench.pipeline import (
@@ -95,6 +96,10 @@ class TestRunStudy:
     def test_unknown_metric_named_before_work(self):
         with pytest.raises(ValueError, match="'adjacency_precsion'"):
             PipelineConfig(b=1, d=5, m_true=4, metrics=("shd", "adjacency_precsion"))
+
+    def test_repeated_metric_named_before_work(self):
+        with pytest.raises(ValueError, match="metric 'shd' is repeated"):
+            PipelineConfig(b=1, d=5, m_true=4, metrics=("shd", "adjacency_f1", "shd"))
 
     def test_perfect_algorithm_dominates(self):
         # an oracle that returns the truth itself: SHD 0, p_shd small
@@ -437,6 +442,38 @@ def test_shared_draws_match_per_metric_draws():
     for name in names:
         row = {key: out[name][key] for key in ("observed", "nc_mean", "nc_ci", "p", "dropped")}
         assert row == per_metric_nc(truth, est, name, b=200, seed=11), name
+
+
+def test_single_truth_nc_rejects_a_repeated_metric_before_drawing(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a repeated metric reached the draws")
+
+    monkeypatch.setattr(ncbench.pipeline, "sample_er_cpdag", must_not_run)
+    monkeypatch.setattr(ncbench.pipeline, "sample_er_dag", must_not_run)
+    truth = sample_er_dag(5, 4, RngSeed(0).generator())
+    with pytest.raises(ValueError, match="metric 'vstructure_recovery' is repeated"):
+        single_truth_nc(truth, truth, ("vstructure_recovery", "shd", "vstructure_recovery"), b=5)
+
+
+def test_metric_values_are_wrapped_only_at_full_reports_door(monkeypatch):
+    # Inside the package a score is a plain {name: float | None}: a compare
+    # and a study build no MetricValue, and full_report one per name.
+    built = []
+    init = ncbench.metrics.MetricValue.__init__
+
+    def spy(self, name, value):
+        built.append(name)
+        init(self, name, value)
+
+    monkeypatch.setattr(ncbench.metrics.MetricValue, "__init__", spy)
+    truth = parse_graph(f"{DATA_DIR}/sachs_truth.csv")
+    est = align_to(truth, parse_graph(f"{DATA_DIR}/sachs_pc_estimate.csv", kind="cpdag"))
+    single_truth_nc(truth, est, DEFAULT_METRICS, b=50)
+    run_study(PipelineConfig(b=3, d=5, m_true=5, n=60, seed=2))
+    assert built == []
+    names = ("shd", "sid_lower", "adjacency_f1")
+    full_report(truth, est, names)
+    assert built == list(names)
 
 
 def test_every_sid_cap_default_is_sid_cap():

@@ -155,6 +155,36 @@ def test_detects_an_unchecked_build():
     assert not _reads_unchecked_builder(ast.parse("from .graphs import Dag\nDag(2)\n"))
 
 
+# full_report's wrappers: inside the package a metric value is a plain float
+# or None, and only full_report, for its public callers, wraps them.
+WRAPPERS = {"MetricValue", "MetricReport"}
+
+
+def _names_a_wrapper(tree):
+    """True if the module defines, reads or imports a metric wrapper class."""
+    return any(
+        isinstance(node, ast.Name) and node.id in WRAPPERS
+        or isinstance(node, ast.Attribute) and node.attr in WRAPPERS
+        or isinstance(node, ast.ClassDef) and node.name in WRAPPERS
+        or isinstance(node, ast.ImportFrom) and any(alias.name in WRAPPERS for alias in node.names)
+        for node in ast.walk(tree)
+    )
+
+
+def test_metric_wrappers_stay_in_metrics():
+    modules = sorted(SRC.glob("*.py"))
+    named = [p.name for p in modules if _names_a_wrapper(ast.parse(p.read_text()))]
+    assert named == ["__init__.py", "metrics.py"]
+
+
+def test_detects_a_metric_wrapper():
+    assert _names_a_wrapper(ast.parse("from .metrics import MetricValue\n"))
+    assert _names_a_wrapper(ast.parse("from . import metrics\nmetrics.MetricReport({})\n"))
+    assert _names_a_wrapper(ast.parse("class MetricValue:\n    pass\n"))
+    assert _names_a_wrapper(ast.parse("isinstance(v, MetricValue)\n"))
+    assert not _names_a_wrapper(ast.parse("from .metrics import full_report\nfull_report(t, e)\n"))
+
+
 def test_readme_python_examples_run():
     # Every ```python block of the README runs as written, each in a fresh namespace.
     blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
