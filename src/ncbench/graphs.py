@@ -325,55 +325,66 @@ def d_separated(g, i, j, z):
         raise GraphError("d-separation is defined on DAGs")
     i, j, *z = [_as_int(u, "node") for u in (i, j, *z)]
     _check_nodes(g.d, (i, j, *z))
-    z = frozenset(z)
     if i == j:
         raise GraphError("i and j must differ")
     if i in z or j in z:
         raise GraphError("endpoints may not be in the conditioning set")
-    parents, children = g._index
-    return j not in d_connected(parents, children, i, z, stop=j)
+    parents, children = _bitmasks(g._index)
+    return not d_connected(parents, children, i, _mask(z), stop=j) >> j & 1
+
+
+def _mask(nodes):
+    """The bitmask of a collection of node indices: bit v set iff v is in it."""
+    out = 0
+    for v in nodes:
+        out |= 1 << v
+    return out
+
+
+def _bitmasks(index):
+    """A Dag's `_index` as per-node bitmasks, the lists (parents, children):
+    bit u of parents[v] (of children[u]) is set iff u -> v."""
+    return tuple(list(map(_mask, side)) for side in index)
 
 
 def d_connected(parents, children, source, z, stop=None):
-    """Nodes with an active path from `source` given z (source included).
+    """The reach of `source` given z, as a bitmask of the nodes the ball
+    visits: the source, and each node outside z iff an active path given z
+    joins it to the source (nodes of z it touches are set too).
 
-    `parents` and `children` are per-node index sequences of a DAG; z must not
-    contain `source`. Reachability search over (node, arrival-direction)
-    states, Bayes-ball style. The search ends early, with a partial set, once
-    it reaches `stop`.
+    `parents` and `children` are per-node bitmasks of a DAG (see _bitmasks),
+    and z is the bitmask of the conditioning set, which must exclude
+    `source`. Bayes-ball (Shachter 1998) over (node, arrival direction)
+    states, one level of new states at a time: a node outside z passes the
+    ball on to all its neighbours when it arrives from a child, and to its
+    children when it arrives from a parent; a node in z bounces a ball from
+    a parent back to its parents. A collider with a descendant in z is open
+    through that bounce: the ball it passes down comes back up to it. With a
+    node `stop`, the search ends after the first level that reaches it: bit
+    `stop` is then set, and other bits may be missing from the full reach.
     """
-    # Nodes with a descendant (or themselves) in z: colliders open iff in this set.
-    anc_of_z = set(z)
-    stack = list(z)
-    while stack:
-        for p in parents[stack.pop()]:
-            if p not in anc_of_z:
-                anc_of_z.add(p)
-                stack.append(p)
-
     # up: entered via an edge out of the node (from a child);
     # down: entered via an edge into the node (from a parent).
-    up = {source}
-    down = set()
-    stack = [(source, True)]
-    while stack:
-        v, from_child = stack.pop()
-        if from_child:
-            if v in z:
-                continue
-            to_parents, to_children = parents[v], children[v]
-        else:
-            to_parents = parents[v] if v in anc_of_z else ()
-            to_children = () if v in z else children[v]
-        for p in to_parents:
-            if p not in up:
-                up.add(p)
-                stack.append((p, True))
-        for c in to_children:
-            if c not in down:
-                down.add(c)
-                stack.append((c, False))
-        if stop in up or stop in down:
+    up = new_up = 1 << source
+    down = new_down = 0
+    goal = 0 if stop is None else 1 << stop
+    while new_up | new_down:
+        to_parents = to_children = 0
+        senders = (new_up | new_down) & ~z  # the new states that go on to children
+        while senders:
+            v = senders.bit_length() - 1
+            senders ^= 1 << v
+            to_children |= children[v]
+        senders = new_up & ~z | new_down & z  # and those that go on to parents
+        while senders:
+            v = senders.bit_length() - 1
+            senders ^= 1 << v
+            to_parents |= parents[v]
+        new_up = to_parents & ~up
+        new_down = to_children & ~down
+        up |= new_up
+        down |= new_down
+        if (up | down) & goal:
             break
     return up | down
 

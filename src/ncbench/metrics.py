@@ -10,7 +10,9 @@ from .graphs import (
     Dag,
     ExtensionCapExceeded,
     GraphError,
+    _bitmasks,
     _extensions,
+    _mask,
     d_connected,
     skeleton,
     v_structures,
@@ -167,7 +169,8 @@ def _sid_terms(truth):
     one Bayes-ball pass from i, in the truth without i's outgoing edges and
     given pa, counts the targets it reaches. Terms are memoized by (i, pa).
     """
-    parents, children = truth._index
+    parents, children = _bitmasks(truth._index)
+    child_lists = truth._index[1]
     desc = [truth.descendants(v) for v in range(truth.d)]
     memo = {}
 
@@ -179,12 +182,13 @@ def _sid_terms(truth):
                 memo[key] = wrong_null + truth.d - 1 - len(pa)
             else:
                 back_parents = list(parents)
-                for c in children[i]:
-                    back_parents[c] = tuple(p for p in parents[c] if p != i)
+                for c in child_lists[i]:
+                    back_parents[c] ^= 1 << i
                 back_children = list(children)
-                back_children[i] = ()
-                reached = d_connected(back_parents, back_children, i, pa)
-                memo[key] = len(reached - pa) - 1  # i itself is in reached
+                back_children[i] = 0
+                z = _mask(pa)
+                reached = d_connected(back_parents, back_children, i, z)
+                memo[key] = (reached & ~z).bit_count() - 1  # i itself is in reached
         return memo[key]
 
     return term

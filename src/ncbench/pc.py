@@ -2,13 +2,15 @@
 from separating sets, and Meek-rule closure.
 
 The skeleton phase tests each (i, j, S) triple at most once; the v-structures
-come from the graph core's collider scan over the skeleton's half-edges.
+come from the graph core's collider scan over the skeleton's half-edges. A
+level's plan filters per-node lists of combinations, each node's listed once.
 
 Two conditional-independence backends, with one contract: decide(plan, size)
 takes a level's plan, a list of (i, j, sets), and returns for each pair the
 index in `sets` of its first separating set, or -1 if it has none. The
 d-separation oracle on a known DAG answers a pair the DAG joins with -1 and
-the others from full reach sets, one search per (node, set) and level. The
+the others from full reach bitmasks of the graph core's Bayes-ball search,
+one search per (node, set) and level, over masks built once per DAG. The
 Fisher-z test on Gaussian data decides a whole level in one numpy pass: one
 stacked inverse gives every candidate's partial correlation, and each is
 compared with the exact bounds of the correlations its p-value test accepts,
@@ -26,7 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Cpdag, Dag, _as_int, _as_real, _colliders, _meek_close, d_connected
+from .graphs import (
+    Cpdag, Dag, _as_int, _as_real, _bitmasks, _colliders, _mask, _meek_close, d_connected
+)
 
 
 class CiTestError(RuntimeError):
@@ -195,32 +199,49 @@ class OracleTest:
     """d-separation on a known DAG. A pair the DAG joins is never separated:
     -1, with no search. Any other pair is separated by S iff one endpoint is
     outside the other's reach given S, read from a per-call memo of full
-    reach sets keyed by (node, S)."""
+    reach masks keyed by (node, S). The DAG's bitmasks are built once."""
 
     def __init__(self, graph):
         self.graph = graph
         self.d = graph.d
+        self.masks = _bitmasks(graph._index)
 
     def decide(self, plan, size):
         """As FisherZTest.decide: a pair's sets are tried in order up to its
         first separating set, and each (node, set) is searched at most once."""
-        parents, children = self.graph._index
+        parents, children = self.masks
         adjacent = self.graph._skeleton
         reach = {}
 
         def separated(i, j, s):
             if (i, s) in reach:
-                return j not in reach[(i, s)]
+                return not reach[(i, s)] >> j & 1
             if (j, s) not in reach:
                 # d_separated without its checks: the plan's nodes are in-range ints.
-                reach[(j, s)] = d_connected(parents, children, j, frozenset(s))
-            return i not in reach[(j, s)]
+                reach[(j, s)] = d_connected(parents, children, j, _mask(s))
+            return not reach[(j, s)] >> i & 1
 
         return [
             -1 if (i, j) in adjacent
             else next((k for k, s in enumerate(sets) if separated(i, j, s)), -1)
             for i, j, sets in plan
         ]
+
+
+def _level_plan(adj, d, level):
+    """The plan of one level over the neighbourhoods `adj`: per pair i < j
+    still adjacent, in order, the sorted `level`-subsets of adj[i] - {j},
+    then those of adj[j] - {i} that are not also subsets of adj[i], each in
+    itertools.combinations order. Each node's combinations are listed once;
+    a pair's rows filter them."""
+    combos = [list(itertools.combinations(sorted(adj[v]), level)) for v in range(d)]
+    return [
+        (i, j, [s for s in combos[i] if j not in s]
+         + [s for s in combos[j] if i not in s and not adj[i].issuperset(s)])
+        for i in range(d)
+        for j in sorted(adj[i])
+        if i < j
+    ]
 
 
 def _skeleton_phase(test, d, max_cond_size):
@@ -231,10 +252,11 @@ def _skeleton_phase(test, d, max_cond_size):
     Neighbourhoods are frozen for a level, so its candidate sets are known
     before any test runs. A pair's candidates are the sorted tuples that
     itertools.combinations yields from the sorted neighbour lists, first of
-    i then of j, each distinct set kept once in order of first appearance;
-    a triple names its pair, so no two pairs share one and no memo across
-    pairs is needed. test.decide() gets the level's whole plan in one call and
-    returns, per pair, the index of its separating set in its sets, or -1.
+    i then of j, each distinct set kept once in order of first appearance
+    (_level_plan); a triple names its pair, so no two pairs share one and no
+    memo across pairs is needed. test.decide() gets the level's whole plan
+    in one call and returns, per pair, the index of its separating set in
+    its sets, or -1.
     """
     adj = {v: set(range(d)) - {v} for v in range(d)}
     sepsets = {}
@@ -244,15 +266,7 @@ def _skeleton_phase(test, d, max_cond_size):
             break
         if all(len(adj[v]) - 1 < level for v in range(d)):
             break
-        plan = [
-            (i, j, list(dict.fromkeys(itertools.chain(
-                itertools.combinations(sorted(adj[i] - {j}), level),
-                itertools.combinations(sorted(adj[j] - {i}), level),
-            ))))
-            for i in range(d)
-            for j in sorted(adj[i])
-            if i < j
-        ]
+        plan = _level_plan(adj, d, level)
         for (i, j, sets), k in zip(plan, test.decide(plan, level)):
             if k >= 0:
                 sepsets[(i, j)] = frozenset(sets[k])

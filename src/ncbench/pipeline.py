@@ -9,8 +9,8 @@ RngSeed(seed).child(i). _nc_values draws and scores every negative control,
 with a scorer (metrics._scorer) that has done the truth's share of the work
 once: its v-structures and its SID term memo. A score is a plain
 {name: float, or None when MISSING} dict. single_truth_nc builds one scorer
-per evaluation, for the estimate and all b draws; _replicate and _control
-one each per replication."""
+per evaluation, for the estimate and all b draws; a study one per
+replication, built by _replicate and shared with _control."""
 
 from __future__ import annotations
 
@@ -174,25 +174,28 @@ def _paired(name, algo_vals, nc_vals):
 
 def _replicate(cfg, i):
     """Step 1 for replication i, on stream RngSeed(cfg.seed).child(i): truth,
-    SEM, data, the algorithm's estimate and its values. A CiTestError from the
-    algorithm leaves the estimate, m_est and every value MISSING (None)."""
+    SEM, data, the algorithm's estimate and its values. Returns the
+    Replication and the scorer prepared on its truth, for _control. A
+    CiTestError from the algorithm leaves the estimate, m_est and every value
+    MISSING (None)."""
     rng = RngSeed(cfg.seed).child(i)
     truth = sample_er_dag(cfg.d, cfg.m_true, rng)
+    score = _metrics._scorer(truth, cfg.metrics, cfg.sid_cap)
     data = simulate(draw_sem(truth, rng, cfg.weight_range, cfg.variance_range), cfg.n, rng)
     try:
         estimate = (cfg.algorithm or pc)(data, PcConfig(alpha=cfg.alpha))
     except CiTestError as exc:
-        return Replication(i, truth, None, None, None, dict.fromkeys(cfg.metrics), {}, exc)
-    algo_values = _metrics._scorer(truth, cfg.metrics, cfg.sid_cap)(estimate)
-    return Replication(i, truth, estimate, None, len(skeleton(estimate)), algo_values, {})
+        return Replication(i, truth, None, None, None, dict.fromkeys(cfg.metrics), {}, exc), score
+    m_est = len(skeleton(estimate))
+    return Replication(i, truth, estimate, None, m_est, score(estimate), {}), score
 
 
-def _control(cfg, rep, pool):
+def _control(cfg, rep, score, pool):
     """Step 2 for rep, on stream RngSeed(cfg.seed, 1).child(rep.index): an edge
-    count drawn from pool, the study's m_ests, then the NC and its values."""
+    count drawn from pool, the study's m_ests, then the NC and its values from
+    `score`, the scorer _replicate prepared on rep's truth."""
     rng = RngSeed(cfg.seed, 1).child(rep.index)
     m = int(rng.choice(pool))
-    score = _metrics._scorer(rep.truth, cfg.metrics, cfg.sid_cap)
     nc, nc_values = _nc_values(score, cfg.nc_kind, rep.truth.d, m, rng, cfg.metrics)
     return replace(rep, nc=nc, nc_values=nc_values)
 
@@ -202,16 +205,17 @@ def run_study(cfg):
 
     Step 1, _replicate(cfg, i) in index order: truth, data, estimate, values.
     Step 2, _control: one negative control per replication, its edge count
-    resampled (with replacement) from the estimates' edge counts, scored
-    against the same truth. Step 3: aggregate. A replication whose algorithm
-    raised CiTestError is MISSING and adds no edge count; the first error is
-    re-raised only when every replication failed. Deterministic given cfg.seed.
+    resampled (with replacement) from the estimates' edge counts, scored by
+    the scorer _replicate prepared on the same truth. Step 3: aggregate. A
+    replication whose algorithm raised CiTestError is MISSING and adds no
+    edge count; the first error is re-raised only when every replication
+    failed. Deterministic given cfg.seed.
     """
-    reps = [_replicate(cfg, i) for i in range(cfg.b)]
-    if all(rep.error is not None for rep in reps):
-        raise reps[0].error
-    pool = [rep.m_est for rep in reps if rep.error is None]
-    reps = [_control(cfg, rep, pool) for rep in reps]
+    steps = [_replicate(cfg, i) for i in range(cfg.b)]
+    if all(rep.error is not None for rep, _ in steps):
+        raise steps[0][0].error
+    pool = [rep.m_est for rep, _ in steps if rep.error is None]
+    reps = [_control(cfg, rep, score, pool) for rep, score in steps]
     summary = {}
     for name in cfg.metrics:
         algo_vals = [r.algo_values[name] for r in reps]

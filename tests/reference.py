@@ -77,6 +77,67 @@ def valid_adjustment(g, i, j, z):
     return d_separated(backdoor, i, j, z)
 
 
+def d_connected_sets(parents, children, source, z, stop=None):
+    """Nodes with an active path from `source` given z (source included), by a
+    depth-first Bayes-ball search over (node, arrival-direction) states held
+    in sets; graphs.d_connected does the same over bitmasks.
+
+    `parents` and `children` are per-node index sequences of a DAG and z a
+    set of nodes that must not contain `source`. The search ends early, with
+    a partial set, once it reaches `stop`.
+    """
+    # Nodes with a descendant (or themselves) in z: colliders open iff in this set.
+    anc_of_z = set(z)
+    stack = list(z)
+    while stack:
+        for p in parents[stack.pop()]:
+            if p not in anc_of_z:
+                anc_of_z.add(p)
+                stack.append(p)
+
+    # up: entered via an edge out of the node (from a child);
+    # down: entered via an edge into the node (from a parent).
+    up = {source}
+    down = set()
+    stack = [(source, True)]
+    while stack:
+        v, from_child = stack.pop()
+        if from_child:
+            if v in z:
+                continue
+            to_parents, to_children = parents[v], children[v]
+        else:
+            to_parents = parents[v] if v in anc_of_z else ()
+            to_children = () if v in z else children[v]
+        for p in to_parents:
+            if p not in up:
+                up.add(p)
+                stack.append((p, True))
+        for c in to_children:
+            if c not in down:
+                down.add(c)
+                stack.append((c, False))
+        if stop in up or stop in down:
+            break
+    return up | down
+
+
+def level_plan_by_pair(adj, d, level):
+    """The stable skeleton phase's plan of one level, built pair by pair: per
+    pair i < j still adjacent in `adj`, the combinations of adj[i] - {j} and
+    then of adj[j] - {i}, each distinct set kept once in order of first
+    appearance."""
+    return [
+        (i, j, list(dict.fromkeys(itertools.chain(
+            itertools.combinations(sorted(adj[i] - {j}), level),
+            itertools.combinations(sorted(adj[j] - {i}), level),
+        ))))
+        for i in range(d)
+        for j in sorted(adj[i])
+        if i < j
+    ]
+
+
 def fisher_z_test(data, i, j, z):
     """Two-sided p-value for zero partial correlation of columns i, j given z.
 

@@ -13,9 +13,12 @@ from ncbench.graphs import (
     ExtensionCapExceeded,
     GraphError,
     VStructure,
+    _bitmasks,
     _colliders,
     _compelled,
+    _mask,
     _meek_close,
+    d_connected,
     d_separated,
     dag_to_cpdag,
     enumerate_extensions,
@@ -28,7 +31,7 @@ from ncbench.pc import CiTestError, pc
 from ncbench.random_graphs import RngSeed, sample_er_cpdag, sample_er_dag
 
 from conftest import simulate_seeded
-from reference import all_dags, all_extensions
+from reference import all_dags, all_extensions, d_connected_sets
 
 
 class TestIsAcyclic:
@@ -410,6 +413,32 @@ class TestDSeparation:
                         assert d_separated(g, i, j, z) == d_separated_oracle(
                             g, i, j, z
                         ), (g.edges, i, j, z)
+
+    def test_mask_reach_matches_set_reference(self):
+        # Seeded ER DAGs, d = 1..30: the bitmask search's reach is the set
+        # search's, and with a stop node both agree on whether it is reached,
+        # the mask holding no node outside the full reach.
+        triples = stopped = 0
+        for d in range(1, 31):
+            for rep in range(12):
+                gen = RngSeed(41, 100 * d + rep).generator()
+                g = sample_er_dag(d, int(gen.integers(0, min(2 * d, d * (d - 1) // 2) + 1)), gen)
+                parents, children = _bitmasks(g._index)
+                for _ in range(10):
+                    source = int(gen.integers(d))
+                    z = {v for v in range(d) if v != source and gen.random() < gen.random()}
+                    full = d_connected_sets(*g._index, source, z)
+                    mask = d_connected(parents, children, source, _mask(z))
+                    assert mask == _mask(full), (g.edges, source, z)
+                    triples += 1
+                    if d > 1 and gen.random() < 0.3:
+                        stop = int(gen.choice([v for v in range(d) if v != source]))
+                        mask = d_connected(parents, children, source, _mask(z), stop)
+                        partial = d_connected_sets(*g._index, source, z, stop)
+                        assert bool(mask >> stop & 1) == (stop in partial) == (stop in full)
+                        assert mask & ~_mask(full) == 0 and mask >> source & 1
+                        stopped += 1
+        assert triples >= 3000 and stopped >= 500
 
     def test_matches_path_oracle_d5_sample(self):
         from ncbench.random_graphs import RngSeed, sample_er_dag

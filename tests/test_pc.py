@@ -13,7 +13,7 @@ from ncbench.pc import CiTestError, FisherZTest, PcConfig, pc
 from ncbench.random_graphs import RngSeed, sample_er_dag
 
 from conftest import simulate_seeded
-from reference import all_dags, fisher_z_test, per_call_decide
+from reference import all_dags, fisher_z_test, level_plan_by_pair, per_call_decide
 
 pc_module = importlib.import_module("ncbench.pc")
 
@@ -385,12 +385,12 @@ class DSeparationOracle:
 
 def _record_searches(monkeypatch):
     """Record the (source, z, stop) of every d_connected search pc starts, in
-    call order."""
+    call order, with the conditioning mask z read back as a frozenset."""
     searches = []
     original = pc_module.d_connected
 
     def d_connected(parents, children, source, z, stop=None):
-        searches.append((source, z, stop))
+        searches.append((source, frozenset(v for v in range(z.bit_length()) if z >> v & 1), stop))
         return original(parents, children, source, z, stop)
 
     monkeypatch.setattr(pc_module, "d_connected", d_connected)
@@ -484,6 +484,26 @@ class TestMatchesReferencePc:
             assert got == reference.calls
             assert est == dag_to_cpdag(g)
             levels.clear()
+
+    def test_level_plan_matches_pair_by_pair_plan(self):
+        # Seeded adjacency states, from empty to complete, at levels 0-4: the
+        # plan from per-node combinations equals, row for row, the plan
+        # built pair by pair with a dict.fromkeys per pair.
+        gen = RngSeed(28).generator()
+        rows = 0
+        for trial in range(400):
+            d = 2 + trial % 13
+            adj = {v: set() for v in range(d)}
+            density = gen.random()
+            for i, j in itertools.combinations(range(d), 2):
+                if gen.random() < density:
+                    adj[i].add(j)
+                    adj[j].add(i)
+            for level in range(5):
+                plan = pc_module._level_plan(adj, d, level)
+                assert plan == level_plan_by_pair(adj, d, level)
+                rows += sum(map(len, (sets for _, _, sets in plan)))
+        assert rows > 100_000
 
     def test_v_structure_votes_on_random_inputs(self):
         # Random skeletons, each non-adjacent pair given a random separating

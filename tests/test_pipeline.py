@@ -127,6 +127,27 @@ class TestRunStudy:
         for rep in result.replications:
             assert len(skeleton(rep.nc)) in observed
 
+    def test_each_truth_is_prepared_once(self, monkeypatch):
+        # One scorer per replication scores both its estimate and its
+        # negative control, so each truth's v-structures are found once.
+        scorers, found = [], []
+        scorer, v_structures = ncbench.metrics._scorer, ncbench.metrics.v_structures
+
+        def scorer_spy(truth, names, sid_cap):
+            scorers.append(truth)
+            return scorer(truth, names, sid_cap)
+
+        def v_structures_spy(g):
+            found.append(g)
+            return v_structures(g)
+
+        monkeypatch.setattr(ncbench.metrics, "_scorer", scorer_spy)
+        monkeypatch.setattr(ncbench.metrics, "v_structures", v_structures_spy)
+        result = run_study(PipelineConfig(b=5, d=10, m_true=30, n=400, seed=0))
+        truths = [rep.truth for rep in result.replications]
+        assert scorers == found == truths
+        assert all(rep.nc is not None and rep.error is None for rep in result.replications)
+
     def test_determinism(self):
         cfg = PipelineConfig(b=8, d=5, m_true=5, n=60, seed=11)
         a = run_study(cfg)
@@ -287,7 +308,7 @@ class TestIndependence:
         cfg = PipelineConfig(b=b, d=6, m_true=7, n=80, seed=21)
         reps = run_study(cfg).replications
         for i in range(5):
-            assert _step1(_replicate(cfg, i)) == _step1(reps[i])
+            assert _step1(_replicate(cfg, i)[0]) == _step1(reps[i])
 
     def test_single_truth_draws_independent_of_b(
         self, five_node_truth, five_node_estimate, monkeypatch
