@@ -142,7 +142,10 @@ def cmd_compare(args):
 
 def _pipeline_config_from_file(path):
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on binary files
+            raise ParseError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: config must be a JSON object")
     fields = [f for f in dataclasses.fields(PipelineConfig) if f.name != "algorithm"]

@@ -121,6 +121,13 @@ def _as_real(v, what):
     return number
 
 
+def max_edges(d):
+    d = _as_int(d, "d", ValueError)
+    if d < 0:
+        raise ValueError(f"node count d={d} must be non-negative")
+    return d * (d - 1) // 2
+
+
 def _checked_d(d):
     """d by the integer rule, and at least 1."""
     d = _as_int(d, "d")
@@ -499,13 +506,14 @@ def _compelled(d, parents, order, skel, labels):
 
 def enumerate_extensions(p, cap=SID_CAP):
     """_extensions' DAGs as a list of Dags, in its order and with its cap and errors."""
-    edge_lists = ([(i, j) for j, pa in enumerate(ps) for i in pa] for ps in _extensions(p, cap))
+    pairs = [(i, j) for j in range(p.d) for i in range(p.d)]
+    edge_lists = ([(i, j) for i, j in pairs if ps[j] >> i & 1] for ps in _extensions(p, cap))
     return [Dag(p.d, edges, p.labels) for edges in edge_lists]
 
 
 def _extensions(p, cap):
     """Yield the DAGs extending Cpdag p (same skeleton, all directed edges kept, acyclic, and
-    no v-structure absent from p) as the search's own per-node parent sets, changed on resume.
+    no v-structure absent from p) as the search's own per-node parent bitmasks, changed on resume.
 
     a -> b is allowed while every parent of b is adjacent to a (no new
     v-structure) and b is not an ancestor of a (no cycle); more edges undo
@@ -524,35 +532,37 @@ def _extensions(p, cap):
         raise ValueError(f"cap must be at least 1, got {cap}")
     if not _acyclic(p.directed, p.d):
         raise GraphError("graph admits no consistent DAG extension")
-    skel = skeleton(p)
-    pa, nb = [set() for _ in range(p.d)], [set() for _ in range(p.d)]
+    pa, adj, nb = [0] * p.d, [0] * p.d, [[] for _ in range(p.d)]
     for i, j in p.directed:
-        pa[j].add(i)
+        pa[j] |= 1 << i
+    for i, j in skeleton(p):
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
     for i, j in p.undirected:
-        nb[i].add(j)
-        nb[j].add(i)
+        nb[i].append(j)
+        nb[j].append(i)
 
     def allowed(a, b):  # no new v-structure at b, and b is not an ancestor of a
-        if any((a, c) not in skel and (c, a) not in skel for c in pa[b]):
+        if pa[b] & ~adj[a]:
             return False
-        ancestors, stack = set(), [a]
-        while stack:
-            new = pa[stack.pop()] - ancestors
-            ancestors |= new
-            stack += new
-        return b not in ancestors
+        todo, seen = pa[a], 0  # a's ancestors still to walk, and those walked
+        while todo and not todo >> b & 1:
+            v = todo.bit_length() - 1
+            seen |= 1 << v
+            todo = (todo | pa[v]) & ~seen
+        return not todo
 
     def unset(a, b):
-        return a not in pa[b] and b not in pa[a]
+        return not (pa[b] >> a & 1 or pa[a] >> b & 1)
 
     def orient(forced):  # add the forced orientations and what they force
         while forced:
             a, b = forced.pop()
-            if a in pa[b]:
+            if pa[b] >> a & 1:
                 continue
             if not allowed(a, b):
                 return False
-            pa[b].add(a)
+            pa[b] |= 1 << a
             trail.append((a, b))
             for u in (a, b):  # an open pair at u with one allowed side takes it
                 for c in nb[u]:
@@ -566,7 +576,7 @@ def _extensions(p, cap):
 
     def undo(n):
         for a, b in trail[n:]:
-            pa[b].remove(a)
+            pa[b] ^= 1 << a
         del trail[n:]
 
     def faults(e):

@@ -12,8 +12,8 @@ from .graphs import (
     GraphError,
     _bitmasks,
     _extensions,
-    _mask,
     d_connected,
+    max_edges,
     skeleton,
     v_structures,
 )
@@ -98,7 +98,7 @@ def _compare_pairs(truth, est):
     tp = len(common)
     fp = len(skel_e) - tp
     fn = len(skel_t) - tp
-    m_max = truth.d * (truth.d - 1) // 2
+    m_max = max_edges(truth.d)
     adjacency = ConfusionCounts(tp, fp, fn, m_max - tp - fp - fn)
     o_tp = o_fp = o_fn = o_tn = 0
     mismatched = 0
@@ -160,35 +160,36 @@ def _recovered(vs_t, est):
 
 def _sid_terms(truth):
     """Per-node SID term of `truth`: term(i, pa) counts the targets j != i
-    whose effect from i is misjudged by adjusting for the estimated parents pa.
+    whose effect from i is misjudged by adjusting for the parent bitmask pa.
 
     Targets in pa are claimed to have no effect, which is wrong iff j is a
     descendant of i. Every other target counts unless pa is a valid
     adjustment set for it (no descendant of i, and it blocks every back-door
     path): if pa holds a descendant of i, every such target counts; otherwise
     one Bayes-ball pass from i, in the truth without i's outgoing edges and
-    given pa, counts the targets it reaches. Terms are memoized by (i, pa).
+    given pa, counts the targets it reaches. Clearing children[i] is that
+    whole edit: a ball coming back to i from a child, along the truth's own
+    parent masks, finds i's up state set at the start and adds no state.
+    Terms are memoized by (i, pa).
     """
     parents, children = _bitmasks(truth._index)
-    child_lists = truth._index[1]
-    desc = [truth.descendants(v) for v in range(truth.d)]
+    desc = [0] * truth.d  # bit v of desc[i] iff v is a proper descendant of i
+    for v in reversed(truth._order):
+        for c in truth._index[1][v]:
+            desc[v] |= desc[c] | 1 << c
     memo = {}
 
     def term(i, pa):
         key = (i, pa)
         if key not in memo:
-            wrong_null = len(pa & desc[i])
+            wrong_null = (pa & desc[i]).bit_count()
             if wrong_null:
-                memo[key] = wrong_null + truth.d - 1 - len(pa)
+                memo[key] = wrong_null + truth.d - 1 - pa.bit_count()
             else:
-                back_parents = list(parents)
-                for c in child_lists[i]:
-                    back_parents[c] ^= 1 << i
                 back_children = list(children)
                 back_children[i] = 0
-                z = _mask(pa)
-                reached = d_connected(back_parents, back_children, i, z)
-                memo[key] = (reached & ~z).bit_count() - 1  # i itself is in reached
+                reached = d_connected(parents, back_children, i, pa)
+                memo[key] = (reached & ~pa).bit_count() - 1  # i itself is in reached
         return memo[key]
 
     return term
@@ -211,13 +212,13 @@ def _sid_bounds(term, est, cap):
     """sid's bounds from the truth's term memo. A node with no undirected
     pair keeps its directed parents in every extension, so its terms are
     summed once; each extension rescores only the undirected pairs' ends."""
-    parents = [[] for _ in range(est.d)]
+    parents = [0] * est.d
     for i, j in est.directed:
-        parents[j].append(i)
+        parents[j] |= 1 << i
     free = {v for pair in est.undirected for v in pair}
-    fixed = sum(term(i, frozenset(pa)) for i, pa in enumerate(parents) if i not in free)
+    fixed = sum(term(i, pa) for i, pa in enumerate(parents) if i not in free)
     extensions = [parents] if isinstance(est, Dag) else _extensions(est, cap)
-    values = [fixed + sum(term(i, frozenset(pas[i])) for i in free) for pas in extensions]
+    values = [fixed + sum(term(i, pas[i]) for i in free) for pas in extensions]
     return SidBounds(min(values), max(values), isinstance(est, Dag))
 
 

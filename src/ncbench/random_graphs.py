@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import _as_int, _built, _checked_d, _compelled
+from .graphs import _as_int, _built, _checked_d, _compelled, max_edges
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,6 @@ class RngSeed:
         return np.random.default_rng(
             np.random.SeedSequence([self.seed, self.stream, _as_int(index, "index", ValueError)])
         )
-
-
-def max_edges(d):
-    d = _as_int(d, "d", ValueError)
-    if d < 0:
-        raise ValueError(f"node count d={d} must be non-negative")
-    return d * (d - 1) // 2
 
 
 @functools.cache

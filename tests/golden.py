@@ -14,13 +14,17 @@ The outputs, each made through the `ncbench` command line:
     probe, where PC fails on most replications, and a study with DAG
     negative controls (b = 50, d = 10, m_true = 15, seed 1).
 
-test_golden.py compares every output with its file byte for byte. A change
-that moves an output re-records it, by hand, from the root of a checkout:
+Each compare case also records its stdout table, as <name>.txt beside its
+--json file. test_golden.py compares every output with its file byte for
+byte. A change that moves an output re-records it, by hand, from the root
+of a checkout:
 
     PYTHONPATH=src python tests/golden.py
 """
 
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -63,11 +67,14 @@ STUDIES = {
 
 
 def compare_output(name, tmp):
-    """The bytes of compare case `name`'s --json file."""
+    """(--json file bytes, stdout bytes) of compare case `name`."""
     out = Path(tmp) / f"{name}.json"
-    if main(["compare", *COMPARES[name], "--json", str(out)]) != 0:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["compare", *COMPARES[name], "--json", str(out)])
+    if code != 0:
         raise RuntimeError(f"compare case {name} failed")
-    return out.read_bytes()
+    return out.read_bytes(), stdout.getvalue().encode()
 
 
 def study_outputs(name, tmp):
@@ -93,6 +100,10 @@ def compare_path(name):
     return GOLDEN / "compare" / f"{name}.json"
 
 
+def stdout_path(name):
+    return GOLDEN / "compare" / f"{name}.txt"
+
+
 def summary_path(name):
     return GOLDEN / "studies" / f"{name}.summary.json"
 
@@ -104,7 +115,9 @@ def digest_path(name):
 def record(tmp):
     for name in COMPARES:
         compare_path(name).parent.mkdir(parents=True, exist_ok=True)
-        compare_path(name).write_bytes(compare_output(name, tmp))
+        recorded, stdout = compare_output(name, tmp)
+        compare_path(name).write_bytes(recorded)
+        stdout_path(name).write_bytes(stdout)
     for name in STUDIES:
         summary, digest = study_outputs(name, tmp)
         summary_path(name).parent.mkdir(parents=True, exist_ok=True)

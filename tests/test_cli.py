@@ -405,6 +405,18 @@ def test_os_errors_exit_2_with_one_error_line(tmp_path):
         assert line.startswith("error: ") and str(tmp_path) in line, line
 
 
+def test_config_that_is_not_json_names_the_file(tmp_path, capsys):
+    files = {"study.yaml": b"b: 4\n", "empty.json": b"", "binary.json": b"\xff\xfe"}
+    for name, content in files.items():
+        path = tmp_path / name
+        path.write_bytes(content)
+        rc = main(["pipeline", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+        [line] = capsys.readouterr().err.splitlines()
+        assert rc == EXIT_INPUT
+        assert line.startswith(f"error: {path}: not valid JSON: "), line
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_schema_lists_every_metric_name():
     schema = load_schema("pipeline-config.schema.json")
     assert set(schema["properties"]["metrics"]["items"]["enum"]) == METRIC_NAMES

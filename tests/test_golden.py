@@ -38,9 +38,10 @@ def assert_same_json(recorded, output, name):
 
 
 @pytest.mark.parametrize("name", sorted(golden.COMPARES))
-def test_compare_output_is_recorded(name, tmp_path, capsys):
-    output = golden.compare_output(name, tmp_path)
+def test_compare_output_is_recorded(name, tmp_path):
+    output, stdout = golden.compare_output(name, tmp_path)
     assert_same_json(golden.compare_path(name).read_bytes(), output, name)
+    assert stdout == golden.stdout_path(name).read_bytes(), f"{name}: stdout differs"
 
 
 @pytest.mark.parametrize("name", sorted(golden.STUDIES))

@@ -417,7 +417,9 @@ class TestDSeparation:
     def test_mask_reach_matches_set_reference(self):
         # Seeded ER DAGs, d = 1..30: the bitmask search's reach is the set
         # search's, and with a stop node both agree on whether it is reached,
-        # the mask holding no node outside the full reach.
+        # the mask holding no node outside the full reach. Clearing only
+        # children[source], as SID does, reaches what the set search reaches
+        # in the DAG without the source's outgoing edges.
         triples = stopped = 0
         for d in range(1, 31):
             for rep in range(12):
@@ -430,6 +432,11 @@ class TestDSeparation:
                     full = d_connected_sets(*g._index, source, z)
                     mask = d_connected(parents, children, source, _mask(z))
                     assert mask == _mask(full), (g.edges, source, z)
+                    back_children = list(children)
+                    back_children[source] = 0
+                    cut = Dag(d, {(i, j) for i, j in g.edges if i != source})
+                    mask = d_connected(parents, back_children, source, _mask(z))
+                    assert mask == _mask(d_connected_sets(*cut._index, source, z)), (g.edges, z)
                     triples += 1
                     if d > 1 and gen.random() < 0.3:
                         stop = int(gen.choice([v for v in range(d) if v != source]))
