@@ -4,10 +4,13 @@ Nodes are positional indices 0..d-1 internally; labels are only attached
 for I/O. All functions here are pure and operate on immutable graphs.
 Graphs are checked at the door and trusted inside: the public constructors
 check every graph in one pass and keep what the checks compute, its
-skeleton and, for a Dag, its per-node parent and child index and its
+skeleton and, for a Dag, its per-node parent and child bitmasks and its
 topological order. Only the random samplers and dag_to_cpdag, which build
 graphs from parts they already hold valid, skip the checks, through _built,
 which keeps the same fields. Queries read these and never rebuild them.
+An int bitmask is the one per-node form: bit u of a node's mask is set iff
+u is one of its parents (children, neighbours). _index builds every mask
+list from edge pairs, and _nodes lists a mask's nodes in ascending order.
 Both graph kinds expose the same edge view: `directed` (for a Dag, the same
 frozenset as `edges`), `undirected` (empty for a Dag) and `kind` ("dag" or
 "cpdag"), so code that only reads edges never asks which kind it holds.
@@ -59,17 +62,36 @@ def _check_nodes(d, nodes):
             raise GraphError(f"node index {v} out of range for d={d}")
 
 
-def _kahn(children):
-    """Kahn's topological sort over per-node child lists: ready nodes start in
-    ascending order and each node releases its children in ascending order.
-    The order is shorter than len(children) iff the graph has a cycle."""
-    indeg = [0] * len(children)
-    for cs in children:
-        for c in cs:
-            indeg[c] += 1
+def _index(edges, d):
+    """The per-node bitmasks of directed `edges` over nodes 0..d-1, as the
+    lists (parents, children): bit i of parents[j], and bit j of children[i],
+    is set iff i -> j is an edge. Every per-node mask list is built here."""
+    parents, children = [0] * d, [0] * d
+    for i, j in edges:
+        parents[j] |= 1 << i
+        children[i] |= 1 << j
+    return parents, children
+
+
+def _nodes(mask):
+    """The nodes of a bitmask, in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _kahn(parents, children):
+    """Kahn's topological sort over per-node parent and child masks: ready
+    nodes start in ascending order and each node releases its children in
+    ascending order. The order is shorter than len(parents) iff the graph
+    has a cycle."""
+    indeg = [pa.bit_count() for pa in parents]
     order = [v for v, n in enumerate(indeg) if n == 0]
     for v in order:  # order is also the FIFO queue: appended nodes come in turn
-        for c in sorted(children[v]):
+        for c in _nodes(children[v]):
             indeg[c] -= 1
             if indeg[c] == 0:
                 order.append(c)
@@ -86,10 +108,7 @@ def is_acyclic(edges, d):
 
 def _acyclic(edges, d):
     """is_acyclic for pairs of ints already known to lie in 0..d-1."""
-    children = [[] for _ in range(d)]
-    for i, j in edges:
-        children[i].append(j)
-    return len(_kahn(children)) == d
+    return len(_kahn(*_index(edges, d))) == d
 
 
 def _as_int(v, what, error=GraphError):
@@ -181,15 +200,12 @@ def _checked_edges(g, directed, undirected=frozenset()):
 
 
 def _set_index(g):
-    """Set Dag g's per-node parent and child index, each ascending, and its
-    Kahn order, all read from g.edges; the order is short iff g has a cycle."""
-    parents = [[] for _ in range(g.d)]
-    children = [[] for _ in range(g.d)]
-    for i, j in sorted(g.edges):
-        parents[j].append(i)
-        children[i].append(j)
-    object.__setattr__(g, "_index", (tuple(map(tuple, parents)), tuple(map(tuple, children))))
-    object.__setattr__(g, "_order", tuple(_kahn(children)))
+    """Set Dag g's per-node parent and child masks, as tuples so that a frozen
+    graph hands out no list to change, and its Kahn order, all read from
+    g.edges; the order is short iff g has a cycle."""
+    parents, children = _index(g.edges, g.d)
+    object.__setattr__(g, "_index", (tuple(parents), tuple(children)))
+    object.__setattr__(g, "_order", tuple(_kahn(parents, children)))
 
 
 def _built(d, directed, skel, undirected=None, labels=None):
@@ -245,24 +261,29 @@ class Dag:
     def m(self):
         return len(self.edges)
 
+    def _checked_node(self, v):
+        """v by the integer rule, checked to be one of the graph's nodes."""
+        v = _as_int(v, "node")
+        _check_nodes(self.d, (v,))
+        return v
+
     def parents(self, v):
-        return frozenset(self._index[0][v])
+        return frozenset(_nodes(self._index[0][self._checked_node(v)]))
 
     def children(self, v):
-        return frozenset(self._index[1][v])
+        return frozenset(_nodes(self._index[1][self._checked_node(v)]))
 
     def descendants(self, v):
         """All nodes reachable from v by a directed path (excluding v)."""
         children = self._index[1]
-        out = set()
-        stack = [v]
-        while stack:
-            for c in children[stack.pop()]:
-                if c not in out:
-                    out.add(c)
-                    stack.append(c)
-        out.discard(v)
-        return frozenset(out)
+        out = todo = children[self._checked_node(v)]
+        while todo:
+            u = todo.bit_length() - 1
+            todo ^= 1 << u
+            new = children[u] & ~out
+            out |= new
+            todo |= new
+        return frozenset(_nodes(out))
 
     def topological_order(self):
         return list(self._order)
@@ -336,8 +357,7 @@ def d_separated(g, i, j, z):
         raise GraphError("i and j must differ")
     if i in z or j in z:
         raise GraphError("endpoints may not be in the conditioning set")
-    parents, children = _bitmasks(g._index)
-    return not d_connected(parents, children, i, _mask(z), stop=j) >> j & 1
+    return not d_connected(*g._index, i, _mask(z), stop=j) >> j & 1
 
 
 def _mask(nodes):
@@ -348,18 +368,12 @@ def _mask(nodes):
     return out
 
 
-def _bitmasks(index):
-    """A Dag's `_index` as per-node bitmasks, the lists (parents, children):
-    bit u of parents[v] (of children[u]) is set iff u -> v."""
-    return tuple(list(map(_mask, side)) for side in index)
-
-
 def d_connected(parents, children, source, z, stop=None):
     """The reach of `source` given z, as a bitmask of the nodes the ball
     visits: the source, and each node outside z iff an active path given z
     joins it to the source (nodes of z it touches are set too).
 
-    `parents` and `children` are per-node bitmasks of a DAG (see _bitmasks),
+    `parents` and `children` are per-node bitmasks of a DAG (see _index),
     and z is the bitmask of the conditioning set, which must exclude
     `source`. Bayes-ball (Shachter 1998) over (node, arrival direction)
     states, one level of new states at a time: a node outside z passes the
@@ -404,53 +418,36 @@ def _meek_close(d, skel, directed):
     `skel` is a set of canonical (i < j) pairs and `directed` a set of (i, j)
     orientations; pairs in skel with neither orientation present are
     undirected. Returns the closed set. Each half-edge x - y is tested against
-    R1 to R4 in turn, reading per-node parent, child and adjacency sets that
+    R1 to R4 in turn, reading per-node parent, child and adjacency masks that
     grow as orientations are added.
     """
     directed = set(directed)
-    adj = [set() for _ in range(d)]
-    for a, b in skel:
-        adj[a].add(b)
-        adj[b].add(a)
-    pa = [set() for _ in range(d)]
-    ch = [set() for _ in range(d)]
-    for i, j in directed:
-        ch[i].add(j)
-        pa[j].add(i)
-
-    def und(i, j):
-        return j in adj[i] and j not in ch[i] and j not in pa[i]
-
-    half_edges = [(a, b) for (a, b) in skel] + [(b, a) for (a, b) in skel]
+    pa, ch = _index(directed, d)
+    adj = [p | c for p, c in zip(*_index(skel, d))]
+    half_edges = [*skel, *((b, a) for a, b in skel)]
     changed = True
     while changed:
         changed = False
         for x, y in half_edges:
-            if not und(x, y):
+            open_x = adj[x] & ~pa[x] & ~ch[x]  # x's undirected neighbours
+            if not open_x >> y & 1:
                 continue
-            adj_y, pa_y = adj[y], pa[y]
+            pa_y, far_y = pa[y], ~adj[y] & ~(1 << y)  # far_y: neither y nor adjacent to it
             # R1: z -> x - y with z, y non-adjacent  =>  x -> y
             # (y -> x would create a new v-structure at x)
-            orient = any(z != y and z not in adj_y for z in pa[x])
             # R2: x -> z -> y with x - y  =>  x -> y  (y -> x would be a cycle)
-            if not orient:
-                orient = not ch[x].isdisjoint(pa_y)
+            orient = pa[x] & far_y or ch[x] & pa_y
             # R3: x - z1 -> y, x - z2 -> y, z1, z2 non-adjacent  =>  x -> y
             if not orient:
-                pointing = [z for z in pa_y if und(x, z)]
-                orient = any(
-                    z2 not in adj[z1] for z1, z2 in itertools.combinations(pointing, 2)
-                )
+                pointing = open_x & pa_y
+                orient = any(pointing & ~adj[z] & ~(1 << z) for z in _nodes(pointing))
             # R4: x ~ z1, z1 -> z2 -> y with z1, y non-adjacent  =>  x -> y
             if not orient:
-                orient = any(
-                    z1 != y and z1 not in adj_y and not ch[z1].isdisjoint(pa_y)
-                    for z1 in adj[x]
-                )
+                orient = any(ch[z] & pa_y for z in _nodes(adj[x] & far_y))
             if orient:
                 directed.add((x, y))
-                ch[x].add(y)
-                pa_y.add(x)
+                ch[x] |= 1 << y
+                pa[y] |= 1 << x
                 changed = True
     return directed
 
@@ -460,54 +457,47 @@ def dag_to_cpdag(g):
     class: its compelled edges stay directed, its reversible ones undirected."""
     if not isinstance(g, Dag):
         raise GraphError("dag_to_cpdag completes a Dag")
-    return _compelled(g.d, g._index[0], g._order, g._skeleton, g.labels)
+    return _compelled(g.d, g.edges, g._order, g._skeleton, g.labels)
 
 
-def _compelled(d, parents, order, skel, labels):
-    """The CPDAG of the DAG over nodes 0..d-1 with per-node `parents`,
+def _compelled(d, edges, order, skel, labels):
+    """The CPDAG of the DAG over nodes 0..d-1 with directed `edges`,
     topological `order` and skeleton `skel`, built with no door check.
 
-    Chickering's (1995) Find-Compelled, one pass over `order`. For each node
-    y with parents, let x be the parent latest in that order; every edge
-    into x is labelled by then. A compelled w -> x with w not a parent of y
-    compels every edge into y. Otherwise each such w -> y is compelled, and
-    the rest of y's edges are compelled iff some parent of y other than x is
-    not a parent of x, else reversible. The labels depend only on the
+    Chickering's (1995) Find-Compelled, one pass over `order`, on parent
+    masks over positions in `order`: bit k of a node's mask is set iff
+    order[k] is one of its parents, so its highest bit is the parent latest
+    in the order. For each node y with parents, let x be that parent; every
+    edge into x is labelled by then. A compelled w -> x with w not a parent
+    of y compels every edge into y. Otherwise each such w -> y is compelled,
+    and the rest of y's edges are compelled iff some parent of y other than
+    x is not a parent of x, else reversible. The labels depend only on the
     equivalence class, so any topological order gives the same CPDAG.
     """
     position = [0] * d
     for k, v in enumerate(order):
         position[v] = k
-    compelled = [()] * d  # per node, its parents along compelled edges
+    parents = _index([(position[i], position[j]) for i, j in edges], d)[0]
+    compelled = [0] * d  # per position, the mask of its parents along compelled edges
+    for y, pa_y in enumerate(parents):
+        if pa_y:
+            x = pa_y.bit_length() - 1
+            c_x = compelled[x]
+            compelled[y] = pa_y if c_x & ~pa_y or pa_y & ~parents[x] & ~(1 << x) else c_x
     directed, undirected = [], []
-    for y in order:
-        pa_y = parents[y]
-        if not pa_y:
-            continue
-        x = max(pa_y, key=position.__getitem__)
-        pa_x = parents[x]
-        compelled_y = []
-        for w in compelled[x]:
-            if w not in pa_y:
-                compelled_y = pa_y
-                break
-            compelled_y.append(w)
+    for i, j in edges:
+        if compelled[position[j]] >> position[i] & 1:
+            directed.append((i, j))
         else:
-            if any(z != x and z not in pa_x for z in pa_y):
-                compelled_y = pa_y
-        compelled[y] = compelled_y
-        for z in pa_y:
-            if z in compelled_y:
-                directed.append((z, y))
-            else:
-                undirected.append((z, y) if z < y else (y, z))
+            undirected.append((i, j) if i < j else (j, i))
     return _built(d, frozenset(directed), skel, frozenset(undirected), labels)
 
 
 def enumerate_extensions(p, cap=SID_CAP):
     """_extensions' DAGs as a list of Dags, in its order and with its cap and errors."""
-    pairs = [(i, j) for j in range(p.d) for i in range(p.d)]
-    edge_lists = ([(i, j) for i, j in pairs if ps[j] >> i & 1] for ps in _extensions(p, cap))
+    edge_lists = (
+        [(i, j) for j, pa in enumerate(ps) for i in _nodes(pa)] for ps in _extensions(p, cap)
+    )
     return [Dag(p.d, edges, p.labels) for edges in edge_lists]
 
 
@@ -532,15 +522,9 @@ def _extensions(p, cap):
         raise ValueError(f"cap must be at least 1, got {cap}")
     if not _acyclic(p.directed, p.d):
         raise GraphError("graph admits no consistent DAG extension")
-    pa, adj, nb = [0] * p.d, [0] * p.d, [[] for _ in range(p.d)]
-    for i, j in p.directed:
-        pa[j] |= 1 << i
-    for i, j in skeleton(p):
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    for i, j in p.undirected:
-        nb[i].append(j)
-        nb[j].append(i)
+    pa = _index(p.directed, p.d)[0]
+    adj = [a | b for a, b in zip(*_index(skeleton(p), p.d))]
+    nb = [a | b for a, b in zip(*_index(p.undirected, p.d))]
 
     def allowed(a, b):  # no new v-structure at b, and b is not an ancestor of a
         if pa[b] & ~adj[a]:
@@ -565,7 +549,7 @@ def _extensions(p, cap):
             pa[b] |= 1 << a
             trail.append((a, b))
             for u in (a, b):  # an open pair at u with one allowed side takes it
-                for c in nb[u]:
+                for c in _nodes(nb[u]):
                     if unset(u, c):
                         options = [e for e in ((u, c), (c, u)) if allowed(*e)]
                         if not options:

@@ -9,7 +9,8 @@ Two formats:
     corner cell) and the first column, in index order; entry (i, j)=1 with
     (j, i)=0 means i -> j, symmetric 1s mean undirected.
 Either way, parsing a written graph gives it back, node order and labels
-included. A node label is a non-empty string with no leading or trailing
+included. Files are UTF-8; the readers skip a leading byte-order mark, which
+spreadsheet CSV exports write. A node label is a non-empty string with no leading or trailing
 whitespace: the readers strip every cell, so the writer refuses any other.
 """
 
@@ -51,7 +52,7 @@ def _parse_edge_list(path):
             seen.add(lab)
             labels.append(lab)
 
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header] != ["from", "to", "type"]:
@@ -90,7 +91,7 @@ def _parse_edge_list(path):
 
 
 def _parse_adjacency_matrix(path):
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
     if not rows:
         raise ParseError(f"{path}: empty file")
@@ -158,7 +159,7 @@ def write_graph(g, path, fmt="edge-list"):
                 "strings with no leading or trailing whitespace"
             )
     if fmt == "edge-list":
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["from", "to", "type"])
             writer.writerows((lab, "", "node") for lab in g.labels)
@@ -173,7 +174,7 @@ def write_graph(g, path, fmt="edge-list"):
         for i, j in g.undirected:
             mat[i][j] = 1
             mat[j][i] = 1
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow([""] + list(g.labels))
             for i in range(d):

@@ -10,8 +10,9 @@ from .graphs import (
     Dag,
     ExtensionCapExceeded,
     GraphError,
-    _bitmasks,
     _extensions,
+    _index,
+    _nodes,
     d_connected,
     max_edges,
     skeleton,
@@ -172,10 +173,10 @@ def _sid_terms(truth):
     parent masks, finds i's up state set at the start and adds no state.
     Terms are memoized by (i, pa).
     """
-    parents, children = _bitmasks(truth._index)
+    parents, children = truth._index
     desc = [0] * truth.d  # bit v of desc[i] iff v is a proper descendant of i
     for v in reversed(truth._order):
-        for c in truth._index[1][v]:
+        for c in _nodes(children[v]):
             desc[v] |= desc[c] | 1 << c
     memo = {}
 
@@ -212,9 +213,7 @@ def _sid_bounds(term, est, cap):
     """sid's bounds from the truth's term memo. A node with no undirected
     pair keeps its directed parents in every extension, so its terms are
     summed once; each extension rescores only the undirected pairs' ends."""
-    parents = [0] * est.d
-    for i, j in est.directed:
-        parents[j] |= 1 << i
+    parents = _index(est.directed, est.d)[0]
     free = {v for pair in est.undirected for v in pair}
     fixed = sum(term(i, pa) for i, pa in enumerate(parents) if i not in free)
     extensions = [parents] if isinstance(est, Dag) else _extensions(est, cap)

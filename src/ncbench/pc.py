@@ -10,12 +10,12 @@ takes a level's plan, a list of (i, j, sets), and returns for each pair the
 index in `sets` of its first separating set, or -1 if it has none. The
 d-separation oracle on a known DAG answers a pair the DAG joins with -1 and
 the others from full reach bitmasks of the graph core's Bayes-ball search,
-one search per (node, set) and level, over masks built once per DAG. The
-Fisher-z test on Gaussian data decides a whole level in one numpy pass: one
-stacked inverse gives every candidate's partial correlation, and each is
-compared with the exact bounds of the correlations its p-value test accepts,
-so it gives the answers of `_fisher_z_p(r) >= alpha` without a p-value per
-triple.
+one search per (node, set) and level, over the DAG's own parent and child
+masks. The Fisher-z test on Gaussian data decides a whole level in one numpy
+pass: one stacked inverse gives every candidate's partial correlation, and
+each is compared with the exact bounds of the correlations its p-value test
+accepts, so it gives the answers of `_fisher_z_p(r) >= alpha` without a
+p-value per triple.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import (
-    Cpdag, Dag, _as_int, _as_real, _bitmasks, _colliders, _mask, _meek_close, d_connected
+    Cpdag, Dag, _as_int, _as_real, _colliders, _mask, _meek_close, d_connected
 )
 
 
@@ -199,17 +199,16 @@ class OracleTest:
     """d-separation on a known DAG. A pair the DAG joins is never separated:
     -1, with no search. Any other pair is separated by S iff one endpoint is
     outside the other's reach given S, read from a per-call memo of full
-    reach masks keyed by (node, S). The DAG's bitmasks are built once."""
+    reach masks keyed by (node, S). The searches read the DAG's own masks."""
 
     def __init__(self, graph):
         self.graph = graph
         self.d = graph.d
-        self.masks = _bitmasks(graph._index)
 
     def decide(self, plan, size):
         """As FisherZTest.decide: a pair's sets are tried in order up to its
         first separating set, and each (node, set) is searched at most once."""
-        parents, children = self.masks
+        parents, children = self.graph._index
         adjacent = self.graph._skeleton
         reach = {}
 

@@ -54,7 +54,7 @@ def _pairs(d):
 def _draw(d, m, rng):
     """The draw both samplers share: a uniform node order, then m of
     _pairs(d) without replacement, each oriented along the order. Returns
-    (d, order, per-node parents, skeleton); d and m pass their doors first."""
+    (d, order, oriented edges, skeleton); d and m pass their doors first."""
     mmax = max_edges(d)
     m = _as_int(m, "m", ValueError)
     if not (0 <= m <= mmax):
@@ -65,27 +65,20 @@ def _draw(d, m, rng):
     for pos, v in enumerate(order):
         rank[v] = pos
     pairs = _pairs(d)
-    parents = [[] for _ in range(d)]
-    skel = []
-    for idx in rng.choice(len(pairs), size=m, replace=False).tolist():
-        i, j = pairs[idx]
-        skel.append((i, j))
-        if rank[i] < rank[j]:
-            parents[j].append(i)
-        else:
-            parents[i].append(j)
-    return d, order, parents, frozenset(skel)
+    skel = [pairs[idx] for idx in rng.choice(len(pairs), size=m, replace=False).tolist()]
+    edges = [(i, j) if rank[i] < rank[j] else (j, i) for i, j in skel]
+    return d, order, edges, frozenset(skel)
 
 
 def sample_er_dag(d, m, rng):
     """DAG with exactly m edges, drawn from the numpy Generator rng: uniform
     skeleton, uniform-order orientation."""
-    d, _, parents, skel = _draw(d, m, rng)
-    return _built(d, frozenset((i, j) for j, pa in enumerate(parents) for i in pa), skel)
+    d, _, edges, skel = _draw(d, m, rng)
+    return _built(d, frozenset(edges), skel)
 
 
 def sample_er_cpdag(d, m, rng):
     """CPDAG of the Markov equivalence class of a sample_er_dag draw: the same
     draw, labelled along its own order with no intermediate Dag."""
-    d, order, parents, skel = _draw(d, m, rng)
-    return _compelled(d, parents, order, skel, None)
+    d, order, edges, skel = _draw(d, m, rng)
+    return _compelled(d, edges, order, skel, None)

@@ -13,11 +13,11 @@ from ncbench.graphs import (
     ExtensionCapExceeded,
     GraphError,
     VStructure,
-    _bitmasks,
     _colliders,
     _compelled,
     _mask,
     _meek_close,
+    _nodes,
     d_connected,
     d_separated,
     dag_to_cpdag,
@@ -368,6 +368,12 @@ def d_separated_oracle(g, i, j, z):
     return all(_blocked(g, path, z) for path in _paths(g, i, j))
 
 
+def node_lists(g):
+    """Dag g's parent and child masks decoded to ascending node lists, the
+    index d_connected_sets reads."""
+    return [list(map(_nodes, side)) for side in g._index]
+
+
 class TestDSeparation:
     def test_chain_blocked(self):
         g = Dag(3, frozenset({(0, 1), (1, 2)}))
@@ -403,6 +409,20 @@ class TestDSeparation:
         with pytest.raises(GraphError):
             d_separated(g, 0, 1, [one])
 
+    def test_dag_queries_follow_the_constructors_integer_rule(self):
+        # parents, children and descendants check their node as d_separated does.
+        g = Dag(3, frozenset({(0, 1), (1, 2)}))
+        for query in (g.parents, g.children, g.descendants):
+            for bad in (True, False, 1.0, 1.5, "1", None, np.True_):
+                with pytest.raises(GraphError, match="node must be an integer"):
+                    query(bad)
+            for bad in (-1, 3, np.int64(-1), np.int64(3)):
+                with pytest.raises(GraphError, match=f"node index {bad} out of range for d=3"):
+                    query(bad)
+        one = np.int64(1)
+        assert g.parents(one) == {0} and g.children(one) == {2} and g.descendants(one) == {2}
+        assert g.parents(np.uint8(0)) == frozenset() and g.descendants(0) == {1, 2}
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_matches_path_oracle_exhaustive(self, d):
         for g in all_dags(d):
@@ -425,23 +445,24 @@ class TestDSeparation:
             for rep in range(12):
                 gen = RngSeed(41, 100 * d + rep).generator()
                 g = sample_er_dag(d, int(gen.integers(0, min(2 * d, d * (d - 1) // 2) + 1)), gen)
-                parents, children = _bitmasks(g._index)
+                parents, children = g._index
                 for _ in range(10):
                     source = int(gen.integers(d))
                     z = {v for v in range(d) if v != source and gen.random() < gen.random()}
-                    full = d_connected_sets(*g._index, source, z)
+                    full = d_connected_sets(*node_lists(g), source, z)
                     mask = d_connected(parents, children, source, _mask(z))
                     assert mask == _mask(full), (g.edges, source, z)
                     back_children = list(children)
                     back_children[source] = 0
                     cut = Dag(d, {(i, j) for i, j in g.edges if i != source})
                     mask = d_connected(parents, back_children, source, _mask(z))
-                    assert mask == _mask(d_connected_sets(*cut._index, source, z)), (g.edges, z)
+                    expected = d_connected_sets(*node_lists(cut), source, z)
+                    assert mask == _mask(expected), (g.edges, z)
                     triples += 1
                     if d > 1 and gen.random() < 0.3:
                         stop = int(gen.choice([v for v in range(d) if v != source]))
                         mask = d_connected(parents, children, source, _mask(z), stop)
-                        partial = d_connected_sets(*g._index, source, z, stop)
+                        partial = d_connected_sets(*node_lists(g), source, z, stop)
                         assert bool(mask >> stop & 1) == (stop in partial) == (stop in full)
                         assert mask & ~_mask(full) == 0 and mask >> source & 1
                         stopped += 1
@@ -536,6 +557,12 @@ def _assert_same_as_checked(g):
     for name in kept:
         assert getattr(g, name) == getattr(checked, name), name
     assert all(type(v) is int for e in g._skeleton | g.directed for v in e)
+    if g.kind == "dag":
+        for index in (g._index, checked._index):  # masks a caller cannot change
+            assert type(index) is tuple and len(index) == 2
+            for side in index:
+                assert type(side) is tuple and len(side) == g.d
+                assert all(type(mask) is int for mask in side)
 
 
 def _unchecked_corpus():
@@ -581,7 +608,7 @@ class TestUncheckedBuilds:
             for order in itertools.permutations(range(d)):
                 position = {v: k for k, v in enumerate(order)}
                 if all(position[i] < position[j] for i, j in g.edges):
-                    assert _compelled(d, g._index[0], order, g._skeleton, None) == expected
+                    assert _compelled(d, g.edges, order, g._skeleton, None) == expected
 
 
 def meek_cpdag(g):

@@ -206,6 +206,15 @@ def test_written_labels_come_back_as_written(tmp_path, fmt):
     assert back == g and back.labels == labels
 
 
+@pytest.mark.parametrize("fmt", ["edge-list", "adjacency-matrix"])
+def test_a_byte_order_mark_is_skipped(tmp_path, fmt):
+    # Spreadsheet CSV exports start with a UTF-8 byte-order mark.
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_graph(parse_graph(f"{DATA_DIR}/sachs_pc_estimate.csv", kind="cpdag"), str(plain), fmt)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert parse_graph(str(marked), fmt, "cpdag") == parse_graph(str(plain), fmt, "cpdag")
+
+
 class TestParseGraphArguments:
     def test_bad_format(self):
         with pytest.raises(ParseError, match="^unknown format 'graphml'$"):
