@@ -132,7 +132,7 @@ def cmd_compare(args):
     print(f"{'metric':<24}{'observed':>10}{'nc_mean':>10}{'p':>8}")
     for name, row in out["metrics"].items():
         obs = "missing" if row["observed"] is None else f"{row['observed']:.4f}"
-        ncm = f"{row.get('nc_mean', float('nan')):.4f}" if row.get("nc_mean") is not None else "-"
+        ncm = f"{row['nc_mean']:.4f}" if row.get("nc_mean") is not None else "-"
         pstr = f"{row['p']:.3f}" if row.get("p") is not None else "-"
         print(f"{name:<24}{obs:>10}{ncm:>10}{pstr:>8}")
     if args.json:
@@ -141,7 +141,7 @@ def cmd_compare(args):
 
 
 def _pipeline_config_from_file(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             raw = json.load(fh)
         except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on binary files

@@ -330,8 +330,7 @@ def skeleton(g):
 
 def _colliders(directed, skel):
     """Yield (a, c, b) for each a -> b <- c in `directed` with a < c and
-    (a, c) not in the skeleton `skel`. Given both orientations of every pair
-    in `skel`, it yields the unshielded triples a - b - c, as PC needs."""
+    (a, c) not in the skeleton `skel`."""
     by_child = {}
     for i, j in directed:
         by_child.setdefault(j, []).append(i)

@@ -1,9 +1,10 @@
 """Reference PC algorithm: stable skeleton search, v-structure orientation
 from separating sets, and Meek-rule closure.
 
-The skeleton phase tests each (i, j, S) triple at most once; the v-structures
-come from the graph core's collider scan over the skeleton's half-edges. A
-level's plan filters per-node lists of combinations, each node's listed once.
+Neighbourhoods and separating sets are the graph core's int bitmasks. The
+skeleton phase tests each (i, j, S) triple at most once; a level's plan
+filters per-node lists of combinations, each node's listed once, and the
+v-structure scan reads each node's pairs of neighbours with bit tests.
 
 Two conditional-independence backends, with one contract: decide(plan, size)
 takes a level's plan, a list of (i, j, sets), and returns for each pair the
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import (
-    Cpdag, Dag, _as_int, _as_real, _colliders, _mask, _meek_close, d_connected
+    Cpdag, Dag, _as_int, _as_real, _mask, _meek_close, _nodes, d_connected
 )
 
 
@@ -211,81 +212,78 @@ class OracleTest:
         parents, children = self.graph._index
         adjacent = self.graph._skeleton
         reach = {}
+        out = [-1] * len(plan)
+        for n, (i, j, sets) in enumerate(plan):
+            if (i, j) in adjacent:
+                continue
+            for k, s in enumerate(sets):
+                seen, other = reach.get((i, s)), j
+                if seen is None:
+                    seen, other = reach.get((j, s)), i
+                    if seen is None:
+                        # d_separated without its checks: the plan's nodes are in-range ints.
+                        seen = reach[(j, s)] = d_connected(parents, children, j, _mask(s))
+                if not seen >> other & 1:
+                    out[n] = k
+                    break
+        return out
 
-        def separated(i, j, s):
-            if (i, s) in reach:
-                return not reach[(i, s)] >> j & 1
-            if (j, s) not in reach:
-                # d_separated without its checks: the plan's nodes are in-range ints.
-                reach[(j, s)] = d_connected(parents, children, j, _mask(s))
-            return not reach[(j, s)] >> i & 1
 
-        return [
-            -1 if (i, j) in adjacent
-            else next((k for k, s in enumerate(sets) if separated(i, j, s)), -1)
-            for i, j, sets in plan
-        ]
-
-
-def _level_plan(adj, d, level):
-    """The plan of one level over the neighbourhoods `adj`: per pair i < j
-    still adjacent, in order, the sorted `level`-subsets of adj[i] - {j},
+def _level_plan(adj, level):
+    """The plan of one level over the neighbourhood masks `adj`: per pair
+    i < j still adjacent, in order, the sorted `level`-subsets of adj[i] - {j},
     then those of adj[j] - {i} that are not also subsets of adj[i], each in
-    itertools.combinations order. Each node's combinations are listed once;
-    a pair's rows filter them."""
-    combos = [list(itertools.combinations(sorted(adj[v]), level)) for v in range(d)]
+    itertools.combinations order. Each node's combinations are listed once,
+    each with its mask; a pair's rows filter them."""
+    combos, nodes, outside = [], [_nodes(a) for a in adj], [~a for a in adj]
+    for vs in nodes:
+        masks = map(sum, itertools.combinations([1 << v for v in vs], level))
+        combos.append(list(zip(itertools.combinations(vs, level), masks)))
     return [
-        (i, j, [s for s in combos[i] if j not in s]
-         + [s for s in combos[j] if i not in s and not adj[i].issuperset(s)])
-        for i in range(d)
-        for j in sorted(adj[i])
-        if i < j
+        (i, j, [s for s, _ in combos[i] if j not in s]
+         + [s for s, m in combos[j] if i not in s and m & outside[i]])
+        for i, vs in enumerate(nodes) for j in vs if i < j
     ]
 
 
 def _skeleton_phase(test, d, max_cond_size):
     """Stable skeleton search: every test of a conditioning-set size level
     sees the neighbourhoods the level started with, so the result is
-    independent of node ordering.
+    independent of node ordering. Returns (adj, sepsets): the neighbourhood
+    masks, and the separating set's mask of each removed pair i < j.
 
     Neighbourhoods are frozen for a level, so its candidate sets are known
-    before any test runs. A pair's candidates are the sorted tuples that
-    itertools.combinations yields from the sorted neighbour lists, first of
-    i then of j, each distinct set kept once in order of first appearance
-    (_level_plan); a triple names its pair, so no two pairs share one and no
-    memo across pairs is needed. test.decide() gets the level's whole plan
-    in one call and returns, per pair, the index of its separating set in
-    its sets, or -1.
+    before any test runs, and _level_plan lists them; a triple names its
+    pair, so no two pairs share one and no memo across pairs is needed.
+    test.decide() gets the level's whole plan in one call and returns, per
+    pair, the index of its separating set in its sets, or -1.
     """
-    adj = {v: set(range(d)) - {v} for v in range(d)}
+    adj = [((1 << d) - 1) ^ (1 << v) for v in range(d)]
     sepsets = {}
     level = 0
-    while True:
-        if max_cond_size is not None and level > max_cond_size:
+    while max_cond_size is None or level <= max_cond_size:
+        if not any(a.bit_count() > level for a in adj):
             break
-        if all(len(adj[v]) - 1 < level for v in range(d)):
-            break
-        plan = _level_plan(adj, d, level)
+        plan = _level_plan(adj, level)
         for (i, j, sets), k in zip(plan, test.decide(plan, level)):
             if k >= 0:
-                sepsets[(i, j)] = frozenset(sets[k])
-                adj[i].discard(j)
-                adj[j].discard(i)
+                sepsets[(i, j)] = _mask(sets[k])
+                adj[i] ^= 1 << j
+                adj[j] ^= 1 << i
         level += 1
-    skel = frozenset((i, j) for i in range(d) for j in adj[i] if i < j)
-    return skel, sepsets
+    return adj, sepsets
 
 
-def _orient_v_structures(skel, sepsets):
+def _orient_v_structures(adj, sepsets):
     """Orient each unshielded triple a - b - c whose middle node is outside
     sepsets[(a, c)]; conflicting orientations are dropped (left undirected).
-    The collider scan over both orientations of every pair yields exactly
-    these triples, each once with a < c."""
+    Each node b's pairs of neighbours a < c are scanned once."""
     votes = set()
-    for a, c, b in _colliders(skel | {(j, i) for i, j in skel}, skel):
-        if b not in sepsets[(a, c)]:
-            votes.add((a, b))
-            votes.add((c, b))
+    for b, around in enumerate(adj):
+        for a, c in itertools.combinations(_nodes(around), 2):
+            if not adj[a] >> c & 1 and not sepsets[(a, c)] >> b & 1:
+                votes.add((a, b))
+                votes.add((c, b))
     # Conflict: both orientations requested for the same pair.
     return {(i, j) for i, j in votes if (j, i) not in votes}
 
@@ -302,9 +300,10 @@ def pc(data_or_graph, cfg=None):
     else:
         test = FisherZTest(data_or_graph, cfg.alpha)
     d = test.d
-    skel, sepsets = _skeleton_phase(test, d, cfg.max_cond_size)
+    adj, sepsets = _skeleton_phase(test, d, cfg.max_cond_size)
+    skel = frozenset((i, j) for i in range(d) for j in _nodes(adj[i]) if i < j)
     # No pair holds both orientations: the votes drop conflicts, and the Meek
     # rules orient only pairs with no orientation yet.
-    directed = _meek_close(d, skel, _orient_v_structures(skel, sepsets))
+    directed = _meek_close(d, skel, _orient_v_structures(adj, sepsets))
     oriented = {(min(i, j), max(i, j)) for i, j in directed}
     return Cpdag(d, frozenset(directed), skel - oriented)

@@ -417,6 +417,19 @@ def test_config_that_is_not_json_names_the_file(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_config_with_a_byte_order_mark_runs_as_the_plain_file(tmp_path, capsys):
+    # Editors on Windows can start a JSON file with a UTF-8 byte-order mark.
+    text = json.dumps({"b": 2, "d": 5, "m_true": 5, "n": 60, "seed": 1}).encode()
+    outs = []
+    for name, content in (("plain.json", text), ("bom.json", b"\xef\xbb\xbf" + text)):
+        (tmp_path / name).write_bytes(content)
+        outs.append(tmp_path / name.replace(".json", "_out"))
+        assert main(["pipeline", "--config", str(tmp_path / name), "--out-dir", str(outs[-1])]) == 0
+    capsys.readouterr()
+    for name in ("summary.json", "replications.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_config_schema_lists_every_metric_name():
     schema = load_schema("pipeline-config.schema.json")
     assert set(schema["properties"]["metrics"]["items"]["enum"]) == METRIC_NAMES

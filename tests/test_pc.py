@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from ncbench.graphs import Cpdag, Dag, _meek_close, d_separated, dag_to_cpdag
+from ncbench.graphs import (
+    Cpdag, Dag, _index, _mask, _meek_close, _nodes, d_separated, dag_to_cpdag
+)
 from ncbench.pc import CiTestError, FisherZTest, PcConfig, pc
 from ncbench.random_graphs import RngSeed, sample_er_dag
 
@@ -333,6 +335,22 @@ def reference_skeleton_phase(test, d, max_cond_size):
     return skel, sepsets
 
 
+def decoded(phase):
+    """The skeleton phase's (adj, sepsets) masks in the reference's set form:
+    the skeleton's pairs i < j, and each separating set as a frozenset."""
+    adj, sepsets = phase
+    skel = frozenset((i, j) for i, a in enumerate(adj) for j in _nodes(a) if i < j)
+    return skel, {pair: frozenset(_nodes(m)) for pair, m in sepsets.items()}
+
+
+def encoded(d, skel, sepsets):
+    """The reference's (skel, sepsets) sets as the skeleton phase's masks."""
+    return (
+        [p | c for p, c in zip(*_index(skel, d))],
+        {pair: _mask(s) for pair, s in sepsets.items()},
+    )
+
+
 def reference_orient_v_structures(d, skel, sepsets):
     """The v-structure votes by a scan over every non-adjacent pair and every
     middle node: the reference for the collider scan over half-edges."""
@@ -466,9 +484,9 @@ class TestMatchesReferencePc:
             reference = PerTripleFisherZ(data, alpha)
             assert est == reference_pc(reference, max_cond_size)
             assert got == reference.calls
-            assert pc_module._skeleton_phase(
+            assert decoded(pc_module._skeleton_phase(
                 FisherZTest(data, alpha), d, max_cond_size
-            ) == reference_skeleton_phase(PerTripleFisherZ(data, alpha), d, max_cond_size)
+            )) == reference_skeleton_phase(PerTripleFisherZ(data, alpha), d, max_cond_size)
             levels.clear()
 
     @pytest.mark.parametrize("d", [5, 10, 30])
@@ -500,7 +518,7 @@ class TestMatchesReferencePc:
                     adj[i].add(j)
                     adj[j].add(i)
             for level in range(5):
-                plan = pc_module._level_plan(adj, d, level)
+                plan = pc_module._level_plan([_mask(adj[v]) for v in range(d)], level)
                 assert plan == level_plan_by_pair(adj, d, level)
                 rows += sum(map(len, (sets for _, _, sets in plan)))
         assert rows > 100_000
@@ -522,12 +540,36 @@ class TestMatchesReferencePc:
                 for a, c in itertools.combinations(range(d), 2)
                 if (a, c) not in skel
             }
-            votes = pc_module._orient_v_structures(skel, sepsets)
+            votes = pc_module._orient_v_structures(*encoded(d, skel, sepsets))
             assert votes == reference_orient_v_structures(d, skel, sepsets)
             closed = _meek_close(d, skel, votes)
             assert not any((j, i) in closed for i, j in closed)
             voted += bool(votes)
         assert voted > 700
+
+
+    def test_separating_set_of_every_removed_pair(self):
+        # Seeded oracle runs, d = 3..12: the neighbourhood masks are
+        # symmetric with no self bit, every pair the skeleton phase removes
+        # has a separating set, and that set, decoded, is the reference's for
+        # the pair and d-separates it in the truth.
+        removed = 0
+        for d in range(3, 13):
+            for rep in range(6):
+                gen = RngSeed(29, 100 * d + rep).generator()
+                g = sample_er_dag(d, int(gen.integers(0, min(2 * d, d * (d - 1) // 2) + 1)), gen)
+                adj, masks = pc_module._skeleton_phase(pc_module.OracleTest(g), d, None)
+                _, reference = reference_skeleton_phase(DSeparationOracle(g), d, None)
+                assert all(adj[i] >> j & 1 == adj[j] >> i & 1 for i in range(d) for j in range(d))
+                assert not any(a >> v & 1 for v, a in enumerate(adj))
+                skel, sepsets = decoded((adj, masks))
+                pairs = sorted(set(itertools.combinations(range(d), 2)) - skel)
+                assert sorted(sepsets) == pairs == sorted(reference)
+                for i, j in pairs:
+                    assert sepsets[(i, j)] == reference[(i, j)]
+                    assert d_separated(g, i, j, sepsets[(i, j)])
+                removed += len(pairs)
+        assert removed > 500
 
 
 class TestDecideContract:
@@ -587,7 +629,7 @@ class TestDecideContract:
         for d, rep in corpus:
             gen = RngSeed(27, 100 * d + rep).generator()
             g = sample_er_dag(d, int(gen.integers(0, min(2 * d, d * (d - 1) // 2) + 1)), gen)
-            got = pc_module._skeleton_phase(pc_module.OracleTest(g), d, None)
+            got = decoded(pc_module._skeleton_phase(pc_module.OracleTest(g), d, None))
             assert got == reference_skeleton_phase(DSeparationOracle(g), d, None)
             assert pc(g) == dag_to_cpdag(g)
 
