@@ -3,11 +3,12 @@
 Nodes are positional indices 0..d-1 internally; labels are only attached
 for I/O. All functions here are pure and operate on immutable graphs.
 Graphs are checked at the door and trusted inside: the public constructors
-check every graph in one pass and keep what the checks compute, its
-skeleton and, for a Dag, its per-node parent and child bitmasks and its
+check every graph in one pass (_checked) and keep what the checks compute,
+its skeleton and, for a Dag, its per-node parent and child bitmasks and its
 topological order. Only the random samplers and dag_to_cpdag, which build
-graphs from parts they already hold valid, skip the checks, through _built,
-which keeps the same fields. Queries read these and never rebuild them.
+graphs from parts they already hold valid, skip the checks, through _built.
+Both builds set fields in one place, _fill, and keep the same fields.
+Queries read these and never rebuild them, and check nodes with _node.
 An int bitmask is the one per-node form: bit u of a node's mask is set iff
 u is one of its parents (children, neighbours). _index builds every mask
 list from edge pairs, and _nodes lists a mask's nodes in ascending order.
@@ -30,7 +31,7 @@ import itertools
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 SID_CAP = 10_000  # the default extension cap of every SID computation
@@ -54,12 +55,6 @@ class ExtensionCapExceeded(RuntimeError):
 @functools.cache
 def _default_labels(d):
     return tuple(f"X{i + 1}" for i in range(d))
-
-
-def _check_nodes(d, nodes):
-    for v in nodes:
-        if not (0 <= v < d):
-            raise GraphError(f"node index {v} out of range for d={d}")
 
 
 def _index(edges, d):
@@ -101,9 +96,7 @@ def _kahn(parents, children):
 def is_acyclic(edges, d):
     """True iff the directed edges over nodes 0..d-1 admit a topological order."""
     d = _checked_d(d)
-    edges = [(_as_int(i, "node"), _as_int(j, "node")) for i, j in edges]
-    _check_nodes(d, (v for e in edges for v in e))
-    return _acyclic(edges, d)
+    return _acyclic([(_node(i, d), _node(j, d)) for i, j in edges], d)
 
 
 def _acyclic(edges, d):
@@ -147,6 +140,14 @@ def max_edges(d):
     return d * (d - 1) // 2
 
 
+def _node(v, d):
+    """v by the integer rule, checked to be a node of a graph over 0..d-1."""
+    v = _as_int(v, "node")
+    if not 0 <= v < d:
+        raise GraphError(f"node index {v} out of range for d={d}")
+    return v
+
+
 def _checked_d(d):
     """d by the integer rule, and at least 1."""
     d = _as_int(d, "d")
@@ -174,60 +175,55 @@ def _checked_pairs(edges, d, skel, canonical):
     return frozenset(out)
 
 
-def _checked_edges(g, directed, undirected=frozenset()):
-    """Normalize g's d, labels and edge sets in place after the checks Dag
-    and Cpdag share, and set g._skeleton; returns (directed, undirected) as
-    frozensets of int pairs, undirected pairs in canonical (i < j) order.
-    Each edge set is walked once; the skeleton's size then tells whether a
-    pair came in both orientations or both directed and undirected."""
-    d = _checked_d(g.d)
-    if d is not g.d:
-        object.__setattr__(g, "d", d)
-    labels = tuple(g.labels) if g.labels is not None else _default_labels(g.d)
-    if len(labels) != g.d or len(set(labels)) != g.d:
+def _checked(d, labels, directed, undirected=()):
+    """The checks Dag and Cpdag share, setting nothing: d, the labels (None
+    gives the defaults), then one walk over each edge set, after which the
+    skeleton's size tells whether a pair came twice. Returns the parts _fill
+    sets, (d, directed, skel, undirected, labels), skel and undirected canonical."""
+    d = _checked_d(d)
+    labels = _default_labels(d) if labels is None else tuple(labels)
+    if len(labels) != d or len(set(labels)) != d:
         raise GraphError("labels must be d distinct strings")
-    object.__setattr__(g, "labels", labels)
     skel = set()
-    directed = _checked_pairs(directed, g.d, skel, False)
+    directed = _checked_pairs(directed, d, skel, False)
     n_directed = len(skel)
-    undirected = _checked_pairs(undirected, g.d, skel, True)
+    undirected = _checked_pairs(undirected, d, skel, True)
     if n_directed != len(directed):
         raise GraphError("both orientations present for some pair")
     if len(skel) != n_directed + len(undirected):
         raise GraphError("pair appears both directed and undirected")
-    object.__setattr__(g, "_skeleton", frozenset(skel))
-    return directed, undirected
+    return d, directed, frozenset(skel), undirected, labels
 
 
-def _set_index(g):
-    """Set Dag g's per-node parent and child masks, as tuples so that a frozen
-    graph hands out no list to change, and its Kahn order, all read from
-    g.edges; the order is short iff g has a cycle."""
-    parents, children = _index(g.edges, g.d)
-    object.__setattr__(g, "_index", (tuple(parents), tuple(children)))
-    object.__setattr__(g, "_order", tuple(_kahn(parents, children)))
+def _fill(g, d, directed, skel, undirected, labels):
+    """Set g's fields from valid parts, the one place a graph's fields are
+    set, and return g. A Dag also keeps its edges, its parent and child
+    masks as tuples (a frozen graph hands out no list) and its Kahn order,
+    short iff it has a cycle; a Cpdag keeps `undirected`."""
+    object.__setattr__(g, "d", d)
+    object.__setattr__(g, "labels", labels)
+    object.__setattr__(g, "directed", directed)
+    object.__setattr__(g, "_skeleton", skel)
+    if isinstance(g, Dag):
+        parents, children = _index(directed, d)
+        object.__setattr__(g, "edges", directed)
+        object.__setattr__(g, "_index", (tuple(parents), tuple(children)))
+        object.__setattr__(g, "_order", tuple(_kahn(parents, children)))
+    else:
+        object.__setattr__(g, "undirected", undirected)
+    return g
 
 
 def _built(d, directed, skel, undirected=None, labels=None):
-    """A graph from parts the package already holds valid, its fields set
-    directly with no door check: the Dag with edges `directed` when
-    `undirected` is None, indexed as its constructor indexes it, else the
-    Cpdag. The parts must be what the constructor keeps: d an int >= 1,
-    `directed` int pairs in 0..d-1 (acyclic for a Dag), `undirected`
+    """A graph from parts the package already holds valid, filled by _fill
+    with no door check: the Dag with edges `directed` when `undirected` is
+    None, else the Cpdag. The parts must be what _checked returns: d an int
+    >= 1, `directed` int pairs in 0..d-1 (acyclic for a Dag), `undirected`
     canonical pairs, `skel` the canonical pairs of both with no pair twice,
     and labels d distinct strings or None for the defaults. Only graphs.py
     and random_graphs.py call it: a graph from a user or a file is checked."""
     g = object.__new__(Dag if undirected is None else Cpdag)
-    object.__setattr__(g, "d", d)
-    object.__setattr__(g, "labels", _default_labels(d) if labels is None else labels)
-    object.__setattr__(g, "directed", directed)
-    object.__setattr__(g, "_skeleton", skel)
-    if undirected is None:
-        object.__setattr__(g, "edges", directed)
-        _set_index(g)
-    else:
-        object.__setattr__(g, "undirected", undirected)
-    return g
+    return _fill(g, d, directed, skel, undirected, _default_labels(d) if labels is None else labels)
 
 
 @dataclass(frozen=True)
@@ -250,10 +246,7 @@ class Dag:
     kind = "dag"
 
     def __post_init__(self):
-        edges, _ = _checked_edges(self, self.edges)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "directed", edges)
-        _set_index(self)
+        _fill(self, *_checked(self.d, self.labels, self.edges))
         if len(self._order) != self.d:
             raise GraphError("edge set contains a directed cycle")
 
@@ -261,22 +254,16 @@ class Dag:
     def m(self):
         return len(self.edges)
 
-    def _checked_node(self, v):
-        """v by the integer rule, checked to be one of the graph's nodes."""
-        v = _as_int(v, "node")
-        _check_nodes(self.d, (v,))
-        return v
-
     def parents(self, v):
-        return frozenset(_nodes(self._index[0][self._checked_node(v)]))
+        return frozenset(_nodes(self._index[0][_node(v, self.d)]))
 
     def children(self, v):
-        return frozenset(_nodes(self._index[1][self._checked_node(v)]))
+        return frozenset(_nodes(self._index[1][_node(v, self.d)]))
 
     def descendants(self, v):
         """All nodes reachable from v by a directed path (excluding v)."""
         children = self._index[1]
-        out = todo = children[self._checked_node(v)]
+        out = todo = children[_node(v, self.d)]
         while todo:
             u = todo.bit_length() - 1
             todo ^= 1 << u
@@ -306,9 +293,7 @@ class Cpdag:
     kind = "cpdag"
 
     def __post_init__(self):
-        directed, undirected = _checked_edges(self, self.directed, self.undirected)
-        object.__setattr__(self, "directed", directed)
-        object.__setattr__(self, "undirected", undirected)
+        _fill(self, *_checked(self.d, self.labels, self.directed, self.undirected))
 
     @property
     def m(self):
@@ -350,8 +335,7 @@ def d_separated(g, i, j, z):
     """True iff every path between i and j is blocked by z (standard d-separation)."""
     if not isinstance(g, Dag):
         raise GraphError("d-separation is defined on DAGs")
-    i, j, *z = [_as_int(u, "node") for u in (i, j, *z)]
-    _check_nodes(g.d, (i, j, *z))
+    i, j, *z = [_node(u, g.d) for u in (i, j, *z)]
     if i == j:
         raise GraphError("i and j must differ")
     if i in z or j in z:
@@ -598,8 +582,3 @@ def _extensions(p, cap):
             stack += [(len(trail), k, (j, i)), (len(trail), k, (i, j))]
     if not count:
         raise GraphError("graph admits no consistent DAG extension")
-
-
-def with_labels(g, labels):
-    """Same graph structure with a different label tuple; None gives the defaults."""
-    return replace(g, labels=labels)

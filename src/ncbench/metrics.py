@@ -78,6 +78,7 @@ class MetricReport:
 
 
 def _check_pair(truth, est):
+    """The same node count and labels; each door checks its pair once."""
     if truth.d != est.d:
         raise GraphError(f"node count mismatch: {truth.d} vs {est.d}")
     if truth.labels != est.labels:
@@ -92,7 +93,6 @@ def _compare_pairs(truth, est):
     in both costs one unit iff its endpoint marks differ, which is exactly a
     directed-vs-reversed or directed-vs-undirected mismatch.
     """
-    _check_pair(truth, est)
     skel_t = skeleton(truth)
     skel_e = skeleton(est)
     common = skel_t & skel_e
@@ -123,6 +123,7 @@ def _compare_pairs(truth, est):
 
 def adjacency_confusion(truth, est):
     """Classify all d(d-1)/2 unordered pairs by skeleton membership."""
+    _check_pair(truth, est)
     return _compare_pairs(truth, est)[0]
 
 
@@ -133,12 +134,14 @@ def orientation_confusion(truth, est):
     tail: FP; estimated tail over a true arrowhead: FN. Undirected CPDAG
     edges contribute two tails.
     """
+    _check_pair(truth, est)
     return _compare_pairs(truth, est)[1]
 
 
 def shd(truth, est):
     """Structural Hamming distance: unit cost per addition, removal, or
     orientation mismatch (directed-vs-reversed or directed-vs-undirected)."""
+    _check_pair(truth, est)
     return _compare_pairs(truth, est)[2]
 
 
@@ -231,8 +234,9 @@ def full_report(truth, est, metrics=None, sid_cap=SID_CAP):
     them, the SID values are MISSING and every other value is kept; SID
     requested against a truth that is not a DAG raises GraphError.
     """
-    values = _scorer(truth, _REPORT_NAMES if metrics is None else metrics, sid_cap)(est)
-    return MetricReport({name: MetricValue(name, value) for name, value in values.items()})
+    score = _scorer(truth, _REPORT_NAMES if metrics is None else metrics, sid_cap)
+    _check_pair(truth, est)
+    return MetricReport({name: MetricValue(name, value) for name, value in score(est).items()})
 
 
 def _scorer(truth, names, sid_cap):
@@ -240,7 +244,8 @@ def _scorer(truth, names, sid_cap):
     values as {name: float, or None when MISSING}, for `names` or a subset of
     them. The truth-side work is done once, here: the name check, the SID
     truth check, the truth's v-structures and its SID term memo, which every
-    estimate scored shares."""
+    estimate scored shares. score checks no pair: the caller checks an
+    estimate from outside once, and a draw over the truth's d nodes needs none."""
     check_metric_names(names)
     vs_t = v_structures(truth) if "vstructure_recovery" in names else None
     term = None

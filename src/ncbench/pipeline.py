@@ -10,7 +10,8 @@ with a scorer (metrics._scorer) that has done the truth's share of the work
 once: its v-structures and its SID term memo. A score is a plain
 {name: float, or None when MISSING} dict. single_truth_nc builds one scorer
 per evaluation, for the estimate and all b draws; a study one per
-replication, built by _replicate and shared with _control."""
+replication, built by _replicate and shared with _control. The scorer checks
+no pair: the estimate's is checked once where it enters, and a draw needs none."""
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import metrics as _metrics
-from .graphs import SID_CAP, Dag, _as_int, _as_real, skeleton, with_labels
+from .graphs import SID_CAP, Dag, _as_int, _as_real, skeleton
 from .metrics import SMALLER_IS_BETTER, check_metric_names
 from .pc import CiTestError, PcConfig, pc
 from .random_graphs import RngSeed, max_edges, sample_er_cpdag, sample_er_dag
@@ -186,6 +187,7 @@ def _replicate(cfg, i):
         estimate = (cfg.algorithm or pc)(data, PcConfig(alpha=cfg.alpha))
     except CiTestError as exc:
         return Replication(i, truth, None, None, None, dict.fromkeys(cfg.metrics), {}, exc), score
+    _metrics._check_pair(truth, estimate)
     m_est = len(skeleton(estimate))
     return Replication(i, truth, estimate, None, m_est, score(estimate), {}), score
 
@@ -249,12 +251,9 @@ def single_truth_nc(truth, estimate, metrics, b=1000, seed=0, sid_cap=SID_CAP):
     if b < 1:
         raise ValueError("need at least one negative control")
     master = RngSeed(seed)
-    # Draws carry default labels and metrics ignore labels, so once the pair
-    # is checked, one scorer on the unlabelled truth scores the estimate and
-    # every draw.
-    score = _metrics._scorer(with_labels(truth, None), metrics, sid_cap)
+    score = _metrics._scorer(truth, metrics, sid_cap)
     _metrics._check_pair(truth, estimate)
-    observed = score(with_labels(estimate, None))
+    observed = score(estimate)
     defined = [name for name in metrics if observed[name] is not None]
     m_est = len(skeleton(estimate))
     draws = [

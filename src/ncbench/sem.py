@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Dag, _as_int, _as_real
+from .graphs import Dag, _as_int, _as_real, _nodes
 
 # Weight magnitudes bounded away from zero to avoid near-unfaithful models.
 DEFAULT_WEIGHT_RANGE = (0.5, 2.0)
@@ -55,15 +56,18 @@ def simulate(model, n, rng):
         raise ValueError("sample size must be at least 1")
     g = model.graph
     data = np.zeros((n, g.d))
-    for v in g.topological_order():
+    for v in g._order:
         noise = rng.normal(0.0, np.sqrt(model.variances[v]), size=n)
         col = noise
-        for p in sorted(g.parents(v)):
+        for p in _nodes(g._index[0][v]):
             col = col + model.weights[(p, v)] * data[:, p]
         data[:, v] = col
     return data
 
 
 def to_csv(data, labels, path):
-    """Write a data matrix as CSV with node labels as the header."""
-    np.savetxt(path, data, delimiter=",", header=",".join(labels), comments="")
+    """Write a data matrix as UTF-8 CSV with node labels as the header,
+    quoted as the csv module quotes them (a label may hold a comma)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(labels)
+        np.savetxt(fh, data, delimiter=",")

@@ -6,6 +6,7 @@ faster and never calls these.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -176,3 +177,9 @@ def population_covariance(model):
     # x = W^T x + e  =>  cov = (I - W^T)^-1 D (I - W^T)^-T
     inv = np.linalg.inv(np.eye(d) - w.T)
     return inv @ np.diag(model.variances) @ inv.T
+
+
+def with_labels(g, labels):
+    """Same graph structure with a different label tuple, built through the
+    checked constructor; None gives the defaults."""
+    return replace(g, labels=labels)

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -12,7 +13,9 @@ import pytest
 import ncbench
 import ncbench.pipeline
 from ncbench.cli import EXIT_INPUT, EXIT_NUMERICAL, _pipeline_config_from_file, main
+from ncbench.graphs import Dag
 from ncbench.hypergeom import metric_from_counts
+from ncbench.io import write_graph
 from ncbench.metrics import METRIC_NAMES, orientation_confusion, sid
 from ncbench.pipeline import PipelineConfig
 
@@ -726,3 +729,16 @@ class TestSampleAndSimulate:
         lines = open(out).read().splitlines()
         assert len(lines) == 26
         assert len(lines[0].split(",")) == 5
+
+    def test_simulate_data_quotes_the_header(self, tmp_path):
+        # A label may hold a comma or a quote: the header is quoted as the
+        # graph file is, one cell per data column.
+        labels = ["a,b", "c", 'say "hi"']
+        graph, out = str(tmp_path / "g.csv"), str(tmp_path / "data.csv")
+        write_graph(Dag(3, {(0, 1), (1, 2)}, labels), graph)
+        rc = main(["simulate-data", "--graph", graph, "--n", "6", "--seed", "0", "--out", out])
+        assert rc == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == labels
+        assert len(rows) == 6 and all(len(row) == 3 for row in rows)

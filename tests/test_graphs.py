@@ -25,13 +25,12 @@ from ncbench.graphs import (
     is_acyclic,
     skeleton,
     v_structures,
-    with_labels,
 )
 from ncbench.pc import CiTestError, pc
 from ncbench.random_graphs import RngSeed, sample_er_cpdag, sample_er_dag
 
 from conftest import simulate_seeded
-from reference import all_dags, all_extensions, d_connected_sets
+from reference import all_dags, all_extensions, d_connected_sets, with_labels
 
 
 class TestIsAcyclic:

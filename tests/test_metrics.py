@@ -71,9 +71,41 @@ class TestAdjacencyConfusion:
         assert c.tp + c.fp == len(skeleton(five_node_estimate))
         assert c.tp + c.fn == len(skeleton(five_node_truth))
 
-    def test_node_mismatch(self, five_node_truth):
-        with pytest.raises(GraphError):
-            adjacency_confusion(five_node_truth, Dag(4))
+
+# Every door that takes a truth/estimate pair checks it once, on entry; the
+# scorer behind full_report and single_truth_nc checks none.
+@pytest.mark.parametrize(
+    "door",
+    [
+        full_report,
+        adjacency_confusion,
+        orientation_confusion,
+        shd,
+        vstructure_recovery,
+        sid,
+        lambda truth, est: single_truth_nc(truth, est, ("shd", "sid_lower"), b=2),
+    ],
+    ids=[
+        "full_report",
+        "adjacency_confusion",
+        "orientation_confusion",
+        "shd",
+        "vstructure_recovery",
+        "sid",
+        "single_truth_nc",
+    ],
+)
+@pytest.mark.parametrize(
+    "est, message",
+    [
+        (Dag(4), "node count mismatch: 5 vs 4"),
+        (Dag(5, labels=("A", "B", "C", "D", "E")), "node label mismatch"),
+    ],
+    ids=["node_count", "labels"],
+)
+def test_node_mismatch(door, est, message, five_node_truth):
+    with pytest.raises(GraphError, match=message):
+        door(five_node_truth, est)
 
 
 class TestOrientationConfusion:

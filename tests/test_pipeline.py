@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ncbench.graphs import (
-    SID_CAP, Cpdag, Dag, dag_to_cpdag, enumerate_extensions, skeleton, with_labels
+    SID_CAP, Cpdag, Dag, GraphError, dag_to_cpdag, enumerate_extensions, skeleton
 )
 from ncbench.hypergeom import ConfusionCounts, HyperParams, expected_metric, quantile
 from ncbench.io import align_to, parse_graph
@@ -32,6 +32,7 @@ from ncbench.random_graphs import RngSeed, max_edges, sample_er_cpdag, sample_er
 from ncbench.sem import draw_sem, simulate
 
 from conftest import DATA_DIR, load_schema
+from reference import with_labels
 
 
 def test_summary_interval_matches_numpy_quantile():
@@ -399,8 +400,6 @@ class TestSingleTruthNc:
         assert scorers == scored == [("adjacency_precision",)]
 
     def test_labeled_truth(self, five_node_truth, five_node_estimate):
-        from ncbench.graphs import with_labels
-
         labels = ("A", "B", "C", "D", "E")
         out = single_truth_nc(
             with_labels(five_node_truth, labels),
@@ -474,6 +473,26 @@ def test_single_truth_nc_rejects_a_repeated_metric_before_drawing(monkeypatch):
     truth = sample_er_dag(5, 4, RngSeed(0).generator())
     with pytest.raises(ValueError, match="metric 'vstructure_recovery' is repeated"):
         single_truth_nc(truth, truth, ("vstructure_recovery", "shd", "vstructure_recovery"), b=5)
+
+
+@pytest.mark.parametrize(
+    "estimate, message",
+    [
+        (Dag(5), "node count mismatch: 4 vs 5"),
+        (Dag(4, labels=("A", "B", "C", "D")), "node label mismatch"),
+    ],
+    ids=["node_count", "labels"],
+)
+def test_run_study_rejects_a_mismatched_estimate_before_drawing(estimate, message, monkeypatch):
+    # The study checks each estimate against its truth once, where the
+    # algorithm returns it; the negative controls are never checked.
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a mismatched estimate reached the negative controls")
+
+    monkeypatch.setattr(ncbench.pipeline, "_nc_values", must_not_run)
+    cfg = PipelineConfig(b=2, d=4, m_true=3, n=20, algorithm=lambda data, pc_cfg: estimate)
+    with pytest.raises(GraphError, match=message):
+        run_study(cfg)
 
 
 def test_metric_values_are_wrapped_only_at_full_reports_door(monkeypatch):

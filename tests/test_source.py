@@ -126,7 +126,7 @@ def test_detects_a_second_real_rule():
 
 
 # The builders that set a graph's fields with no door check.
-UNCHECKED_BUILDERS = {"_built", "_compelled"}
+UNCHECKED_BUILDERS = {"_built", "_compelled", "_fill"}
 
 
 def _reads_unchecked_builder(tree):
@@ -152,7 +152,49 @@ def test_detects_an_unchecked_build():
     assert _reads_unchecked_builder(ast.parse("from .graphs import _built\n"))
     assert _reads_unchecked_builder(ast.parse("from . import graphs\ngraphs._compelled(1)\n"))
     assert _reads_unchecked_builder(ast.parse("_built(2, frozenset(), frozenset())\n"))
+    assert _reads_unchecked_builder(ast.parse("from .graphs import Dag, _fill\n"))
     assert not _reads_unchecked_builder(ast.parse("from .graphs import Dag\nDag(2)\n"))
+
+
+def _setattr_owners(tree):
+    """The innermost function each read of object.__setattr__ sits in, one
+    entry per read in source order ("<module>" outside any function)."""
+    owners = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+        ):
+            owners.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return owners
+
+
+def test_graph_fields_have_one_setter():
+    # _fill is the one place a graph's fields are set, for the checked
+    # constructors and the unchecked builds alike.
+    owners = _setattr_owners(ast.parse((SRC / "graphs.py").read_text()))
+    assert owners and set(owners) == {"_fill"}
+
+
+def test_detects_a_second_field_setter():
+    source = (
+        "def _fill(g):\n    object.__setattr__(g, 'd', 1)\n"
+        "class Dag:\n    def __post_init__(self):\n"
+        "        def inner():\n            object.__setattr__(self, 'd', 2)\n"
+        "        setter = object.__setattr__\n"
+        "object.__setattr__(g, 'd', 3)\n"
+        "g.__setattr__('d', 4)\n"
+    )
+    assert _setattr_owners(ast.parse(source)) == ["_fill", "inner", "__post_init__", "<module>"]
 
 
 # full_report's wrappers: inside the package a metric value is a plain float
