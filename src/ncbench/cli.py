@@ -90,8 +90,9 @@ def cmd_fit_test(args):
     m_true = len(skeleton(truth))
     m_est = len(skeleton(est))
     params = hg.HyperParams(m_max, m_true, m_est)
-    p = hg.skeleton_fit_test(conf.tp, params)
-    log10_p = hg.skeleton_fit_log10_p(conf.tp, params)
+    # One tail walk gives both: p and log10_p read the same exact ratio.
+    num, denom = hg._upper_tail(conf.tp, params)
+    p, log10_p = num / denom, hg._log10_ratio(num, denom)
     print(f"m_max={m_max} m_true={m_true} m_est={m_est} tp_obs={conf.tp}")
     print(f"p = {p:.6g} log10_p = {log10_p:.6g}")
     if args.json:

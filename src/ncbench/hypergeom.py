@@ -6,10 +6,15 @@ closed-form expectations, quantile transforms for the five adjacency
 metrics, and the one-sided skeleton-fit test, each float a correctly rounded
 ratio of integers at every size.
 
-A HyperParams walks its support at most once across all its quantile, cdf
-and metric_quantile calls: it keeps its exact walk and resumes it only past
-the points already walked, so threads that share one HyperParams must take
-turns. The skeleton-fit test walks on its own.
+The null is symmetric in m_true and m_est, so every probability is an
+integer over C(m_max, s), s the smaller of the two. The support walk keeps
+one integer term per point, C(m_max, s) * P(TP = k), and steps it by the
+term ratio with one multiply and one exact division by small integers. A
+HyperParams walks its support at most once across all its quantile, cdf and
+metric_quantile calls: it keeps its exact walk, reads the points already
+walked and resumes only past them, so threads that share one HyperParams
+must take turns. The skeleton-fit test walks on its own; its log10 is read
+from the same exact tail to a few ulps, also for p near 1.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ class HyperParams:
         if self.m_true > self.m_max or self.m_est > self.m_max:
             raise ValueError("m_true and m_est cannot exceed m_max")
 
-    @property
+    @functools.cached_property
     def support(self):
         lo = max(0, self.m_est + self.m_true - self.m_max)
         hi = min(self.m_est, self.m_true)
@@ -76,44 +81,51 @@ class ConfusionCounts:
         return self.tp + self.fp + self.fn + self.tn
 
 
-def _bottom(p):
-    """The walk state (k, a, b) at the bottom of the support."""
-    lo = p.support.start
-    return lo, math.comb(p.m_true, lo), math.comb(p.m_max - p.m_true, p.m_est - lo)
+def _denom(p):
+    """C(m_max, s), s = min(m_true, m_est): the denominator of every
+    probability, the smallest the symmetry in m_true and m_est allows."""
+    return math.comb(p.m_max, min(p.m_true, p.m_est))
 
 
-def _terms(p, stop, k, a, b):
-    """Yield the walk states (k, a, b), a * b = C(m_max, m_est) * P(TP = k),
-    from the given state on for support points k < stop, exactly."""
-    other = p.m_max - p.m_true
+def _term(k, p):
+    """C(m_max, s) * P(TP = k) = C(big, k) * C(m_max - big, s - k), where s
+    and big are the smaller and larger of m_true and m_est."""
+    s, big = sorted((p.m_true, p.m_est))
+    return math.comb(big, k) * math.comb(p.m_max - big, s - k)
+
+
+def _terms(p, stop, k, t):
+    """Yield (k, t), t = C(m_max, s) * P(TP = k), from the given point on for
+    support points k < stop, exactly."""
+    # t_{k+1} is an integer and equals t_k times the term ratio, so each // is exact.
+    other = p.m_max - p.m_true - p.m_est + 1
     for k in range(k, min(stop, p.support.stop)):
-        yield k, a, b
-        # C(n, i) * (n - i) == C(n, i + 1) * (i + 1), so each // is exact.
-        a = a * (p.m_true - k) // (k + 1)
-        b = b * (p.m_est - k) // (other - p.m_est + k + 1)
+        yield k, t
+        t = t * ((p.m_true - k) * (p.m_est - k)) // ((k + 1) * (other + k))
 
 
 class _Walk:
-    """A resumable exact walk of one HyperParams' support. (k, a, b) is the
-    state of the first point not yet walked, num the exact sum of the walked
+    """A resumable exact walk of one HyperParams' support. (k, t) is the
+    first point not yet walked and its term, num the exact sum of the walked
     terms and cdf[i] the float num / denom after point lo + i. Only ints and
     floats are kept, so the HyperParams that holds it still pickles."""
 
-    __slots__ = ("denom", "k", "a", "b", "num", "cdf")
+    __slots__ = ("denom", "k", "t", "num", "cdf")
 
     def __init__(self, p):
-        self.denom = math.comb(p.m_max, p.m_est)
-        self.k, self.a, self.b = _bottom(p)
+        self.denom = _denom(p)
+        self.k = p.support.start
+        self.t = _term(self.k, p)
         self.num = 0
         self.cdf = []
 
     def extend(self, p, more):
         """Walk on while more(cdf) holds, up to the top of the support."""
-        for k, a, b in _terms(p, p.support.stop, self.k, self.a, self.b):
+        for k, t in _terms(p, p.support.stop, self.k, self.t):
             if not more(self.cdf):
-                self.k, self.a, self.b = k, a, b
+                self.k, self.t = k, t
                 return
-            self.num += a * b
+            self.num += t
             self.cdf.append(self.num / self.denom)
         self.k = p.support.stop
 
@@ -123,8 +135,7 @@ def pmf(k, p):
     k = _as_int(k, "k", ValueError)
     if k not in p.support:
         return 0.0
-    num = math.comb(p.m_true, k) * math.comb(p.m_max - p.m_true, p.m_est - k)
-    return num / math.comb(p.m_max, p.m_est)
+    return _term(k, p) / _denom(p)
 
 
 def cdf(k, p):
@@ -134,7 +145,8 @@ def cdf(k, p):
     if k < lo:
         return 0.0
     walk = p._walk
-    walk.extend(p, lambda cdf: len(cdf) <= k - lo)
+    if len(walk.cdf) <= k - lo:
+        walk.extend(p, lambda cdf: len(cdf) <= k - lo)
     return walk.cdf[min(k - lo, len(walk.cdf) - 1)]
 
 
@@ -146,7 +158,8 @@ def quantile(level, p):
         raise ValueError("level must be strictly between 0 and 1")
     target = level - 1e-12
     walk = p._walk
-    walk.extend(p, lambda cdf: not cdf or cdf[-1] < target)
+    if not walk.cdf or walk.cdf[-1] < target:
+        walk.extend(p, lambda cdf: not cdf or cdf[-1] < target)
     return p.support.start + bisect.bisect_left(walk.cdf, target)
 
 
@@ -220,8 +233,19 @@ def _upper_tail(tp_obs, p):
         raise ValueError(
             f"tp_obs={tp_obs} inconsistent with m_true={p.m_true}, m_est={p.m_est}"
         )
-    denom = math.comb(p.m_max, p.m_est)
-    return denom - sum(a * b for _, a, b in _terms(p, tp_obs, *_bottom(p))), denom
+    lo, denom = p.support.start, _denom(p)
+    return denom - sum(t for _, t in _terms(p, tp_obs, lo, _term(lo, p))), denom
+
+
+def _log10_ratio(num, denom):
+    """log10(num / denom) for integers 0 < num <= denom, to a few ulps: near 1
+    from the correctly rounded num / denom - 1, elsewhere from the ratio scaled
+    by a power of 2 into (1/2, 2), so it stays finite below the float range.
+    Exactly 0.0 at num == denom."""
+    if 2 * num > denom:
+        return math.log1p((num - denom) / denom) / math.log(10)
+    shift = denom.bit_length() - num.bit_length()
+    return math.log10((num << shift) / denom) - shift * math.log10(2)
 
 
 def skeleton_fit_test(tp_obs, p):
@@ -232,5 +256,4 @@ def skeleton_fit_test(tp_obs, p):
 
 def skeleton_fit_log10_p(tp_obs, p):
     """log10 of the skeleton-fit p-value; finite where the float p underflows to 0."""
-    num, denom = _upper_tail(tp_obs, p)
-    return math.log10(num) - math.log10(denom)
+    return _log10_ratio(*_upper_tail(tp_obs, p))

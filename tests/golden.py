@@ -12,12 +12,16 @@ The outputs, each made through the `ncbench` command line:
     criterion-8 configs (b = 200, d = 10, m_true 15 and 30, seeds 1-3), the
     dense study config (b = 50, m_true = 30, seeds 0 and 7), the n = 4
     probe, where PC fails on most replications, and a study with DAG
-    negative controls (b = 50, d = 10, m_true = 15, seed 1).
+    negative controls (b = 50, d = 10, m_true = 15, seed 1);
+  - `expect --json` on the d = 500 cell m_true = 12476, m_est = 62375,
+    whose quantiles walk about 6 300 support points of the exact null;
+  - `fit-test` stdout on the bundled Sachs truth and PC estimate, which
+    pins the printed p and log10_p.
 
-Each compare case also records its stdout table, as <name>.txt beside its
---json file. test_golden.py compares every output with its file byte for
-byte. A change that moves an output re-records it, by hand, from the root
-of a checkout:
+Each compare and expect case also records its stdout table, as <name>.txt
+beside its --json file. test_golden.py compares every output with its file
+byte for byte. A change that moves an output re-records it, by hand, from
+the root of a checkout:
 
     PYTHONPATH=src python tests/golden.py
 """
@@ -54,6 +58,8 @@ COMPARES = {
     **{f"compare_dag_seed{s}": [*FIVE_NODE, "--seed", str(s)] for s in range(4)},
     **{f"compare_dag_sid_seed{s}": [*FIVE_NODE, *SID_NAMES, "--seed", str(s)] for s in range(4)},
 }
+EXPECTS = {"expect_d500": ["--d", "500", "--m-true", "12476", "--m-est", "62375"]}
+FIT_TEST = ["fit-test", *SACHS]
 STUDIES = {
     **{
         f"criterion8_m{m}_seed{s}": {"b": 200, "d": 10, "m_true": m, "n": 400, "seed": s}
@@ -66,15 +72,35 @@ STUDIES = {
 }
 
 
-def compare_output(name, tmp):
-    """(--json file bytes, stdout bytes) of compare case `name`."""
-    out = Path(tmp) / f"{name}.json"
+def _stdout(argv):
+    """stdout bytes of one command line, which must exit 0."""
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        code = main(["compare", *COMPARES[name], "--json", str(out)])
+        code = main(argv)
     if code != 0:
-        raise RuntimeError(f"compare case {name} failed")
-    return out.read_bytes(), stdout.getvalue().encode()
+        raise RuntimeError(f"{' '.join(argv)} failed")
+    return stdout.getvalue().encode()
+
+
+def _json_output(argv, out):
+    """(--json file bytes, stdout bytes) of one command line."""
+    stdout = _stdout([*argv, "--json", str(out)])
+    return out.read_bytes(), stdout
+
+
+def compare_output(name, tmp):
+    """(--json file bytes, stdout bytes) of compare case `name`."""
+    return _json_output(["compare", *COMPARES[name]], Path(tmp) / f"{name}.json")
+
+
+def expect_output(name, tmp):
+    """(--json file bytes, stdout bytes) of expect case `name`."""
+    return _json_output(["expect", *EXPECTS[name]], Path(tmp) / f"{name}.json")
+
+
+def fit_test_stdout():
+    """stdout bytes of the Sachs fit-test case."""
+    return _stdout(FIT_TEST)
 
 
 def study_outputs(name, tmp):
@@ -104,6 +130,14 @@ def stdout_path(name):
     return GOLDEN / "compare" / f"{name}.txt"
 
 
+def expect_path(name):
+    return GOLDEN / "expect" / f"{name}.json"
+
+
+def fit_test_path():
+    return GOLDEN / "fit_test_sachs.txt"
+
+
 def summary_path(name):
     return GOLDEN / "studies" / f"{name}.summary.json"
 
@@ -118,6 +152,12 @@ def record(tmp):
         recorded, stdout = compare_output(name, tmp)
         compare_path(name).write_bytes(recorded)
         stdout_path(name).write_bytes(stdout)
+    for name in EXPECTS:
+        expect_path(name).parent.mkdir(parents=True, exist_ok=True)
+        recorded, stdout = expect_output(name, tmp)
+        expect_path(name).write_bytes(recorded)
+        expect_path(name).with_suffix(".txt").write_bytes(stdout)
+    fit_test_path().write_bytes(fit_test_stdout())
     for name in STUDIES:
         summary, digest = study_outputs(name, tmp)
         summary_path(name).parent.mkdir(parents=True, exist_ok=True)
@@ -130,4 +170,7 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         record(tmp)
-    print(f"recorded {len(COMPARES)} compare and {len(STUDIES)} study outputs in {GOLDEN}")
+    print(
+        f"recorded {len(COMPARES)} compare, {len(EXPECTS)} expect, 1 fit-test "
+        f"and {len(STUDIES)} study outputs in {GOLDEN}"
+    )

@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 
 import ncbench
+import ncbench.hypergeom
 import ncbench.pipeline
 from ncbench.cli import EXIT_INPUT, EXIT_NUMERICAL, _pipeline_config_from_file, main
 from ncbench.graphs import Dag
@@ -123,6 +124,25 @@ class TestFitTest:
         assert payload["m_true"] == 8 and payload["m_est"] == 7
         assert 0 < payload["p"] <= 1
         assert payload["log10_p"] == pytest.approx(math.log10(payload["p"]))
+
+    def test_walks_the_tail_once(self, tmp_path, capsys, monkeypatch):
+        # p and log10_p are read from one exact tail, as the library gives them.
+        tails = []
+        upper_tail = ncbench.hypergeom._upper_tail
+
+        def counted(tp_obs, p):
+            tails.append((tp_obs, p))
+            return upper_tail(tp_obs, p)
+
+        monkeypatch.setattr(ncbench.hypergeom, "_upper_tail", counted)
+        out_path = tmp_path / "fit.json"
+        assert main(["fit-test", "--truth", TRUTH, "--est", EST, "--json", str(out_path)]) == 0
+        assert len(tails) == 1
+        payload = json.loads(out_path.read_text())
+        monkeypatch.undo()
+        tp_obs, p = tails[0]
+        assert payload["p"] == ncbench.hypergeom.skeleton_fit_test(tp_obs, p)
+        assert payload["log10_p"] == ncbench.hypergeom.skeleton_fit_log10_p(tp_obs, p)
 
     def test_missing_file(self, capsys):
         rc = main(["fit-test", "--truth", TRUTH, "--est", "/nonexistent.csv"])

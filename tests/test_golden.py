@@ -44,6 +44,18 @@ def test_compare_output_is_recorded(name, tmp_path):
     assert stdout == golden.stdout_path(name).read_bytes(), f"{name}: stdout differs"
 
 
+@pytest.mark.parametrize("name", sorted(golden.EXPECTS))
+def test_expect_output_is_recorded(name, tmp_path):
+    output, stdout = golden.expect_output(name, tmp_path)
+    path = golden.expect_path(name)
+    assert_same_json(path.read_bytes(), output, name)
+    assert stdout == path.with_suffix(".txt").read_bytes(), f"{name}: stdout differs"
+
+
+def test_fit_test_stdout_is_recorded():
+    assert golden.fit_test_stdout() == golden.fit_test_path().read_bytes()
+
+
 @pytest.mark.parametrize("name", sorted(golden.STUDIES))
 def test_study_outputs_are_recorded(name, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(ncbench.cli, "run_study", shared_study)

@@ -1,3 +1,4 @@
+import decimal
 import math
 import pickle
 import random
@@ -258,7 +259,8 @@ class TestKeptWalk:
             quantile(0.5, p)
             cdf(p.support.start + 1, p)
             walk = p._walk
-            assert all(type(getattr(walk, f)) is int for f in ("denom", "k", "a", "b", "num"))
+            assert all(type(getattr(walk, f)) is int for f in ("denom", "k", "t", "num"))
+            assert walk.denom == math.comb(p.m_max, min(p.m_true, p.m_est))
             assert walk.cdf and all(type(x) is float for x in walk.cdf)
             fresh = HyperParams(*cell)
             copy = pickle.loads(pickle.dumps(p))
@@ -266,6 +268,74 @@ class TestKeptWalk:
                 assert q == fresh and hash(q) == hash(fresh) and repr(q) == repr(fresh)
             for level in KEPT_WALK_LEVELS:
                 assert quantile(level, copy) == _reference_quantile(level, fresh)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 400), st.data())
+def test_margins_swap_to_the_same_exact_values(m_max, data):
+    # The walk sums C(m_max, s) * P(TP = k) over the smaller margin s; the
+    # reference is the C(m_max, m_est) form, whichever margin is smaller.
+    a = data.draw(st.integers(0, m_max))
+    b = data.draw(st.integers(1, m_max))
+    p, swapped = HyperParams(m_max, a, b), HyperParams(m_max, b, a)
+    den = math.comb(m_max, b)
+    below = 0
+    for k in range(p.support.stop):
+        term = _exact_term(k, p)  # 0 below the support
+        fit = float(Fraction(den - below, den))
+        assert skeleton_fit_test(k, p) == fit, k
+        if a:
+            assert skeleton_fit_test(k, swapped) == fit, k
+        below += term
+        assert cdf(k, p) == cdf(k, swapped) == float(Fraction(below, den)), k
+    for level in KEPT_WALK_LEVELS:
+        expected = _reference_quantile(level, p)
+        assert quantile(level, p) == quantile(level, swapped) == expected, level
+
+
+def _decimal_log10(num, denom):
+    """log10(num / denom) with more digits than either integer has."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = denom.bit_length() * 3 // 10 + 40
+        return float((decimal.Decimal(num) / decimal.Decimal(denom)).log10())
+
+
+class TestFitLog10:
+    # log10 p is read from the exact tail to a few ulps, also near p = 1,
+    # where subtracting two rounded logs of nearly equal integers cancels.
+    @pytest.mark.parametrize(
+        "cell, tp_obs",
+        [
+            ((283, 16, 270), 5),
+            ((55, 20, 24), 13),
+            ((4950, 99, 120), 1),
+            ((231, 200, 190), 165),
+            ((4950, 99, 120), 12),
+        ],
+    )
+    def test_matches_a_decimal_reference(self, cell, tp_obs):
+        p = HyperParams(*cell)
+        num, denom = hypergeom._upper_tail(tp_obs, p)
+        expected = _decimal_log10(num, denom)
+        assert skeleton_fit_log10_p(tp_obs, p) == pytest.approx(expected, rel=1e-15, abs=0)
+
+    def test_random_cells(self):
+        rng = random.Random(30)
+        for _ in range(200):
+            m_max = rng.randint(1, 300)
+            p = HyperParams(m_max, rng.randint(0, m_max), rng.randint(1, m_max))
+            for tp_obs in range(p.support.start + 1, p.support.stop):
+                num, denom = hypergeom._upper_tail(tp_obs, p)
+                expected = _decimal_log10(num, denom)
+                got = skeleton_fit_log10_p(tp_obs, p)
+                assert got == pytest.approx(expected, rel=1e-15, abs=0), (p, tp_obs)
+
+    def test_p_one_is_positive_zero(self):
+        for cell in [(10, 3, 4), (283, 16, 270), (124750, 5000, 4000)]:
+            p = HyperParams(*cell)
+            for tp_obs in range(p.support.start + 1):
+                log10_p = skeleton_fit_log10_p(tp_obs, p)
+                assert log10_p == 0.0 and math.copysign(1.0, log10_p) == 1.0
 
 
 class TestExpectedTp:
