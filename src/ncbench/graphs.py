@@ -181,8 +181,13 @@ def _checked(d, labels, directed, undirected=()):
     skeleton's size tells whether a pair came twice. Returns the parts _fill
     sets, (d, directed, skel, undirected, labels), skel and undirected canonical."""
     d = _checked_d(d)
-    labels = _default_labels(d) if labels is None else tuple(labels)
-    if len(labels) != d or len(set(labels)) != d:
+    given = labels is not None
+    labels = tuple(labels) if given else _default_labels(d)
+    if (
+        given and not all(isinstance(lab, str) for lab in labels)
+        or len(labels) != d
+        or len(set(labels)) != d
+    ):
         raise GraphError("labels must be d distinct strings")
     skel = set()
     directed = _checked_pairs(directed, d, skel, False)

@@ -338,59 +338,28 @@ class TestCompare:
         assert captured.out == ""
 
 
+def _src_env():
+    """The environment for a child Python that imports this checkout's ncbench."""
+    return {**os.environ, "PYTHONPATH": str(Path(ncbench.__file__).resolve().parents[1])}
+
+
 def test_cli_import_loads_no_scipy():
     # Neither scipy nor jsonschema (test dependencies only), nor fractions:
     # the exact null is plain integer arithmetic.
-    src = str(Path(ncbench.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
     code = (
         "import sys, ncbench.cli; "
         "print(sorted(m for m in sys.modules"
         " if m.split('.')[0] in ('scipy', 'jsonschema', 'fractions')))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
-
-
-def test_compare_and_pipeline_run_without_jsonschema(tmp_path):
-    # numpy is the only runtime dependency: a None entry in sys.modules makes
-    # `import jsonschema` raise ImportError in the child.
-    src = str(Path(ncbench.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    code = (
-        "import sys\n"
-        "sys.modules['jsonschema'] = None\n"
-        "try:\n    import jsonschema\nexcept ImportError:\n    pass\n"
-        "else:\n    sys.exit('jsonschema is importable')\n"
-        "from ncbench.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))\n"
-    )
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"b": 2, "d": 5, "m_true": 5, "n": 60, "seed": 1}))
-    sachs = [f"{DATA_DIR}/sachs_truth.csv", f"{DATA_DIR}/sachs_pc_estimate.csv"]
-    runs = [
-        ["compare", "--truth", sachs[0], "--est", sachs[1], "--est-kind", "cpdag",
-         "--nc-reps", "100", "--seed", "0", "--json", str(tmp_path / "cmp.json")],
-        ["pipeline", "--config", str(cfg), "--out-dir", str(tmp_path / "out")],
-    ]
-    for argv in runs:
-        proc = subprocess.run(
-            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-    jsonschema.validate(
-        json.loads((tmp_path / "cmp.json").read_text()), load_schema("compare-report.schema.json")
-    )
-    assert (tmp_path / "out" / "summary.json").exists()
 
 
 def test_compare_and_pipeline_leave_numpy_ma_unimported(tmp_path):
     # np.quantile imports numpy.ma on its first call, ~10 ms of every
     # process; the summaries write its rule out instead.
-    src = str(Path(ncbench.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"b": 2, "d": 5, "m_true": 5, "n": 60, "seed": 1}))
     code = (
@@ -403,16 +372,29 @@ def test_compare_and_pipeline_leave_numpy_ma_unimported(tmp_path):
         "print('numpy.ma' in sys.modules)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True
     )
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_every_subcommand_runs_with_the_runtime_dependencies_only(tmp_path):
+    # The checks CI runs on a numpy-only install, here against src/: the test
+    # dependencies blocked, every warning an error. A ResourceWarning is
+    # printed, not raised, so stderr must stay empty.
+    script = Path(__file__).resolve().parent / "bare_install.py"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", str(script), str(tmp_path)],
+        env=_src_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok check_every_subcommand_ran"
 
 
 def test_os_errors_exit_2_with_one_error_line(tmp_path):
     # A directory where a file is expected: the error is an input error on
     # one stderr line, with no traceback.
-    src = str(Path(ncbench.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
     runs = [
         ["sample", "--d", "3", "--m", "1", "--out", str(tmp_path)],
         ["fit-test", "--truth", str(tmp_path), "--est", EST],
@@ -420,7 +402,10 @@ def test_os_errors_exit_2_with_one_error_line(tmp_path):
     ]
     for argv in runs:
         proc = subprocess.run(
-            [sys.executable, "-m", "ncbench.cli", *argv], env=env, capture_output=True, text=True
+            [sys.executable, "-m", "ncbench.cli", *argv],
+            env=_src_env(),
+            capture_output=True,
+            text=True,
         )
         assert proc.returncode == EXIT_INPUT, (argv, proc.stderr)
         assert "Traceback" not in proc.stderr

@@ -175,6 +175,14 @@ class TestDagInvariants:
                     assert g.descendants(v) == desc
 
 
+@pytest.mark.parametrize("kind", [Dag, Cpdag])
+@pytest.mark.parametrize("labels", [(0, 1), (1, 2, 3), ("a", None), ("a", ["b"])], ids=repr)
+def test_labels_that_are_not_strings_are_refused_at_the_door(kind, labels):
+    # Not only by the writer, later: a file would read (1, 2, 3) back as strings.
+    with pytest.raises(GraphError, match="^labels must be d distinct strings$"):
+        kind(len(labels), frozenset({(0, 1)}), labels=labels)
+
+
 class TestCpdagInvariants:
     def test_rejects_mixed_pair(self):
         with pytest.raises(GraphError):
