@@ -149,11 +149,11 @@ def parse_graph(path, fmt="edge-list", kind="dag"):
 
 def write_graph(g, path, fmt="edge-list"):
     """Write a graph in canonical form (node rows in index order, then sorted
-    edges, normalized tokens). A label the readers would not give back, one
-    that is not a non-empty string equal to its own strip(), raises GraphError
-    before the file is opened."""
+    edges, normalized tokens). A label the readers would not give back, an
+    empty one or one not equal to its own strip(), raises GraphError before
+    the file is opened; the graph's door has made every label a string."""
     for lab in g.labels:
-        if not (isinstance(lab, str) and lab and lab == lab.strip()):
+        if not (lab and lab == lab.strip()):
             raise GraphError(
                 f"node label {lab!r} cannot be written: labels must be non-empty "
                 "strings with no leading or trailing whitespace"

@@ -27,8 +27,6 @@ import math
 import struct
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graphs import (
     Cpdag, Dag, _as_int, _as_real, _mask, _meek_close, _nodes, d_connected
 )
@@ -126,6 +124,7 @@ def _check_sample_size(n, size):
 
 def _singular_row(idx, sub):
     """The columns of the first matrix in a stack that cannot be inverted."""
+    import numpy as np
     for row, m in zip(idx.tolist(), sub):
         try:
             np.linalg.inv(m)
@@ -142,6 +141,7 @@ class FisherZTest:
     _fisher_z_p(r) >= alpha."""
 
     def __init__(self, data, alpha):
+        import numpy as np
         data = np.asarray(data, dtype=float)
         if data.ndim != 2:
             raise ValueError(
@@ -156,7 +156,7 @@ class FisherZTest:
         if self.d < 2:
             return  # no pair to test
         _check_sample_size(self.n, 0)
-        constant = np.flatnonzero(np.ptp(data, axis=0) == 0)
+        constant = np.flatnonzero((data == data[0]).all(axis=0))
         if constant.size:
             raise CiTestError(f"constant data column {int(constant[0])}")
         self.corr = np.corrcoef(data, rowvar=False)
@@ -165,6 +165,7 @@ class FisherZTest:
         """Per pair of a level's plan, the index in its sets of its first
         separating set, or -1: plan is a list of (i, j, sets) with i < j, and
         sets a list of sorted tuples of `size` node indices."""
+        import numpy as np
         _check_sample_size(self.n, size)
         counts = [len(sets) for _, _, sets in plan]
         total = sum(counts)
@@ -234,16 +235,23 @@ def _level_plan(adj, level):
     i < j still adjacent, in order, the sorted `level`-subsets of adj[i] - {j},
     then those of adj[j] - {i} that are not also subsets of adj[i], each in
     itertools.combinations order. Each node's combinations are listed once,
-    each with its mask; a pair's rows filter them."""
-    combos, nodes, outside = [], [_nodes(a) for a in adj], [~a for a in adj]
+    each with its mask; a pair's rows filter them by mask, and skip node j's
+    when adj[j] - {i} has no node outside adj[i]."""
+    combos, nodes = [], [_nodes(a) for a in adj]
     for vs in nodes:
         masks = map(sum, itertools.combinations([1 << v for v in vs], level))
         combos.append(list(zip(itertools.combinations(vs, level), masks)))
-    return [
-        (i, j, [s for s, _ in combos[i] if j not in s]
-         + [s for s, m in combos[j] if i not in s and m & outside[i]])
-        for i, vs in enumerate(nodes) for j in vs if i < j
-    ]
+    plan = []
+    for i, vs in enumerate(nodes):
+        outside, bit_i = ~adj[i], 1 << i
+        for j in vs:
+            if i < j:
+                bit_j = 1 << j
+                sets = [s for s, m in combos[i] if not m & bit_j]
+                if adj[j] & outside & ~bit_i:
+                    sets += [s for s, m in combos[j] if not m & bit_i and m & outside]
+                plan.append((i, j, sets))
+    return plan
 
 
 def _skeleton_phase(test, d, max_cond_size):

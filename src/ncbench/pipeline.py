@@ -15,10 +15,9 @@ no pair: the estimate's is checked once where it enters, and a draw needs none."
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, replace
-
-import numpy as np
 
 from . import metrics as _metrics
 from .graphs import SID_CAP, Dag, _as_int, _as_real, skeleton
@@ -144,13 +143,37 @@ def _quantile(ordered, q):
     return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
 
 
+def _pairwise(x):
+    """numpy's pairwise sum of a list of floats, to the bit: below 8 terms a loop
+    from -0.0; to 128, eight interleaved running sums added as a tree, then the
+    rest; above, the sums of two halves split at a multiple of 8."""
+    n, add = len(x), float.__add__
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise(x[:half]) + _pairwise(x[half:])
+    if n < 8:
+        return functools.reduce(add, x, -0.0)
+    r = [functools.reduce(add, x[k:n - n % 8:8]) for k in range(8)]
+    tree = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return functools.reduce(add, x[n - n % 8:], tree)
+
+
+def _mean(values):
+    """np.mean on a list of floats or of ints, to the bit: 0.0 plus the pairwise sum.
+    numpy casts ints in 8192-element buffers, which splits the sum otherwise, but
+    below 2**53 every partial sum of ints is exact, so the plain sum is the same."""
+    if all(type(v) is int for v in values):
+        return sum(values) / len(values)
+    return (0.0 + _pairwise([float(v) for v in values])) / len(values)
+
+
 def _summarize(values):
     present = [v for v in values if v is not None]
     if not present:
         return {"mean": None, "ci": [None, None], "missing": len(values)}
     ordered = sorted(present)
     return {
-        "mean": float(np.mean(present)),
+        "mean": _mean(present),
         "ci": [float(_quantile(ordered, 0.025)), float(_quantile(ordered, 0.975))],
         "missing": len(values) - len(present),
     }
@@ -182,7 +205,8 @@ def _replicate(cfg, i):
     rng = RngSeed(cfg.seed).child(i)
     truth = sample_er_dag(cfg.d, cfg.m_true, rng)
     score = _metrics._scorer(truth, cfg.metrics, cfg.sid_cap)
-    data = simulate(draw_sem(truth, rng, cfg.weight_range, cfg.variance_range), cfg.n, rng)
+    gen = rng.numpy()  # one hand-over: the SEM and its data draw on from the truth's state
+    data = simulate(draw_sem(truth, gen, cfg.weight_range, cfg.variance_range), cfg.n, gen)
     try:
         estimate = (cfg.algorithm or pc)(data, PcConfig(alpha=cfg.alpha))
     except CiTestError as exc:
@@ -197,7 +221,7 @@ def _control(cfg, rep, score, pool):
     count drawn from pool, the study's m_ests, then the NC and its values from
     `score`, the scorer _replicate prepared on rep's truth."""
     rng = RngSeed(cfg.seed, 1).child(rep.index)
-    m = int(rng.choice(pool))
+    m = rng.choice(pool)
     nc, nc_values = _nc_values(score, cfg.nc_kind, rep.truth.d, m, rng, cfg.metrics)
     return replace(rep, nc=nc, nc_values=nc_values)
 

@@ -5,9 +5,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graphs import Dag, _as_int, _as_real, _nodes
+from .random_graphs import _as_numpy
 
 # Weight magnitudes bounded away from zero to avoid near-unfaithful models.
 DEFAULT_WEIGHT_RANGE = (0.5, 2.0)
@@ -36,38 +35,42 @@ class SemModel:
 
 def draw_sem(g, rng, weight_range=DEFAULT_WEIGHT_RANGE, variance_range=DEFAULT_VARIANCE_RANGE):
     """Random weights (uniform on +-[lo, hi]) and variances for each node,
-    drawn from the numpy Generator rng."""
+    drawn from rng, a Stream or a numpy Generator on PCG64."""
     lo, hi = check_range("weight_range", weight_range)
     vlo, vhi = check_range("variance_range", variance_range)
     weights = {}
-    for i, j in sorted(g.edges):
-        mag = rng.uniform(lo, hi)
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        weights[(i, j)] = sign * mag
-    variances = tuple(rng.uniform(vlo, vhi) for _ in range(g.d))
+    with _as_numpy(rng) as gen:
+        for i, j in sorted(g.edges):
+            mag = gen.uniform(lo, hi)
+            sign = 1.0 if gen.random() < 0.5 else -1.0
+            weights[(i, j)] = sign * mag
+        variances = tuple(gen.uniform(vlo, vhi) for _ in range(g.d))
     return SemModel(g, weights, variances)
 
 
 def simulate(model, n, rng):
     """n i.i.d. rows from the SEM, each node evaluated in topological order,
-    the noise drawn from the numpy Generator rng."""
+    the noise drawn from rng, a Stream or a numpy Generator on PCG64."""
+    import numpy as np
     n = _as_int(n, "n", ValueError)
     if n < 1:
         raise ValueError("sample size must be at least 1")
     g = model.graph
     data = np.zeros((n, g.d))
-    for v in g._order:
-        noise = rng.normal(0.0, np.sqrt(model.variances[v]), size=n)
-        col = noise
-        for p in _nodes(g._index[0][v]):
-            col = col + model.weights[(p, v)] * data[:, p]
-        data[:, v] = col
+    with _as_numpy(rng) as gen:
+        for v in g._order:
+            noise = gen.normal(0.0, np.sqrt(model.variances[v]), size=n)
+            col = noise
+            for p in _nodes(g._index[0][v]):
+                col = col + model.weights[(p, v)] * data[:, p]
+            data[:, v] = col
     return data
 
 
 def to_csv(data, labels, path):
     """Write a data matrix as UTF-8 CSV with node labels as the header,
     quoted as the csv module quotes them (a label may hold a comma)."""
+    import numpy as np
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(labels)
         np.savetxt(fh, data, delimiter=",")

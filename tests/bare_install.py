@@ -9,6 +9,9 @@ ncbench.cli.main in this process with its exit code checked. The Sachs
 fixtures are read from the imported package's own data/ directory, so a run
 against an installed package also checks that its data files were installed.
 The last check fails if some subcommand of the parser was never run.
+One check runs expect, fit-test, compare and sample again in a child process
+with numpy blocked: they must not need it, and must print the bytes that
+tests/golden/ holds for them, and write the same sample file as with numpy.
 
 CI runs this against a non-editable install in a venv holding numpy only;
 tests/test_cli.py runs it against src/ with PYTHONPATH=src.
@@ -19,6 +22,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 import warnings
 
@@ -31,6 +35,7 @@ import ncbench  # noqa: E402
 from ncbench import cli  # noqa: E402
 
 DATA = os.path.join(os.path.dirname(ncbench.__file__), "data")
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 SACHS = [
     "--truth", os.path.join(DATA, "sachs_truth.csv"),
     "--est", os.path.join(DATA, "sachs_pc_estimate.csv"), "--est-kind", "cpdag",
@@ -150,6 +155,53 @@ def check_extension_cap(root):
     ], rows
 
 
+# Run in a child with numpy blocked: each argv's exit code and stdout, as JSON.
+NUMPY_FREE_CHILD = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+import ncbench
+from ncbench import cli
+assert ncbench.__file__ == sys.argv[1], ncbench.__file__
+results = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(argv)
+    results.append([rc, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def check_numpy_free_commands(root):
+    # The exact answers, compare and sample load no numpy. Their stdout is
+    # byte-equal to the recorded goldens, and the sampled file to the one
+    # this process writes with numpy loaded.
+    sample = ["sample", "--d", "8", "--m", "10", "--seed", "0", "--stream", "1", "--out"]
+    with_numpy = os.path.join(root, "sample_numpy.csv")
+    run(*sample, with_numpy)
+    runs = [
+        (["expect", "--d", "500", "--m-true", "12476", "--m-est", "62375"],
+         os.path.join(GOLDEN, "expect", "expect_d500.txt")),
+        (["fit-test", *SACHS], os.path.join(GOLDEN, "fit_test_sachs.txt")),
+        (["compare", *SACHS, "--seed", "0"], os.path.join(GOLDEN, "compare", "compare_seed00.txt")),
+        ([*sample, os.path.join(root, "sample_no_numpy.csv")], None),
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-B", "-W", "error", "-c", NUMPY_FREE_CHILD, ncbench.__file__,
+         json.dumps([argv for argv, _ in runs])],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    for (argv, golden), (rc, out) in zip(runs, json.loads(proc.stdout)):
+        assert rc == 0, (argv, rc)
+        if golden is not None:
+            with open(golden, encoding="utf-8", newline="") as fh:
+                assert out == fh.read(), (argv, out)
+        RAN.add(argv[0])
+    with open(with_numpy, "rb") as a, open(os.path.join(root, "sample_no_numpy.csv"), "rb") as b:
+        assert a.read() == b.read()
+
+
 def check_every_subcommand_ran(root):
     [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert set(sub.choices) <= RAN, sorted(set(sub.choices) - RAN)
@@ -163,6 +215,7 @@ CHECKS = [
     check_sample_and_simulate,
     check_empty_estimate,
     check_extension_cap,
+    check_numpy_free_commands,
     check_every_subcommand_ran,
 ]
 

@@ -183,7 +183,7 @@ def test_criterion_07_oracle_pc(capsys):
             cp = dag_to_cpdag(g)
             est = pc(g)
             ok = ok and est.directed == cp.directed and est.undirected == cp.undirected
-    gen = RngSeed(2718).generator()
+    gen = RngSeed(2718).generator().numpy()
     for _ in range(200):
         g = sample_er_dag(8, int(gen.integers(8, 21)), gen)
         cp = dag_to_cpdag(g)

@@ -345,16 +345,19 @@ def _src_env():
 
 def test_cli_import_loads_no_scipy():
     # Neither scipy nor jsonschema (test dependencies only), nor fractions:
-    # the exact null is plain integer arithmetic.
-    code = (
-        "import sys, ncbench.cli; "
-        "print(sorted(m for m in sys.modules"
-        " if m.split('.')[0] in ('scipy', 'jsonschema', 'fractions')))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
+    # the exact null is plain integer arithmetic. Nor numpy: only PC's tests
+    # and the SEM load it, when they run.
+    for module in ("ncbench", "ncbench.cli"):
+        code = (
+            f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('scipy', 'jsonschema', 'fractions', 'numpy')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]", module
 
 
 def test_compare_and_pipeline_leave_numpy_ma_unimported(tmp_path):

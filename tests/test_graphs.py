@@ -146,7 +146,7 @@ class TestDagInvariants:
                         queue.append(c)
             return order
 
-        gen = RngSeed(81).generator()
+        gen = RngSeed(81).generator().numpy()
         for d in range(1, 31):
             for _ in range(4):
                 g = sample_er_dag(d, int(gen.integers(0, d * (d - 1) // 2 + 1)), gen)
@@ -158,7 +158,7 @@ class TestDagInvariants:
         assert g.descendants(3) == frozenset()
 
     def test_indexed_queries_match_edge_scans(self):
-        gen = RngSeed(80).generator()
+        gen = RngSeed(80).generator().numpy()
         for d in range(1, 12):
             for _ in range(6):
                 g = sample_er_dag(d, int(gen.integers(0, d * (d - 1) // 2 + 1)), gen)
@@ -212,7 +212,7 @@ class TestCpdagInvariants:
                 return "pair appears both directed and undirected"
             return directed, undirected, pairs | undirected
 
-        gen = RngSeed(41).generator()
+        gen = RngSeed(41).generator().numpy()
         outcomes = set()
         for _ in range(3000):
             d = int(gen.integers(1, 6))
@@ -243,7 +243,7 @@ class TestEdgeView:
         from ncbench.io import write_graph
         from ncbench.metrics import full_report
 
-        gen = RngSeed(seed).generator()
+        gen = RngSeed(seed).generator().numpy()
         truth = sample_er_dag(7, 9, gen)
         g = sample_er_dag(7, int(gen.integers(1, 15)), gen)
         c = Cpdag(g.d, g.edges, frozenset(), g.labels)
@@ -272,7 +272,7 @@ class TestSkeleton:
         assert len(skeleton(five_node_estimate)) == 7
 
     def test_matches_edge_scan(self):
-        gen = RngSeed(82).generator()
+        gen = RngSeed(82).generator().numpy()
         for d in range(1, 16):
             for _ in range(4):
                 m = int(gen.integers(0, d * (d - 1) // 2 + 1))
@@ -319,7 +319,7 @@ class TestVStructures:
             assert v_structures(with_labels(graph, None)) == vs
 
     def test_fields_match_colliders(self):
-        gen = RngSeed(83).generator()
+        gen = RngSeed(83).generator().numpy()
         for d in range(3, 12):
             for _ in range(4):
                 g = sample_er_dag(d, int(gen.integers(0, d * (d - 1) // 2 + 1)), gen)
@@ -450,7 +450,7 @@ class TestDSeparation:
         triples = stopped = 0
         for d in range(1, 31):
             for rep in range(12):
-                gen = RngSeed(41, 100 * d + rep).generator()
+                gen = RngSeed(41, 100 * d + rep).generator().numpy()
                 g = sample_er_dag(d, int(gen.integers(0, min(2 * d, d * (d - 1) // 2) + 1)), gen)
                 parents, children = g._index
                 for _ in range(10):
@@ -480,7 +480,7 @@ class TestDSeparation:
 
         for rep in range(30):
             rng = RngSeed(11, rep)
-            gen = rng.generator()
+            gen = rng.generator().numpy()
             g = sample_er_dag(5, int(gen.integers(0, 11)), gen)
             for i, j in itertools.combinations(range(5), 2):
                 rest = [v for v in range(5) if v not in (i, j)]
@@ -537,7 +537,7 @@ class TestDagToCpdag:
 
     @pytest.mark.parametrize("density", [0.15, 0.6])
     def test_matches_meek_construction_seeded(self, density):
-        gen = RngSeed(97).generator()
+        gen = RngSeed(97).generator().numpy()
         for d in range(5, 26):
             for _ in range(12):
                 m = int(gen.binomial(d * (d - 1) // 2, density))
@@ -602,7 +602,7 @@ class TestUncheckedBuilds:
         # generators end in the same state.
         for d, m in _unchecked_corpus():
             for rep in range(4):
-                gen_cpdag, gen_dag = (RngSeed(241, rep).child(100 * d + m) for _ in range(2))
+                gen_cpdag, gen_dag = (RngSeed(241, rep).child(100 * d + m).numpy() for _ in range(2))
                 assert sample_er_cpdag(d, m, gen_cpdag) == dag_to_cpdag(
                     sample_er_dag(d, m, gen_dag)
                 )
@@ -691,7 +691,7 @@ class TestMeekClose:
         # Random skeletons with random partial orientations: consistent or
         # not (cycles, both orientations of a pair), as PC's orientation phase
         # passes them, plus v-structure seeds of DAGs.
-        gen = RngSeed(91).generator()
+        gen = RngSeed(91).generator().numpy()
         closed_more = 0
         for trial in range(2400):
             d = 2 + trial % 12
@@ -813,7 +813,7 @@ class TestExtensionsMatchBruteForce:
         ],
     )
     def test_seeded_corpus(self, draw, seed, faults):
-        gen = RngSeed(180, seed).generator()
+        gen = RngSeed(180, seed).generator().numpy()
         # Inputs with no extension: a cycle among p's own directed edges, or
         # acyclic but every completion adds a collider.
         outcomes = {"cyclic": 0, "colliding": 0, "several": 0}

@@ -162,7 +162,7 @@ class TestAdjacencyMatrix:
 @pytest.mark.parametrize("fmt", ["edge-list", "adjacency-matrix"])
 def test_write_then_parse_is_the_identity(tmp_path, fmt):
     # Labels X1..Xd: past d = 9 their sorted order is not their index order.
-    gen = RngSeed(13).generator()
+    gen = RngSeed(13).generator().numpy()
     for d in range(1, 31):
         for sample in (sample_er_dag, sample_er_cpdag):
             g = sample(d, int(gen.integers(0, max_edges(d) + 1)), gen)

@@ -165,7 +165,7 @@ class TestShd:
                 return (i, j) if (i, j) in g.directed else (j, i)
             return "undirected" if (i, j) in skeleton(g) else None
 
-        gen = RngSeed(42).generator()
+        gen = RngSeed(42).generator().numpy()
         for _ in range(200):
             d = int(gen.integers(2, 9))
             m_max = d * (d - 1) // 2
@@ -179,7 +179,7 @@ class TestShd:
                 assert shd(x, y) == expected
 
     def test_axioms_on_random_triples(self):
-        gen = RngSeed(40).generator()
+        gen = RngSeed(40).generator().numpy()
         for _ in range(40):
             gs = [sample_er_dag(5, int(gen.integers(0, 11)), gen) for _ in range(3)]
             a, b, c = gs
@@ -214,7 +214,7 @@ class TestVStructureRecovery:
         # Estimates near the truth (a subset of its edges plus extra edges in
         # its order), their CPDAGs, and PC on 10 to 200 rows of the truth's
         # data, improper CPDAGs among them.
-        gen = RngSeed(220, ["dag", "cpdag", "pc"].index(kind)).generator()
+        gen = RngSeed(220, ["dag", "cpdag", "pc"].index(kind)).generator().numpy()
         values, improper = set(), 0
         for _ in range(250):
             d = int(gen.integers(3, 9))
@@ -298,7 +298,7 @@ class TestSid:
         assert bounds == SidBounds(expected, expected, True)
 
     def test_bounded_by_ordered_pairs(self):
-        gen = RngSeed(50).generator()
+        gen = RngSeed(50).generator().numpy()
         for _ in range(20):
             truth = sample_er_dag(4, int(gen.integers(0, 7)), gen)
             est = sample_er_dag(4, int(gen.integers(0, 7)), gen)
@@ -308,7 +308,7 @@ class TestSid:
     @pytest.mark.parametrize("d", [3, 4])
     def test_cpdag_bounds_bracket_extensions(self, d):
         population = all_dags(d)
-        gen = RngSeed(60).generator()
+        gen = RngSeed(60).generator().numpy()
         sample = [population[int(gen.integers(0, len(population)))] for _ in range(25)]
         for truth in sample[:5]:
             for est in sample[5:10]:
@@ -351,7 +351,7 @@ class TestSidOverExtensionSearch:
     )
     def test_seeded_corpus(self, draw, seed, improper):
         # The inputs of test_graphs' extension corpus, and a truth for each.
-        gen, truths = RngSeed(180, seed).generator(), RngSeed(181, seed).generator()
+        gen, truths = RngSeed(180, seed).generator().numpy(), RngSeed(181, seed).generator().numpy()
         outcomes = {"improper": 0, "several": 0}
         checked = 0
         while checked < 150:
@@ -397,7 +397,7 @@ class TestSidEquivalence:
     """The per-node reachability SID equals the per-pair definition."""
 
     def test_dag_estimates_match_reference(self):
-        gen = RngSeed(70).generator()
+        gen = RngSeed(70).generator().numpy()
         pairs = 0
         descendant_parents = 0
         for d in range(2, 10):
@@ -417,7 +417,7 @@ class TestSidEquivalence:
         assert descendant_parents >= 100
 
     def test_cpdag_bounds_match_reference_over_extensions(self):
-        gen = RngSeed(71).generator()
+        gen = RngSeed(71).generator().numpy()
         for d in range(2, 7):
             m_max = d * (d - 1) // 2
             for _ in range(10):
@@ -437,7 +437,7 @@ class TestScorer:
         # One scorer on one truth, reused over 200 estimates: DAG and CPDAG
         # draws, random partial orientations and PC on 10 to 60 rows, with
         # improper CPDAGs and more extensions than the cap among them.
-        gen = RngSeed(250).generator()
+        gen = RngSeed(250).generator().numpy()
         truth = sample_er_dag(7, 10, gen)
         names = sorted(METRIC_NAMES)
         score = metrics._scorer(truth, names, 12)

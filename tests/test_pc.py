@@ -21,7 +21,7 @@ pc_module = importlib.import_module("ncbench.pc")
 
 
 def _gaussian_pair(n, r, seed):
-    gen = RngSeed(seed).generator()
+    gen = RngSeed(seed).generator().numpy()
     x = gen.normal(size=n)
     y = r * x + math.sqrt(1 - r * r) * gen.normal(size=n)
     return np.column_stack([x, y])
@@ -59,7 +59,7 @@ class TestFisherZ:
             fisher_z_test(data, 0, 1, [2])
 
     def test_singular_covariance(self):
-        gen = RngSeed(3).generator()
+        gen = RngSeed(3).generator().numpy()
         x = gen.normal(size=100)
         data = np.column_stack([x, x, gen.normal(size=100)])
         with pytest.raises(CiTestError):
@@ -109,7 +109,7 @@ class TestFisherZEngine:
     def test_decisions_match_reference(self, alpha):
         data = _study_data(10, 30, 0)
         test = FisherZTest(data, alpha)
-        gen = RngSeed(22).generator()
+        gen = RngSeed(22).generator().numpy()
         answers = []
         for size in range(5):
             triples = []
@@ -173,14 +173,14 @@ class TestFisherZEngine:
 
     def test_error_messages(self):
         # n = 4 passes the marginal tests and fails at level 1.
-        gen = RngSeed(3).generator()
+        gen = RngSeed(3).generator().numpy()
         x = gen.normal(size=4)
         data = np.column_stack([x + 0.01 * gen.normal(size=4) for _ in range(3)])
         with pytest.raises(CiTestError, match=re.escape("need n > |z| + 3 (n=4, |z|=1)")):
             pc(data)
         # Integer data over 64 samples make every correlation exact, so the
         # copied column's 2 x 2 block is exactly singular.
-        data = RngSeed(3).generator().integers(-5, 6, size=(64, 5)).astype(float)
+        data = RngSeed(3).generator().numpy().integers(-5, 6, size=(64, 5)).astype(float)
         data[:, 3] = data[:, 1]
         with pytest.raises(
             CiTestError, match=re.escape("singular conditioning correlation for [1, 3]")
@@ -232,7 +232,7 @@ class TestOraclePc:
     def test_random_d8(self):
         for rep in range(60):
             rng = RngSeed(7, rep)
-            gen = rng.generator()
+            gen = rng.generator().numpy()
             g = sample_er_dag(8, int(gen.integers(8, 21)), gen)
             est = pc(g)
             cp = dag_to_cpdag(g)
@@ -476,7 +476,7 @@ class TestMatchesReferencePc:
         levels = _record_levels(monkeypatch)
         cfg = PcConfig(alpha=alpha, max_cond_size=max_cond_size)
         for rep in range(4):
-            gen = RngSeed(23, 100 * d + rep).generator()
+            gen = RngSeed(23, 100 * d + rep).generator().numpy()
             g = sample_er_dag(d, int(gen.integers(d, 2 * d + 1)), gen)
             data = simulate_seeded(g, n, RngSeed(24, 100 * d + rep))
             est = pc(data, cfg)
@@ -493,7 +493,7 @@ class TestMatchesReferencePc:
     def test_oracle(self, d, monkeypatch):
         levels = _record_levels(monkeypatch, pc_module.OracleTest)
         for rep in range(8 if d < 30 else 1):
-            gen = RngSeed(25, 100 * d + rep).generator()
+            gen = RngSeed(25, 100 * d + rep).generator().numpy()
             g = sample_er_dag(d, int(gen.integers(d, 2 * d + 1)), gen)
             est = pc(g)
             got = _consulted(levels, d)
@@ -507,7 +507,7 @@ class TestMatchesReferencePc:
         # Seeded adjacency states, from empty to complete, at levels 0-4: the
         # plan from per-node combinations equals, row for row, the plan
         # built pair by pair with a dict.fromkeys per pair.
-        gen = RngSeed(28).generator()
+        gen = RngSeed(28).generator().numpy()
         rows = 0
         for trial in range(400):
             d = 2 + trial % 13
@@ -526,7 +526,7 @@ class TestMatchesReferencePc:
     def test_v_structure_votes_on_random_inputs(self):
         # Random skeletons, each non-adjacent pair given a random separating
         # set, as the skeleton phase guarantees.
-        gen = RngSeed(26).generator()
+        gen = RngSeed(26).generator().numpy()
         voted = 0
         for trial in range(1500):
             d = 3 + trial % 10
@@ -556,7 +556,7 @@ class TestMatchesReferencePc:
         removed = 0
         for d in range(3, 13):
             for rep in range(6):
-                gen = RngSeed(29, 100 * d + rep).generator()
+                gen = RngSeed(29, 100 * d + rep).generator().numpy()
                 g = sample_er_dag(d, int(gen.integers(0, min(2 * d, d * (d - 1) // 2) + 1)), gen)
                 adj, masks = pc_module._skeleton_phase(pc_module.OracleTest(g), d, None)
                 _, reference = reference_skeleton_phase(DSeparationOracle(g), d, None)
@@ -627,7 +627,7 @@ class TestDecideContract:
         corpus = [(d, rep) for d in range(3, 21) for rep in range(max(8, 1500 // d**2))]
         assert len(corpus) >= 500
         for d, rep in corpus:
-            gen = RngSeed(27, 100 * d + rep).generator()
+            gen = RngSeed(27, 100 * d + rep).generator().numpy()
             g = sample_er_dag(d, int(gen.integers(0, min(2 * d, d * (d - 1) // 2) + 1)), gen)
             got = decoded(pc_module._skeleton_phase(pc_module.OracleTest(g), d, None))
             assert got == reference_skeleton_phase(DSeparationOracle(g), d, None)

@@ -22,6 +22,7 @@ from ncbench.pc import CiTestError, PcConfig, pc
 from ncbench.pipeline import (
     DEFAULT_METRICS,
     PipelineConfig,
+    _mean,
     _replicate,
     _summarize,
     paired_p,
@@ -38,7 +39,7 @@ from reference import with_labels
 def test_summary_interval_matches_numpy_quantile():
     # _summarize writes out np.quantile's linear rule; equal to the bit on
     # integers, ties, fractions and floats of mixed scale, from n = 1 up.
-    gen = RngSeed(31).generator()
+    gen = RngSeed(31).generator().numpy()
     for trial in range(2000):
         n = 1 + trial % 7 if trial < 70 else int(gen.integers(1, 300))
         kind = trial % 4
@@ -55,6 +56,25 @@ def test_summary_interval_matches_numpy_quantile():
             float(np.quantile(values, 0.025)), float(np.quantile(values, 0.975))
         ]
         assert summary["missing"] == trial % 3
+
+
+def test_summary_mean_matches_numpy_mean():
+    # _mean writes out np.mean on floats (pairwise, after 0.0) and on ints
+    # (an exact sum), equal to the bit from n = 1 to past numpy's 8192-element
+    # cast buffers, on mixed scales and on signed zeros.
+    gen = np.random.default_rng(32)
+    sizes = [1, 2, 7, 8, 9, 15, 16, 127, 128, 129, 136, 255, 1000, 8192, 8193, 20000, 70001]
+    lists = []
+    for n in sizes:
+        lists.append(gen.normal(size=n).tolist())
+        lists.append((gen.random(size=n) * 10 ** gen.uniform(-8, 8, size=n)).tolist())
+        lists.append(gen.integers(0, 10**6, size=n).tolist())
+        lists.append([float(v) for v in gen.integers(-3, 4, size=n)])
+    lists += [[-0.0] * n for n in (1, 7, 8, 200)] + [[3, 0.5, 2]]
+    for values in lists:
+        mean = _mean(values)
+        assert type(mean) is float
+        assert repr(mean) == repr(float(np.mean(values))), (len(values), values[:3])
 
 
 class TestPairedP:
@@ -538,7 +558,7 @@ _COUNTS_BASE = {"tp": 1, "fp": 0, "fn": 0, "tn": 0}
 INTEGER_DOORS = {
     "RngSeed.seed": ("seed", lambda v: RngSeed(v).seed),
     "RngSeed.stream": ("stream", lambda v: RngSeed(0, v).stream),
-    "RngSeed.child": ("index", lambda v: RngSeed(0).child(v).random()),
+    "RngSeed.child": ("index", lambda v: RngSeed(0).child(v).numpy().random()),
     "max_edges": ("d", max_edges),
     "sample_er_dag.d": ("d", lambda v: sample_er_dag(v, 1, RngSeed(0).generator())),
     "sample_er_dag.m": ("m", lambda v: sample_er_dag(5, v, RngSeed(0).generator())),
