@@ -445,27 +445,31 @@ def dag_to_cpdag(g):
     class: its compelled edges stay directed, its reversible ones undirected."""
     if not isinstance(g, Dag):
         raise GraphError("dag_to_cpdag completes a Dag")
-    return _compelled(g.d, g.edges, g._order, g._skeleton, g.labels)
-
-
-def _compelled(d, edges, order, skel, labels):
-    """The CPDAG of the DAG over nodes 0..d-1 with directed `edges`,
-    topological `order` and skeleton `skel`, built with no door check.
-
-    Chickering's (1995) Find-Compelled, one pass over `order`, on parent
-    masks over positions in `order`: bit k of a node's mask is set iff
-    order[k] is one of its parents, so its highest bit is the parent latest
-    in the order. For each node y with parents, let x be that parent; every
-    edge into x is labelled by then. A compelled w -> x with w not a parent
-    of y compels every edge into y. Otherwise each such w -> y is compelled,
-    and the rest of y's edges are compelled iff some parent of y other than
-    x is not a parent of x, else reversible. The labels depend only on the
-    equivalence class, so any topological order gives the same CPDAG.
-    """
-    position = [0] * d
-    for k, v in enumerate(order):
+    position = [0] * g.d
+    for k, v in enumerate(g._order):
         position[v] = k
-    parents = _index([(position[i], position[j]) for i, j in edges], d)[0]
+    return _compelled(g.d, g.edges, position, g._skeleton, g.labels)
+
+
+def _compelled(d, edges, position, skel, labels):
+    """The CPDAG of the DAG over nodes 0..d-1 with directed `edges` and
+    skeleton `skel`, built with no door check. position[v] is v's place in a
+    topological order: a sampler hands over its draw's own rank, and
+    dag_to_cpdag the rank in the kept order.
+
+    Chickering's (1995) Find-Compelled, one pass over the order, on parent
+    masks over positions, set straight from `position`: bit k of a node's
+    mask is set iff its parent at position k, so the highest bit is the
+    parent latest in the order. For each node y with parents, let x be that
+    parent; every edge into x is labelled by then. A compelled w -> x with w
+    not a parent of y compels every edge into y. Otherwise each such w -> y
+    is compelled, and the rest of y's edges are compelled iff some parent of
+    y other than x is not a parent of x, else reversible. The labels depend
+    only on the equivalence class, so any topological order gives the same CPDAG.
+    """
+    parents = [0] * d
+    for i, j in edges:
+        parents[position[j]] |= 1 << position[i]
     compelled = [0] * d  # per position, the mask of its parents along compelled edges
     for y, pa_y in enumerate(parents):
         if pa_y:

@@ -4,7 +4,8 @@ Conditional on (m_max, m_true, m_est) the TP count of a uniformly placed
 skeleton follows HyperGeom(m_max, m_true, m_est). Everything here is exact:
 closed-form expectations, quantile transforms for the five adjacency
 metrics, and the one-sided skeleton-fit test, each float a correctly rounded
-ratio of integers at every size.
+ratio of integers at every size. Each metric has one definition, its _LINEAR
+entry; _from_counts, the one int-level helper, reads every observed value.
 
 The null is symmetric in m_true and m_est, so every probability is an
 integer over C(m_max, s), s the smaller of the two. The support walk keeps
@@ -182,24 +183,32 @@ _LINEAR = {
 }
 
 
-def _linear(metric, m_max, m_true, m_est):
+def _linear(metric):
+    """The metric's _LINEAR entry; ValueError for a name that is not one."""
     if metric not in _LINEAR:
         raise ValueError(f"unknown metric {metric!r}")
-    return _LINEAR[metric](m_max, m_true, m_est)
+    return _LINEAR[metric]
+
+
+def _from_counts(linear, tp, fp, fn, tn):
+    """The metric with _LINEAR entry `linear` on int counts; None when its
+    denominator is 0 (MISSING). Every metric value of a table is read here."""
+    a, b, den = linear(tp + fp + fn + tn, tp + fn, tp + fp)
+    return None if den == 0 else (a * tp + b) / den
 
 
 def metric_from_counts(metric, c):
     """One of the five adjacency metrics on a confusion table; None when its
     denominator is 0 (MISSING)."""
-    a, b, den = _linear(metric, c.total, c.tp + c.fn, c.tp + c.fp)
-    return None if den == 0 else (a * c.tp + b) / den
+    return _from_counts(_linear(metric), c.tp, c.fp, c.fn, c.tn)
 
 
 def _linear_params(metric, p):
-    """_linear for the null's parameters; raises when the metric is undefined."""
+    """The metric's (a, b, den) for the null's parameters; raises when the
+    metric is undefined."""
     if p.m_max == 0:
         raise DegenerateParamsError("m_max must be positive")
-    a, b, den = _linear(metric, p.m_max, p.m_true, p.m_est)
+    a, b, den = _linear(metric)(p.m_max, p.m_true, p.m_est)
     if den == 0:
         raise DegenerateParamsError(
             f"{metric} is undefined for m_max={p.m_max}, "

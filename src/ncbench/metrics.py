@@ -18,7 +18,7 @@ from .graphs import (
     skeleton,
     v_structures,
 )
-from .hypergeom import METRICS, ConfusionCounts, metric_from_counts
+from .hypergeom import _LINEAR, METRICS, ConfusionCounts, _from_counts
 
 # Direction conventions for negative-control comparisons.
 SMALLER_IS_BETTER = frozenset({"shd", "sid_lower", "sid_upper"})
@@ -86,45 +86,30 @@ def _check_pair(truth, est):
 
 
 def _compare_pairs(truth, est):
-    """(adjacency confusion, orientation confusion, SHD) from one pass over
-    the pairs adjacent in both skeletons.
+    """(adjacency counts, orientation counts, SHD), each count a TP, FP, FN,
+    TN quadruple of ints, from set algebra on the skeletons and edge sets.
 
-    A pair adjacent in one skeleton only costs SHD one unit; a pair adjacent
-    in both costs one unit iff its endpoint marks differ, which is exactly a
-    directed-vs-reversed or directed-vs-undirected mismatch.
+    On a pair adjacent in both skeletons a graph puts one arrowhead, or none
+    when it leaves the pair undirected, and the two graphs' arrowheads meet
+    exactly on the edges they direct alike. A pair adjacent in one skeleton
+    only costs SHD one unit; a pair adjacent in both costs one unit unless
+    both direct it alike or both leave it undirected.
     """
-    skel_t = skeleton(truth)
-    skel_e = skeleton(est)
-    common = skel_t & skel_e
-    tp = len(common)
-    fp = len(skel_e) - tp
-    fn = len(skel_t) - tp
-    m_max = max_edges(truth.d)
-    adjacency = ConfusionCounts(tp, fp, fn, m_max - tp - fp - fn)
-    o_tp = o_fp = o_fn = o_tn = 0
-    mismatched = 0
-    for i, j in common:
-        # Arrowhead marks at i and at j; a tail wherever there is none.
-        marks_t = ((j, i) in truth.directed, (i, j) in truth.directed)
-        marks_e = ((j, i) in est.directed, (i, j) in est.directed)
-        mismatched += marks_t != marks_e
-        for mt, me in zip(marks_t, marks_e):
-            if mt and me:
-                o_tp += 1
-            elif not (mt or me):
-                o_tn += 1
-            elif me:
-                o_fp += 1
-            else:
-                o_fn += 1
-    orientation = ConfusionCounts(o_tp, o_fp, o_fn, o_tn)
-    return adjacency, orientation, fp + fn + mismatched
+    skel_t, skel_e = skeleton(truth), skeleton(est)
+    tp = len(skel_t & skel_e)
+    fp, fn = len(skel_e) - tp, len(skel_t) - tp
+    alike = len(truth.directed & est.directed)
+    heads_t = tp - len(truth.undirected & skel_e)
+    heads_e = tp - len(est.undirected & skel_t)
+    orientation = (alike, heads_e - alike, heads_t - alike, 2 * tp - heads_t - heads_e + alike)
+    distance = fp + fn + tp - alike - len(truth.undirected & est.undirected)
+    return (tp, fp, fn, max_edges(truth.d) - tp - fp - fn), orientation, distance
 
 
 def adjacency_confusion(truth, est):
     """Classify all d(d-1)/2 unordered pairs by skeleton membership."""
     _check_pair(truth, est)
-    return _compare_pairs(truth, est)[0]
+    return ConfusionCounts(*_compare_pairs(truth, est)[0])
 
 
 def orientation_confusion(truth, est):
@@ -135,7 +120,7 @@ def orientation_confusion(truth, est):
     edges contribute two tails.
     """
     _check_pair(truth, est)
-    return _compare_pairs(truth, est)[1]
+    return ConfusionCounts(*_compare_pairs(truth, est)[1])
 
 
 def shd(truth, est):
@@ -234,19 +219,26 @@ def full_report(truth, est, metrics=None, sid_cap=SID_CAP):
     them, the SID values are MISSING and every other value is kept; SID
     requested against a truth that is not a DAG raises GraphError.
     """
-    score = _scorer(truth, _REPORT_NAMES if metrics is None else metrics, sid_cap)
+    score = _scorer(truth, _REPORT_NAMES if metrics is None else tuple(metrics), sid_cap)
     _check_pair(truth, est)
     return MetricReport({name: MetricValue(name, value) for name, value in score(est).items()})
 
 
 def _scorer(truth, names, sid_cap):
     """score(est, names=names): full_report(truth, est, names, sid_cap)'s
-    values as {name: float, or None when MISSING}, for `names` or a subset of
-    them. The truth-side work is done once, here: the name check, the SID
-    truth check, the truth's v-structures and its SID term memo, which every
-    estimate scored shares. score checks no pair: the caller checks an
-    estimate from outside once, and a draw over the truth's d nodes needs none."""
+    values as {name: float, or None when MISSING}, for the tuple `names` or a
+    subset of them, in the order given. Planned once per truth, here: the
+    name check, what each name reads (adjacency or orientation counts with
+    the metric's _LINEAR entry, SHD, v-structure recovery or a SID bound),
+    the SID truth check, the truth's v-structures and its SID term memo. A
+    score counts the pair once, in ints, read through hypergeom._from_counts.
+    score checks no pair: the caller checks an estimate from outside once,
+    and a draw over the truth's d nodes needs none."""
     check_metric_names(names)
+    plan = {}
+    for name in names:
+        kind, _, metric = name.partition("_")
+        plan[name] = kind, _LINEAR.get(metric)
     vs_t = v_structures(truth) if "vstructure_recovery" in names else None
     term = None
     if any(name in _SID_NAMES for name in names):
@@ -255,7 +247,6 @@ def _scorer(truth, names, sid_cap):
 
     def score(est, names=names):
         adjacency, orientation, distance = _compare_pairs(truth, est)
-        confusions = {"adjacency": adjacency, "orientation": orientation}
         bounds = None
         if term is not None and any(name in _SID_NAMES for name in names):
             try:
@@ -264,18 +255,17 @@ def _scorer(truth, names, sid_cap):
                 pass
         values = {}
         for name in names:
-            if name == "shd":
+            kind, linear = plan[name]
+            if linear is not None:
+                value = _from_counts(linear, *(adjacency if kind == "adjacency" else orientation))
+            elif kind == "shd":
                 value = float(distance)
-            elif name == "vstructure_recovery":
+            elif kind == "vstructure":
                 value = _recovered(vs_t, est)
-            elif name in _SID_NAMES:
-                if bounds is None:
-                    value = None
-                else:
-                    value = float(bounds.lower if name == "sid_lower" else bounds.upper)
+            elif bounds is None:
+                value = None
             else:
-                kind, metric = name.split("_", 1)
-                value = metric_from_counts(metric, confusions[kind])
+                value = float(bounds.lower if name == "sid_lower" else bounds.upper)
             values[name] = value
         return values
 

@@ -274,7 +274,7 @@ def single_truth_nc(truth, estimate, metrics, b=1000, seed=0, sid_cap=SID_CAP):
     b = _as_int(b, "b", ValueError)
     if b < 1:
         raise ValueError("need at least one negative control")
-    master = RngSeed(seed)
+    master, metrics = RngSeed(seed), tuple(metrics)
     score = _metrics._scorer(truth, metrics, sid_cap)
     _metrics._check_pair(truth, estimate)
     observed = score(estimate)

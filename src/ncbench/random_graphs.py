@@ -142,12 +142,18 @@ class Stream:
         """Generator.choice(pool) on a non-empty list: one Lemire draw, sample's with m = 1."""
         return pool[self.sample(len(pool), 1)[0]]
 
+    def _state(self):
+        """This stream's state as numpy's PCG64 bit_generator.state."""
+        return {"bit_generator": "PCG64", "state": {"state": self.state, "inc": self.inc},
+                "has_uint32": self.has_uint32, "uinteger": self.uinteger}
+
     def numpy(self):
         """A numpy Generator at this stream's state; its draws leave the stream as it is."""
         import numpy as np
-        bits = np.random.PCG64(0)
-        bits.state = {"bit_generator": "PCG64", "state": {"state": self.state, "inc": self.inc},
-                      "has_uint32": self.has_uint32, "uinteger": self.uinteger}
+        from numpy.random.bit_generator import ISeedSequence
+        ISeedSequence.register(_Unseeded)
+        bits = np.random.PCG64(_Unseeded())
+        bits.state = self._state()
         return np.random.Generator(bits)
 
     def _load(self, rng):
@@ -158,6 +164,15 @@ class Stream:
         self.state, self.inc = state["state"]["state"], state["state"]["inc"]
         self.has_uint32, self.uinteger = state["has_uint32"], state["uinteger"]
         return self
+
+
+class _Unseeded:
+    """numpy's ISeedSequence (Stream.numpy registers it) with an all-zero state:
+    a PCG64 built on it hashes no seed, where numpy() sets the state next."""
+
+    def generate_state(self, n_words, dtype):
+        import numpy as np
+        return np.zeros(n_words, dtype)
 
 
 @contextlib.contextmanager
@@ -213,8 +228,8 @@ def _pairs(d):
 
 def _draw(d, m, rng):
     """The draw both samplers share: a uniform node order, then m of
-    _pairs(d) without replacement, each oriented along the order. Returns
-    (d, order, oriented edges, skeleton); d and m pass their doors first."""
+    _pairs(d) without replacement, each oriented along the order. Returns (d,
+    rank in the order, oriented edges, skeleton); d and m pass their doors first."""
     mmax = max_edges(d)
     m = _as_int(m, "m", ValueError)
     if not (0 <= m <= mmax):
@@ -226,14 +241,14 @@ def _draw(d, m, rng):
     stream = rng if isinstance(rng, Stream) else Stream.__new__(Stream)._load(rng)
     order, picks = stream.permutation(d), stream.sample(mmax, m)
     if stream is not rng:
-        rng.bit_generator.state = stream.numpy().bit_generator.state
+        rng.bit_generator.state = stream._state()
     rank = [0] * d
     for pos, v in enumerate(order):
         rank[v] = pos
     pairs = _pairs(d)
     skel = [pairs[idx] for idx in picks]
     edges = [(i, j) if rank[i] < rank[j] else (j, i) for i, j in skel]
-    return d, order, edges, frozenset(skel)
+    return d, rank, edges, frozenset(skel)
 
 
 def sample_er_dag(d, m, rng):
@@ -245,5 +260,5 @@ def sample_er_dag(d, m, rng):
 def sample_er_cpdag(d, m, rng):
     """CPDAG of the Markov equivalence class of a sample_er_dag draw: the same
     draw, labelled along its own order with no intermediate Dag."""
-    d, order, edges, skel = _draw(d, m, rng)
-    return _compelled(d, edges, order, skel, None)
+    d, rank, edges, skel = _draw(d, m, rng)
+    return _compelled(d, edges, rank, skel, None)

@@ -1,6 +1,6 @@
 """The shared byte-identity gates as recorded outputs, and their recorder.
 
-The outputs, each made through the `ncbench` command line:
+The outputs, each made through the `ncbench` command line but the last:
   - `compare --est-kind cpdag --json` on the bundled Sachs truth and PC
     estimate, default metrics and draws, seeds 0-15;
   - the same with `--metrics shd,sid_lower,sid_upper --nc-reps 200`,
@@ -16,7 +16,13 @@ The outputs, each made through the `ncbench` command line:
   - `expect --json` on the d = 500 cell m_true = 12476, m_est = 62375,
     whose quantiles walk about 6 300 support points of the exact null;
   - `fit-test` stdout on the bundled Sachs truth and PC estimate, which
-    pins the printed p and log10_p.
+    pins the printed p and log10_p;
+  - the negative-control layer, called in process: `single_truth_nc` rows
+    (b = 50, SID cap 100) over a seeded corpus of `sample_er_dag` truths at
+    d = 2, 4, 6, 11 and 20, DAG and CPDAG estimates with m_est from 0 to
+    m_max, and two improper CPDAG estimates, each scored with the default
+    metrics and with every metric name (the SID bounds at d <= 6 only).
+    Only its record count and digests are kept (nc_layer_digest).
 
 Each compare and expect case also records its stdout table, as <name>.txt
 beside its --json file. test_golden.py compares every output with its file
@@ -29,10 +35,15 @@ the root of a checkout:
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 from pathlib import Path
 
 from ncbench.cli import main
+from ncbench.graphs import Cpdag, max_edges
+from ncbench.metrics import METRIC_NAMES
+from ncbench.pipeline import DEFAULT_METRICS, single_truth_nc
+from ncbench.random_graphs import RngSeed, sample_er_cpdag, sample_er_dag
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
@@ -122,6 +133,40 @@ def csv_digest(data):
     }
 
 
+def nc_layer_records():
+    """The negative-control corpus, one JSON-ready record per single_truth_nc
+    call (b = 50, SID cap 100): [d, truth m, estimate kind, seed, metric
+    names, rows], m_est being in the rows. The estimates' m_est runs from 0
+    to m_max in at most 9 values. The names come sorted, not in report
+    order, so a scorer must keep the caller's order. The cap makes the SID of
+    the complete CPDAG at d = 6 (720 extensions) MISSING, and drops some of
+    the draws near it."""
+    cases = []
+    for d in (2, 4, 6, 11, 20):
+        m_max = max_edges(d)
+        truth = sample_er_dag(d, m_max // 3, RngSeed(d).generator())
+        every = sorted(METRIC_NAMES if d <= 6 else METRIC_NAMES - {"sid_lower", "sid_upper"})
+        steps = sorted({*range(0, m_max, -(-m_max // 8)), m_max})
+        for k, (m, sampler) in enumerate(itertools.product(steps, (sample_er_dag, sample_er_cpdag))):
+            est = sampler(d, m, RngSeed(d, 1).child(k))
+            cases += [(truth, est, DEFAULT_METRICS), (truth, est, every)]
+    # A cycle (no extension, so SID is MISSING) and a pattern PC could leave
+    # unclosed (2 - 3 is forced to 2 -> 3), against the d = 4 truth.
+    truth = sample_er_dag(4, 2, RngSeed(4).generator())
+    for directed in ({(0, 1), (1, 2), (2, 0)}, {(0, 2), (1, 2)}):
+        cases.append((truth, Cpdag(4, directed, {(2, 3)}), sorted(METRIC_NAMES)))
+    return [
+        [truth.d, truth.m, est.kind, seed, list(names), single_truth_nc(truth, est, names, 50, seed, 100)]
+        for seed, (truth, est, names) in enumerate(cases)
+    ]
+
+
+def nc_layer_digest():
+    """csv_digest of the corpus as JSON lines, one per record, and its count."""
+    lines = [json.dumps(record) for record in nc_layer_records()]
+    return {"records": len(lines), **csv_digest("\n".join(lines).encode())}
+
+
 def compare_path(name):
     return GOLDEN / "compare" / f"{name}.json"
 
@@ -146,6 +191,10 @@ def digest_path(name):
     return GOLDEN / "studies" / f"{name}.replications.json"
 
 
+def nc_layer_path():
+    return GOLDEN / "nc_layer.json"
+
+
 def record(tmp):
     for name in COMPARES:
         compare_path(name).parent.mkdir(parents=True, exist_ok=True)
@@ -163,6 +212,7 @@ def record(tmp):
         summary_path(name).parent.mkdir(parents=True, exist_ok=True)
         summary_path(name).write_bytes(summary)
         digest_path(name).write_text(json.dumps(digest, indent=1) + "\n")
+    nc_layer_path().write_text(json.dumps(nc_layer_digest(), indent=1) + "\n")
 
 
 if __name__ == "__main__":
@@ -172,5 +222,5 @@ if __name__ == "__main__":
         record(tmp)
     print(
         f"recorded {len(COMPARES)} compare, {len(EXPECTS)} expect, 1 fit-test "
-        f"and {len(STUDIES)} study outputs in {GOLDEN}"
+        f"and {len(STUDIES)} study outputs and the negative-control corpus in {GOLDEN}"
     )

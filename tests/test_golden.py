@@ -37,6 +37,16 @@ def assert_same_json(recorded, output, name):
         pytest.fail(f"{name}: output differs from the recording at {where}")
 
 
+def assert_same_digest(recorded, digest, what):
+    """Fail naming the first line whose digest differs from the recording."""
+    if digest != recorded:
+        rows = zip(recorded["rows"], digest["rows"])
+        row = next((k for k, (e, a) in enumerate(rows) if e != a), None)
+        if row is None:
+            row = min(len(recorded["rows"]), len(digest["rows"]))
+        pytest.fail(f"{what} differs from the recording at line {row + 1}")
+
+
 @pytest.mark.parametrize("name", sorted(golden.COMPARES))
 def test_compare_output_is_recorded(name, tmp_path):
     output, stdout = golden.compare_output(name, tmp_path)
@@ -62,12 +72,12 @@ def test_study_outputs_are_recorded(name, tmp_path, capsys, monkeypatch):
     summary, digest = golden.study_outputs(name, tmp_path)
     assert_same_json(golden.summary_path(name).read_bytes(), summary, name)
     recorded = json.loads(golden.digest_path(name).read_text())
-    if digest != recorded:
-        rows = zip(recorded["rows"], digest["rows"])
-        row = next((k for k, (e, a) in enumerate(rows) if e != a), None)
-        if row is None:
-            row = min(len(recorded["rows"]), len(digest["rows"]))
-        pytest.fail(f"{name}: replications.csv differs from the recording at line {row + 1}")
+    assert_same_digest(recorded, digest, f"{name}: replications.csv")
+
+
+def test_nc_layer_is_recorded():
+    recorded = json.loads(golden.nc_layer_path().read_text())
+    assert_same_digest(recorded, golden.nc_layer_digest(), "negative-control corpus")
 
 
 def test_first_difference_names_the_path():

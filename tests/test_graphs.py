@@ -615,7 +615,7 @@ class TestUncheckedBuilds:
             for order in itertools.permutations(range(d)):
                 position = {v: k for k, v in enumerate(order)}
                 if all(position[i] < position[j] for i, j in g.edges):
-                    assert _compelled(d, g.edges, order, g._skeleton, None) == expected
+                    assert _compelled(d, g.edges, position, g._skeleton, None) == expected
 
 
 def meek_cpdag(g):

@@ -370,6 +370,16 @@ class TestSingleTruthNc:
         b = single_truth_nc(five_node_truth, five_node_estimate, ("shd",), b=50, seed=3)["shd"]
         assert a == b
 
+    def test_metric_names_may_come_as_a_one_shot_iterator(
+        self, five_node_truth, five_node_estimate
+    ):
+        names = ["shd", "adjacency_recall"]
+        truth, est = five_node_truth, five_node_estimate
+        assert full_report(truth, est, (n for n in names)) == full_report(truth, est, names)
+        rows = single_truth_nc(truth, est, iter(names), b=3)
+        assert list(rows) == names
+        assert rows == single_truth_nc(truth, est, names, b=3)
+
     def test_bad_b(self, five_node_truth):
         with pytest.raises(ValueError):
             single_truth_nc(five_node_truth, five_node_truth, ("shd",), b=0)
