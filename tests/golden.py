@@ -22,7 +22,12 @@ The outputs, each made through the `ncbench` command line but the last:
     d = 2, 4, 6, 11 and 20, DAG and CPDAG estimates with m_est from 0 to
     m_max, and two improper CPDAG estimates, each scored with the default
     metrics and with every metric name (the SID bounds at d <= 6 only).
-    Only its record count and digests are kept (nc_layer_digest).
+    Only its record count and digests are kept (layer_digest);
+  - the PC layer, called in process: pc() on seeded linear Gaussian SEM
+    data at d = 3-12, sparse to complete truths, n = 8, 30 and 400, alpha
+    0.01, 0.05 and 0.2 and max_cond_size None and 1, and on degenerate
+    data: an exactly duplicated integer column, a near-collinear column and
+    n = 4. Only its record count and digests are kept.
 
 Each compare and expect case also records its stdout table, as <name>.txt
 beside its --json file. test_golden.py compares every output with its file
@@ -42,8 +47,10 @@ from pathlib import Path
 from ncbench.cli import main
 from ncbench.graphs import Cpdag, max_edges
 from ncbench.metrics import METRIC_NAMES
+from ncbench.pc import CiTestError, PcConfig, pc
 from ncbench.pipeline import DEFAULT_METRICS, single_truth_nc
 from ncbench.random_graphs import RngSeed, sample_er_cpdag, sample_er_dag
+from ncbench.sem import draw_sem, simulate
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
@@ -161,9 +168,54 @@ def nc_layer_records():
     ]
 
 
-def nc_layer_digest():
-    """csv_digest of the corpus as JSON lines, one per record, and its count."""
-    lines = [json.dumps(record) for record in nc_layer_records()]
+def pc_layer_records():
+    """The PC corpus, one JSON-ready record per pc() call: [case, alpha,
+    max_cond_size, outcome], the outcome being the sorted directed and
+    undirected edges or the CiTestError text. Each case is one dataset,
+    [d, m, n, seed] for SEM data on a sample_er_dag truth, or a degenerate
+    one named by its first entry, and is run at every alpha and
+    max_cond_size."""
+    datasets = []
+    for d in range(3, 13):
+        m_max = max_edges(d)
+        for m in sorted({round(f * m_max) for f in (0.1, 0.3, 0.5, 0.75, 1.0)}):
+            for n in (8, 30, 400):
+                for seed in (0, 1):
+                    datasets.append(([d, m, n, seed], _sem_data(d, m, n, seed)))
+    for d in (5, 8, 11):
+        # Integer data over 64 samples make every correlation exact, so a
+        # copied column makes the marginal test's 2 x 2 block singular.
+        data = RngSeed(d).generator().numpy().integers(-5, 6, size=(64, d)).astype(float)
+        data[:, 3] = data[:, 1]
+        datasets.append((["duplicated", d], data))
+        datasets.append((["n4", d], _sem_data(d, d, 4, 3)))
+    for d, n, seed in itertools.product(range(5, 13), (30, 400), range(4)):
+        # Column 2 copies column 0 up to 1e-6 noise: conditioning on either
+        # leaves the other a pivot near 1e-12.
+        data = _sem_data(d, 2 * d, n, seed)
+        data[:, 2] = data[:, 0] + 1e-6 * RngSeed(d, n).child(seed).numpy().normal(size=n)
+        datasets.append((["collinear", d, n, seed], data))
+    records = []
+    for case, data in datasets:
+        for alpha, size in itertools.product((0.01, 0.05, 0.2), (None, 1)):
+            try:
+                est = pc(data, PcConfig(alpha, size))
+                outcome = [sorted(map(list, est.directed)), sorted(map(list, est.undirected))]
+            except CiTestError as exc:
+                outcome = str(exc)
+            records.append([case, alpha, size, outcome])
+    return records
+
+
+def _sem_data(d, m, n, seed):
+    """n rows of linear Gaussian SEM data on a seeded sample_er_dag truth."""
+    g = sample_er_dag(d, m, RngSeed(d, m).child(seed))
+    return simulate(draw_sem(g, RngSeed(seed, 1).child(d * 100 + m)), n, RngSeed(seed, 2).child(d))
+
+
+def layer_digest(records):
+    """csv_digest of a corpus as JSON lines, one per record, and its count."""
+    lines = [json.dumps(record) for record in records]
     return {"records": len(lines), **csv_digest("\n".join(lines).encode())}
 
 
@@ -195,6 +247,10 @@ def nc_layer_path():
     return GOLDEN / "nc_layer.json"
 
 
+def pc_layer_path():
+    return GOLDEN / "pc_layer.json"
+
+
 def record(tmp):
     for name in COMPARES:
         compare_path(name).parent.mkdir(parents=True, exist_ok=True)
@@ -212,7 +268,8 @@ def record(tmp):
         summary_path(name).parent.mkdir(parents=True, exist_ok=True)
         summary_path(name).write_bytes(summary)
         digest_path(name).write_text(json.dumps(digest, indent=1) + "\n")
-    nc_layer_path().write_text(json.dumps(nc_layer_digest(), indent=1) + "\n")
+    nc_layer_path().write_text(json.dumps(layer_digest(nc_layer_records()), indent=1) + "\n")
+    pc_layer_path().write_text(json.dumps(layer_digest(pc_layer_records()), indent=1) + "\n")
 
 
 if __name__ == "__main__":
@@ -222,5 +279,5 @@ if __name__ == "__main__":
         record(tmp)
     print(
         f"recorded {len(COMPARES)} compare, {len(EXPECTS)} expect, 1 fit-test "
-        f"and {len(STUDIES)} study outputs and the negative-control corpus in {GOLDEN}"
+        f"and {len(STUDIES)} study outputs and the negative-control and PC corpora in {GOLDEN}"
     )

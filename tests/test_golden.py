@@ -77,7 +77,12 @@ def test_study_outputs_are_recorded(name, tmp_path, capsys, monkeypatch):
 
 def test_nc_layer_is_recorded():
     recorded = json.loads(golden.nc_layer_path().read_text())
-    assert_same_digest(recorded, golden.nc_layer_digest(), "negative-control corpus")
+    assert_same_digest(recorded, golden.layer_digest(golden.nc_layer_records()), "negative-control corpus")
+
+
+def test_pc_layer_is_recorded():
+    recorded = json.loads(golden.pc_layer_path().read_text())
+    assert_same_digest(recorded, golden.layer_digest(golden.pc_layer_records()), "PC corpus")
 
 
 def test_first_difference_names_the_path():
