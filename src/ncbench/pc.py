@@ -13,10 +13,13 @@ d-separation oracle on a known DAG answers a pair the DAG joins with -1 and
 the others from full reach bitmasks of the graph core's Bayes-ball search,
 one search per (node, set) and level, over the DAG's own parent and child
 masks. The Fisher-z test on Gaussian data decides a whole level in one numpy
-pass: one stacked inverse gives every candidate's partial correlation, and
-each is compared with the exact bounds of the correlations its p-value test
-accepts, so it gives the answers of `_fisher_z_p(r) >= alpha` without a
-p-value per triple.
+pass: eliminating the conditioning nodes from every candidate's correlation
+submatrix at once gives its partial correlation, and each is compared with
+the exact bounds of the correlations its p-value test accepts, so it gives
+the answers of `_fisher_z_p(r) >= alpha` without a p-value per triple. The
+stacked inverse of the submatrices is the referee: it decides a level, and
+raises its errors, when elimination cannot vouch for a row (a pivot under
+1e-6, 1 - r^2 under 1e-8, a non-finite r, or an r within 1e-9 of a bound).
 """
 
 from __future__ import annotations
@@ -133,12 +136,64 @@ def _singular_row(idx, sub):
     return None
 
 
+# The floors under which elimination cannot vouch for a row (see FisherZTest).
+_PIVOT_FLOOR = 1e-6
+_DET_FLOOR = 1e-8
+_BAND = 1e-9
+
+
+def _eliminated(sub, size, lo, hi):
+    """The partial correlation of each stacked submatrix's first two nodes
+    given the other `size`, by eliminating those from the last on, one
+    batched Schur complement per node; None when a row has a pivot (a[0, 0]
+    and a[1, 1] of the final 2 x 2 included) under _PIVOT_FLOOR, 1 - r^2
+    under _DET_FLOOR, or an r within _BAND of lo or hi. Each test is False on
+    NaN, so a non-finite r is refused too."""
+    import numpy as np
+    a = sub
+    for _ in range(size):
+        pivot = a[:, -1:, -1:]
+        if not (pivot >= _PIVOT_FLOOR).all():
+            return None
+        a = a[:, :-1, :-1] - a[:, :-1, -1:] * (a[:, -1:, :-1] / pivot)
+    a00, a11 = a[:, 0, 0], a[:, 1, 1]
+    if not ((a00 >= _PIVOT_FLOOR).all() and (a11 >= _PIVOT_FLOOR).all()):
+        return None
+    r = a[:, 0, 1] / np.sqrt(a00 * a11)
+    vouched = (1 - r * r >= _DET_FLOOR) & (abs(r - lo) >= _BAND) & (abs(r - hi) >= _BAND)
+    return r if vouched.all() else None
+
+
+def _inverted(idx, sub):
+    """The referee: each stacked submatrix's partial correlation of its first
+    two nodes given the rest, from its inverse. Raises CiTestError naming the
+    first singular submatrix's columns, or the first candidate whose r is
+    not finite."""
+    import numpy as np
+    try:
+        prec = np.linalg.inv(sub)
+    except np.linalg.LinAlgError as exc:
+        raise CiTestError(
+            f"singular conditioning correlation for {_singular_row(idx, sub)}"
+        ) from exc
+    with np.errstate(invalid="ignore"):
+        r = -prec[:, 0, 1] / np.sqrt(prec[:, 0, 0] * prec[:, 1, 1])
+    finite = np.isfinite(r)
+    if not finite.all():
+        row = idx[int(np.argmin(finite))].tolist()
+        raise CiTestError(f"undefined partial correlation for {row}")
+    return r
+
+
 class FisherZTest:
     """Fisher-z tests on one dataset, its correlation matrix computed once.
-    The partial correlation r of i, j given S comes from the inverse of the
-    (|S|+2) correlation submatrix. A triple is independent when r lies within
-    _accept_bounds, which is the answer of the p-value rule
-    _fisher_z_p(r) >= alpha."""
+    A level's partial correlations r of i, j given S come from eliminating S
+    from every candidate's (|S|+2) correlation submatrix at once. The level
+    goes to the referee, the inverse of each submatrix, when elimination
+    cannot vouch for one of its rows: a pivot under 1e-6, 1 - r^2 under 1e-8
+    (a near-singular final 2 x 2), a non-finite r, or an r within 1e-9 of a
+    bound. A triple is independent when r lies within _accept_bounds, which
+    is the answer of the p-value rule _fisher_z_p(r) >= alpha."""
 
     def __init__(self, data, alpha):
         import numpy as np
@@ -150,16 +205,27 @@ class FisherZTest:
         self.n, self.d = data.shape
         self.alpha = alpha
         self.corr = np.eye(self.d)
-        finite = np.isfinite(data).all(axis=0)
-        if not finite.all():
-            raise CiTestError(f"non-finite data column {int(np.argmin(finite))}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = data.sum()
+        if not math.isfinite(total):  # a non-finite entry, or finite ones overflowing
+            finite = np.isfinite(data).all(axis=0)
+            if not finite.all():
+                raise CiTestError(f"non-finite data column {int(np.argmin(finite))}")
         if self.d < 2:
             return  # no pair to test
         _check_sample_size(self.n, 0)
         constant = np.flatnonzero((data == data[0]).all(axis=0))
         if constant.size:
             raise CiTestError(f"constant data column {int(constant[0])}")
-        self.corr = np.corrcoef(data, rowvar=False)
+        # np.corrcoef(data, rowvar=False), step for step, without its
+        # argument handling.
+        x = data - data.mean(axis=0)
+        corr = np.dot(x.T, x)
+        corr *= np.true_divide(1, self.n - 1)
+        scale = np.sqrt(np.diag(corr))
+        corr /= scale[:, None]
+        corr /= scale[None, :]
+        self.corr = np.clip(corr, -1, 1, out=corr)
 
     def decide(self, plan, size):
         """Per pair of a level's plan, the index in its sets of its first
@@ -175,18 +241,19 @@ class FisherZTest:
         conds = np.fromiter(chain(chain(sets for _, _, sets in plan)), np.intp, total * size)
         idx = np.hstack([pairs.take(rows, axis=0), conds.reshape(total, size)])
         sub = self.corr[idx[:, :, None], idx[:, None, :]]
-        try:
-            prec = np.linalg.inv(sub)
-        except np.linalg.LinAlgError as exc:
-            raise CiTestError(
-                f"singular conditioning correlation for {_singular_row(idx, sub)}"
-            ) from exc
-        with np.errstate(invalid="ignore"):
-            r = -prec[:, 0, 1] / np.sqrt(prec[:, 0, 0] * prec[:, 1, 1])
-        finite = np.isfinite(r)
-        if not finite.all():
-            row = idx[int(np.argmin(finite))].tolist()
-            raise CiTestError(f"undefined partial correlation for {row}")
+        # The answers and errors are the inverse's. A level elimination
+        # refuses goes to the inverse whole, so its r's and the CiTestError it
+        # raises are the inverse's alone. On a level elimination vouches for,
+        # every pivot is at least 1e-6, so each submatrix is positive definite
+        # and far from singular: the inverse would neither raise nor give a
+        # non-finite r there, and elimination, backward stable on such
+        # matrices (Higham 2002, ch. 10), moves r by far less than the 1e-9
+        # band it keeps from each bound (at most 5e-13 from the inverse's r
+        # over the 628 671 candidates of 16 dense 50-replication studies). So
+        # each r falls on the inverse's side of lo and of hi.
+        r = _eliminated(sub, size, *_accept_bounds(self.n, size, self.alpha))
+        if r is None:
+            r = _inverted(idx, sub)
         hits = _accepted(r, self.n, size, self.alpha).nonzero()[0]
         # The hits ascend: a pair's first is where their pair changes, and its
         # index in the pair's sets is its distance from the pair's first row.

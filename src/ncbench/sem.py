@@ -35,35 +35,40 @@ class SemModel:
 
 def draw_sem(g, rng, weight_range=DEFAULT_WEIGHT_RANGE, variance_range=DEFAULT_VARIANCE_RANGE):
     """Random weights (uniform on +-[lo, hi]) and variances for each node,
-    drawn from rng, a Stream or a numpy Generator on PCG64."""
+    drawn from rng, a Stream or a numpy Generator on PCG64: per edge in
+    sorted order a magnitude and then a sign (negative when its uniform is at
+    least 0.5), then the variances, all from one call for 2m + d uniforms.
+    Each value is numpy's uniform(lo, hi), lo + (hi - lo) * u, of its u."""
     lo, hi = check_range("weight_range", weight_range)
     vlo, vhi = check_range("variance_range", variance_range)
-    weights = {}
+    edges = sorted(g.edges)
     with _as_numpy(rng) as gen:
-        for i, j in sorted(g.edges):
-            mag = gen.uniform(lo, hi)
-            sign = 1.0 if gen.random() < 0.5 else -1.0
-            weights[(i, j)] = sign * mag
-        variances = tuple(gen.uniform(vlo, vhi) for _ in range(g.d))
+        u = gen.random(2 * len(edges) + g.d).tolist()
+    weights = {
+        e: (lo + (hi - lo) * mag) * (1.0 if sign < 0.5 else -1.0)
+        for e, mag, sign in zip(edges, u[0::2], u[1::2])
+    }
+    variances = tuple(vlo + (vhi - vlo) * v for v in u[2 * len(edges):])
     return SemModel(g, weights, variances)
 
 
 def simulate(model, n, rng):
     """n i.i.d. rows from the SEM, each node evaluated in topological order,
-    the noise drawn from rng, a Stream or a numpy Generator on PCG64."""
+    the noise drawn from rng, a Stream or a numpy Generator on PCG64, in one
+    call: n values per node, the nodes in that order."""
     import numpy as np
     n = _as_int(n, "n", ValueError)
     if n < 1:
         raise ValueError("sample size must be at least 1")
     g = model.graph
-    data = np.zeros((n, g.d))
+    sd = np.sqrt(np.array(model.variances)[list(g._order)])
     with _as_numpy(rng) as gen:
-        for v in g._order:
-            noise = gen.normal(0.0, np.sqrt(model.variances[v]), size=n)
-            col = noise
-            for p in _nodes(g._index[0][v]):
-                col = col + model.weights[(p, v)] * data[:, p]
-            data[:, v] = col
+        noise = gen.normal(0.0, sd[:, None], size=(g.d, n))
+    data = np.zeros((n, g.d))
+    for v, col in zip(g._order, noise):
+        for p in _nodes(g._index[0][v]):
+            col = col + model.weights[(p, v)] * data[:, p]
+        data[:, v] = col
     return data
 
 

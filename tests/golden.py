@@ -1,6 +1,6 @@
 """The shared byte-identity gates as recorded outputs, and their recorder.
 
-The outputs, each made through the `ncbench` command line but the last:
+The outputs, each made through the `ncbench` command line but the last two:
   - `compare --est-kind cpdag --json` on the bundled Sachs truth and PC
     estimate, default metrics and draws, seeds 0-15;
   - the same with `--metrics shd,sid_lower,sid_upper --nc-reps 200`,
@@ -183,8 +183,8 @@ def pc_layer_records():
                 for seed in (0, 1):
                     datasets.append(([d, m, n, seed], _sem_data(d, m, n, seed)))
     for d in (5, 8, 11):
-        # Integer data over 64 samples make every correlation exact, so a
-        # copied column makes the marginal test's 2 x 2 block singular.
+        # An exact copy of an integer column: the pair's 2 x 2 correlation
+        # block is singular, so the marginal tests raise.
         data = RngSeed(d).generator().numpy().integers(-5, 6, size=(64, d)).astype(float)
         data[:, 3] = data[:, 1]
         datasets.append((["duplicated", d], data))

@@ -10,8 +10,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from ncbench.graphs import Dag, GraphError, d_separated
+from ncbench.graphs import Dag, GraphError, _nodes, d_separated
 from ncbench.pc import CiTestError, _check_sample_size, _fisher_z_p
+from ncbench.sem import SemModel
 
 
 def all_dags(d):
@@ -166,6 +167,32 @@ def per_call_decide(test, plan, size):
         next((k for k, s in enumerate(sets) if test.independent(i, j, frozenset(s))), -1)
         for i, j, sets in plan
     ]
+
+
+def draw_sem_per_call(g, gen, weight_range, variance_range):
+    """draw_sem one numpy call per value on a numpy Generator: per edge in
+    sorted order uniform(lo, hi) for its magnitude and random() for its
+    sign, then uniform(vlo, vhi) per node."""
+    weights = {}
+    for i, j in sorted(g.edges):
+        mag = gen.uniform(*weight_range)
+        sign = 1.0 if gen.random() < 0.5 else -1.0
+        weights[(i, j)] = sign * mag
+    variances = tuple(gen.uniform(*variance_range) for _ in range(g.d))
+    return SemModel(g, weights, variances)
+
+
+def simulate_per_call(model, n, gen):
+    """simulate one numpy call per node on a numpy Generator: each node's n
+    noise values drawn when the topological order reaches it."""
+    g = model.graph
+    data = np.zeros((n, g.d))
+    for v in g._order:
+        col = gen.normal(0.0, np.sqrt(model.variances[v]), size=n)
+        for p in _nodes(g._index[0][v]):
+            col = col + model.weights[(p, v)] * data[:, p]
+        data[:, v] = col
+    return data
 
 
 def population_covariance(model):

@@ -93,6 +93,31 @@ def _study_data(d, m_true, rep):
     return simulate_seeded(g, 400, RngSeed(21 + m_true, stream))
 
 
+def _count_referee(monkeypatch):
+    """Count the calls to the inverse that decides a level elimination
+    cannot vouch for."""
+    original = pc_module._inverted
+
+    def inverted(idx, sub):
+        inverted.calls += 1
+        return original(idx, sub)
+
+    inverted.calls = 0
+    monkeypatch.setattr(pc_module, "_inverted", inverted)
+    return inverted
+
+
+def _decided_by_inverse(test, plan, size):
+    """Per row of a plan with one set per pair, 0 if the r from the inverse
+    of its correlation submatrix passes the p-value test, else -1."""
+    out = []
+    for i, j, (s,) in plan:
+        prec = np.linalg.inv(test.corr[np.ix_([i, j, *s], [i, j, *s])])
+        r = -prec[0, 1] / math.sqrt(prec[0, 0] * prec[1, 1])
+        out.append(0 if pc_module._fisher_z_p(r, test.n, size) >= test.alpha else -1)
+    return out
+
+
 class TestFisherZEngine:
     @pytest.mark.parametrize("d,m_true", [(5, 4), (10, 15), (10, 30)])
     def test_pc_matches_per_call_reference(self, d, m_true, monkeypatch):
@@ -194,6 +219,70 @@ class TestFisherZEngine:
             CiTestError, match=re.escape("undefined partial correlation for [0, 1, 2]")
         ):
             pc_module._skeleton_phase(test, 3, None)
+
+    def test_rows_at_the_bounds_are_decided_by_the_inverse(self, monkeypatch):
+        # Pair (2t, 2t+1) has partial correlation r_t given the set, in exact
+        # arithmetic, up to 8 ulps either side of lo or hi: each set node
+        # correlates 0.3 with both ends of every pair, and a pair's own
+        # correlation is k * 0.09 + r_t * (1 - k * 0.09) for a set of k. The
+        # kernel's r and the inverse's round apart, some across a bound, so
+        # elimination must hand every such level to the inverse.
+        referee = _count_referee(monkeypatch)
+        n, steps, c = 400, np.arange(-8, 9), 0.3
+        for size in range(3):
+            for alpha in (0.05, 0.2):
+                rs = []
+                for bound in pc_module._accept_bounds(n, size, alpha):
+                    bits = np.array(abs(bound)).view(np.int64) + steps
+                    rs += (math.copysign(1.0, bound) * bits.view(np.float64)).tolist()
+                d = 2 * len(rs) + size
+                cond = tuple(range(2 * len(rs), d))
+                corr = np.eye(d)
+                for t, r in enumerate(rs):
+                    ends = [2 * t, 2 * t + 1]
+                    corr[ends, ends[::-1]] = size * c * c + r * (1 - size * c * c)
+                    corr[np.ix_(ends, cond)] = corr[np.ix_(cond, ends)] = c
+                test = FisherZTest(_study_data(3, 2, 0), alpha)
+                test.n, test.corr = n, corr
+                plan = [(2 * t, 2 * t + 1, [cond]) for t in range(len(rs))]
+                got = test.decide(plan, size)
+                assert got == _decided_by_inverse(test, plan, size)
+                assert 0 in got and -1 in got
+        assert referee.calls == 6
+
+    def test_near_collinear_levels_are_decided_by_the_inverse(self, monkeypatch):
+        # Column 2 copies column 0 up to 1e-6 noise. The pair 0 - 2 itself is
+        # left out, so only the pivots near 1e-12 (0 given 2, or 2 given 0)
+        # stop elimination. Every candidate, one set per row, is decided as
+        # the inverse of its submatrix decides it.
+        referee = _count_referee(monkeypatch)
+        data = _study_data(6, 8, 0)
+        data[:, 2] = data[:, 0] + 1e-6 * RngSeed(23).generator().numpy().normal(size=len(data))
+        for alpha in (0.05, 0.2):
+            test = FisherZTest(data, alpha)
+            for size in range(1, 4):
+                plan = [
+                    (i, j, [s])
+                    for i, j in itertools.combinations(range(6), 2)
+                    if (i, j) != (0, 2)
+                    for s in itertools.combinations(sorted(set(range(6)) - {i, j}), size)
+                ]
+                calls = referee.calls
+                assert test.decide(plan, size) == _decided_by_inverse(test, plan, size)
+                assert referee.calls == calls + 1
+
+    def test_study_data_never_reaches_the_inverse(self, monkeypatch):
+        # So the elimination kernel is what a study times.
+        referee = _count_referee(monkeypatch)
+        levels = []
+        original = pc_module._eliminated
+        monkeypatch.setattr(
+            pc_module, "_eliminated", lambda *args: levels.append(args[1]) or original(*args)
+        )
+        for rep in range(8):
+            pc(_study_data(10, 30, rep))
+        assert referee.calls == 0
+        assert max(levels) >= 3
 
     @pytest.mark.parametrize("shape", [(5,), (4, 3, 2), ()])
     def test_data_must_be_a_matrix(self, shape):

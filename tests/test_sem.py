@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from ncbench.graphs import Dag
-from ncbench.random_graphs import RngSeed
+from ncbench.random_graphs import RngSeed, sample_er_dag
 from ncbench.sem import draw_sem, simulate
 
 from conftest import simulate_seeded
-from reference import population_covariance
+from reference import draw_sem_per_call, population_covariance, simulate_per_call
 
 
 class TestRanges:
@@ -90,3 +90,33 @@ class TestSimulate:
         corr = np.corrcoef(data[:, 0], data[:, 1])[0, 1]
         # implied correlation is w*sigma_p/sigma_c = 2/sqrt(5)
         assert abs(corr) == pytest.approx(2 / np.sqrt(5), abs=0.02)
+
+
+class TestMatchesPerCallDraws:
+    """draw_sem and simulate each draw from one numpy call; the per-call form,
+    one call per value or node, gives the same bits and leaves the stream at
+    the same state."""
+
+    def test_seeded_replications(self):
+        for rep in range(300):
+            d = 1 + rep % 12
+            g = sample_er_dag(d, rep % (d * (d - 1) // 2 + 1), RngSeed(5, rep).generator())
+            ranges = [((0.5, 2.0), (0.5, 1.5)), ((1.0, 1.0), (0.1, 3.0)), ((0.2, 0.3), (2.0, 2.0))][rep % 3]
+            model = draw_sem(g, RngSeed(6).child(rep), *ranges)
+            gen = RngSeed(6).child(rep).numpy()
+            expected = draw_sem_per_call(g, gen, *ranges)
+            assert model.weights == expected.weights
+            assert model.variances == expected.variances
+            n = (1, 7, 400)[rep // 3 % 3]
+            stream = RngSeed(7).child(rep)
+            data = simulate(model, n, stream)
+            gen = RngSeed(7).child(rep).numpy()
+            assert np.array_equal(data, simulate_per_call(model, n, gen))
+            assert data.flags.c_contiguous
+            assert stream.numpy().random(3).tolist() == gen.random(3).tolist()
+
+    def test_uniform_is_lo_plus_range_times_u(self):
+        for lo, hi in [(0.5, 2.0), (0.5, 1.5), (1e-3, 7.0)]:
+            drawn = RngSeed(8).generator().numpy().uniform(lo, hi, size=200_000)
+            u = RngSeed(8).generator().numpy().random(200_000)
+            assert np.array_equal(drawn, lo + (hi - lo) * u)
