@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
@@ -149,9 +148,10 @@ def _pipeline_config_from_file(path):
             raise ParseError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: config must be a JSON object")
-    fields = [f for f in dataclasses.fields(PipelineConfig) if f.name != "algorithm"]
-    unknown = sorted(raw.keys() - {f.name for f in fields})
-    missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in raw]
+    fields = PipelineConfig._fields
+    unknown = sorted(raw.keys() - (set(fields) - {"algorithm"}))
+    required = fields[: len(fields) - len(PipelineConfig.__init__.__defaults__)]
+    missing = [name for name in required if name not in raw]
     if unknown or missing:
         raise ParseError(f"{path}: unknown keys {unknown}, missing keys {missing}")
     return PipelineConfig(**raw)
@@ -160,7 +160,7 @@ def _pipeline_config_from_file(path):
 def cmd_pipeline(args):
     cfg = _pipeline_config_from_file(args.config)
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+        cfg = cfg._replace(seed=args.seed)
     result = run_study(cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     summary_path = os.path.join(args.out_dir, "summary.json")

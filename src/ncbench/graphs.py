@@ -22,17 +22,22 @@ Bayesian network structures", UAI): one pass over a topological order,
 the kept one or a sampler's own. The Meek rules close PC's partial
 orientations only; extensions are enumerated with two local checks per
 orientation, propagated to the open pairs at each new edge's ends.
+Every record of the package, Dag and Cpdag and the configs and results of
+the other modules, is a _Record, defined here as every module imports this
+one first: immutable, compared by its `_fields` and copied with `_replace`.
+Records are not dataclasses (dataclasses.fields and dataclasses.replace do
+not apply), and no module imports dataclasses or typing: they were most of
+a cold `import ncbench.cli`.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
-from typing import NamedTuple
 
 SID_CAP = 10_000  # the default extension cap of every SID computation
 
@@ -50,6 +55,44 @@ class ExtensionCapExceeded(RuntimeError):
             f"equivalence class has more than {cap} consistent extensions; "
             "raise the cap or skip this graph"
         )
+
+
+class _Record:
+    """The base of the package's records, each an immutable value whose
+    fields are its __init__'s parameters, in order, as `_fields`. A record
+    equals only a record of its own class with equal fields, hashes as the
+    tuple of its fields, and shows them in its repr; `_replace(**changes)`
+    builds a new one through __init__, so it is checked again. Each __init__
+    sets its fields with object.__setattr__ (a graph's through _fill), never
+    through the instance dict, whose creation would slow every later read."""
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _replace(self, **changes):
+        return self.__class__(**dict(zip(self._fields, self._values()), **changes))
 
 
 @functools.cache
@@ -231,27 +274,18 @@ def _built(d, directed, skel, undirected=None, labels=None):
     return _fill(g, d, directed, skel, undirected, _default_labels(d) if labels is None else labels)
 
 
-@dataclass(frozen=True)
-class Dag:
+class Dag(_Record):
     """Directed acyclic graph over d labeled nodes.
 
     Shares Cpdag's edge view: `directed` is the same frozenset as `edges`,
     `undirected` is empty and `kind` is "dag".
     """
 
-    d: int
-    edges: frozenset = field(default_factory=frozenset)
-    labels: tuple = None
-    directed: frozenset = field(init=False, repr=False, compare=False)
-    _skeleton: frozenset = field(init=False, repr=False, compare=False)
-    _index: tuple = field(init=False, repr=False, compare=False)
-    _order: tuple = field(init=False, repr=False, compare=False)
-
     undirected = frozenset()
     kind = "dag"
 
-    def __post_init__(self):
-        _fill(self, *_checked(self.d, self.labels, self.edges))
+    def __init__(self, d, edges=frozenset(), labels=None):
+        _fill(self, *_checked(d, labels, edges))
         if len(self._order) != self.d:
             raise GraphError("edge set contains a directed cycle")
 
@@ -281,36 +315,25 @@ class Dag:
         return list(self._order)
 
 
-@dataclass(frozen=True)
-class Cpdag:
+class Cpdag(_Record):
     """Partially directed graph: directed plus undirected edges, no mixed pairs.
 
     Ingested external outputs may be improper (not a valid equivalence-class
     representative); validity is only enforced where extensions are needed.
     """
 
-    d: int
-    directed: frozenset = field(default_factory=frozenset)
-    undirected: frozenset = field(default_factory=frozenset)
-    labels: tuple = None
-    _skeleton: frozenset = field(init=False, repr=False, compare=False)
-
     kind = "cpdag"
 
-    def __post_init__(self):
-        _fill(self, *_checked(self.d, self.labels, self.directed, self.undirected))
+    def __init__(self, d, directed=frozenset(), undirected=frozenset(), labels=None):
+        _fill(self, *_checked(d, labels, directed, undirected))
 
     @property
     def m(self):
         return len(self.directed) + len(self.undirected)
 
 
-class VStructure(NamedTuple):
-    """Collider a -> b <- c with a, c non-adjacent; (a, c) in canonical order."""
-
-    a: int
-    c: int
-    b: int
+VStructure = collections.namedtuple("VStructure", "a c b")
+VStructure.__doc__ = """Collider a -> b <- c with a, c non-adjacent; (a, c) in canonical order."""
 
 
 def skeleton(g):

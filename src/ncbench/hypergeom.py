@@ -23,9 +23,8 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
 
-from .graphs import _as_int, _as_real
+from .graphs import _as_int, _as_real, _Record
 
 METRICS = ("precision", "recall", "f1", "npv", "specificity")
 
@@ -34,17 +33,12 @@ class DegenerateParamsError(ValueError):
     """Requested quantity has an empty denominator for these parameters."""
 
 
-@dataclass(frozen=True)
-class HyperParams:
+class HyperParams(_Record):
     """The conditioning triple of the exact null."""
 
-    m_max: int
-    m_true: int
-    m_est: int
-
-    def __post_init__(self):
-        for name in ("m_max", "m_true", "m_est"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name, ValueError))
+    def __init__(self, m_max, m_true, m_est):
+        for name, value in zip(self._fields, (m_max, m_true, m_est)):
+            object.__setattr__(self, name, _as_int(value, name, ValueError))
         if min(self.m_max, self.m_true, self.m_est) < 0:
             raise ValueError("all edge counts must be non-negative")
         if self.m_true > self.m_max or self.m_est > self.m_max:
@@ -62,18 +56,12 @@ class HyperParams:
         return _Walk(self)
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(_Record):
     """TP/FP/FN/TN quadruple for adjacency or endpoint classification."""
 
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-
-    def __post_init__(self):
-        for name in ("tp", "fp", "fn", "tn"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name, ValueError))
+    def __init__(self, tp, fp, fn, tn):
+        for name, value in zip(self._fields, (tp, fp, fn, tn)):
+            object.__setattr__(self, name, _as_int(value, name, ValueError))
         if min(self.tp, self.fp, self.fn, self.tn) < 0:
             raise ValueError("confusion counts must be non-negative")
 

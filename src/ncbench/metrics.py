@@ -3,8 +3,6 @@ v-structure recovery, and SID with bounds for CPDAG estimates."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graphs import (
     SID_CAP,
     Dag,
@@ -13,6 +11,7 @@ from .graphs import (
     _extensions,
     _index,
     _nodes,
+    _Record,
     d_connected,
     max_edges,
     skeleton,
@@ -46,32 +45,29 @@ def check_metric_names(names):
         seen.add(name)
 
 
-@dataclass(frozen=True)
-class SidBounds:
-    lower: int
-    upper: int
-    exact: bool
-
-    def __post_init__(self):
-        if not (0 <= self.lower <= self.upper):
+class SidBounds(_Record):
+    def __init__(self, lower, upper, exact):
+        for name, value in zip(self._fields, (lower, upper, exact)):
+            object.__setattr__(self, name, value)
+        if not (0 <= lower <= upper):
             raise ValueError("need 0 <= lower <= upper")
-        if self.exact and self.lower != self.upper:
+        if exact and lower != upper:
             raise ValueError("exact bounds must coincide")
 
 
-@dataclass(frozen=True)
-class MetricValue:
+class MetricValue(_Record):
     """Named metric result; value None means MISSING (undefined)."""
 
-    name: str
-    value: float | None
+    def __init__(self, name, value):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(_Record):
     """full_report's MetricValues for one truth/estimate pair, by name."""
 
-    values: dict
+    def __init__(self, values):
+        object.__setattr__(self, "values", values)
 
     def __getitem__(self, name):
         return self.values[name]

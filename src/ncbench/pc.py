@@ -28,10 +28,9 @@ import functools
 import itertools
 import math
 import struct
-from dataclasses import dataclass
 
 from .graphs import (
-    Cpdag, Dag, _as_int, _as_real, _mask, _meek_close, _nodes, d_connected
+    Cpdag, Dag, _as_int, _as_real, _mask, _meek_close, _nodes, _Record, d_connected
 )
 
 
@@ -39,27 +38,23 @@ class CiTestError(RuntimeError):
     """Numerical failure inside a conditional-independence test."""
 
 
-@dataclass(frozen=True)
-class PcConfig:
+class PcConfig(_Record):
     """alpha: the CI tests' level, in (0, 1). max_cond_size: the largest
     conditioning-set size tested, None for no limit, else a non-negative
     integer (0 runs the marginal tests only)."""
 
-    alpha: float = 0.05
-    max_cond_size: int | None = None
-
-    def __post_init__(self):
-        alpha = _as_real(self.alpha, "alpha")
+    def __init__(self, alpha=0.05, max_cond_size=None):
+        alpha = _as_real(alpha, "alpha")
         if not (0 < alpha < 1):
             raise ValueError("alpha must be in (0, 1)")
         object.__setattr__(self, "alpha", alpha)
-        if self.max_cond_size is not None:
-            size = _as_int(self.max_cond_size, "max_cond_size", ValueError)
-            if size < 0:
+        if max_cond_size is not None:
+            max_cond_size = _as_int(max_cond_size, "max_cond_size", ValueError)
+            if max_cond_size < 0:
                 raise ValueError(
-                    f"max_cond_size must be None or a non-negative integer, got {size}"
+                    f"max_cond_size must be None or a non-negative integer, got {max_cond_size}"
                 )
-            object.__setattr__(self, "max_cond_size", size)
+        object.__setattr__(self, "max_cond_size", max_cond_size)
 
 
 def _fisher_z_p(r, n, size):

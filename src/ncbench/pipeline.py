@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields, replace
 
 from . import metrics as _metrics
-from .graphs import SID_CAP, Dag, _as_int, _as_real, skeleton
+from .graphs import SID_CAP, _as_int, _as_real, _Record, skeleton
 from .metrics import SMALLER_IS_BETTER, check_metric_names
 from .pc import CiTestError, PcConfig, pc
 from .random_graphs import RngSeed, max_edges, sample_er_cpdag, sample_er_dag
@@ -36,25 +35,21 @@ DEFAULT_METRICS = (
 )
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(_Record):
     """A study config, checked in full at construction; PcConfig and RngSeed
-    check their fields. The shipped config schema documents the rules."""
+    check their fields. The shipped config schema documents the rules.
+    nc_kind matches the algorithm's output kind; algorithm is a
+    callable(data, PcConfig) -> Dag | Cpdag, PC if None."""
 
-    b: int
-    d: int
-    m_true: int
-    n: int = 400
-    alpha: float = 0.05
-    metrics: tuple = DEFAULT_METRICS
-    nc_kind: str = "cpdag"  # matches the algorithm's output kind
-    seed: int = 0
-    weight_range: tuple = DEFAULT_WEIGHT_RANGE
-    variance_range: tuple = DEFAULT_VARIANCE_RANGE
-    sid_cap: int = SID_CAP
-    algorithm: object = None  # callable(data, PcConfig) -> Dag | Cpdag; PC if None
-
-    def __post_init__(self):
+    def __init__(
+        self, b, d, m_true, n=400, alpha=0.05, metrics=DEFAULT_METRICS, nc_kind="cpdag", seed=0,
+        weight_range=DEFAULT_WEIGHT_RANGE, variance_range=DEFAULT_VARIANCE_RANGE, sid_cap=SID_CAP,
+        algorithm=None,
+    ):
+        given = (b, d, m_true, n, alpha, metrics, nc_kind, seed, weight_range, variance_range,
+                 sid_cap, algorithm)
+        for name, value in zip(self._fields, given):
+            object.__setattr__(self, name, value)
         for name in ("b", "d", "m_true", "n", "seed", "sid_cap"):
             object.__setattr__(self, name, _as_int(getattr(self, name), name, ValueError))
         for name, low in (("b", 1), ("d", 2), ("m_true", 0), ("n", 1), ("sid_cap", 1)):
@@ -75,16 +70,16 @@ class PipelineConfig:
         RngSeed(self.seed)
 
 
-@dataclass
-class Replication:
-    index: int
-    truth: Dag
-    estimate: object
-    nc: object
-    m_est: int  # None when the algorithm failed
-    algo_values: dict
-    nc_values: dict
-    error: Exception = None  # the algorithm's CiTestError, if it raised one
+class Replication(_Record):
+    """One study replication: its truth Dag, the algorithm's estimate and
+    its m_est (both None when the algorithm failed), the negative control
+    nc, each side's values by metric, and the algorithm's CiTestError, if
+    it raised one."""
+
+    def __init__(self, index, truth, estimate, nc, m_est, algo_values, nc_values, error=None):
+        given = (index, truth, estimate, nc, m_est, algo_values, nc_values, error)
+        for name, value in zip(self._fields, given):
+            object.__setattr__(self, name, value)
 
 
 METHODS_NOTE = (
@@ -93,21 +88,19 @@ METHODS_NOTE = (
 )
 
 
-@dataclass
-class StudyResult:
-    config: PipelineConfig
-    replications: list
-    summary: dict  # metric -> dict(mean/ci/p for algo and nc)
+class StudyResult(_Record):
+    """A study's PipelineConfig, its Replications and its summary, metric ->
+    dict(mean/ci/p for algo and nc)."""
+
+    def __init__(self, config, replications, summary):
+        for name, value in zip(self._fields, (config, replications, summary)):
+            object.__setattr__(self, name, value)
 
     def to_dict(self):
         cfg = self.config
         return {
             "schema_version": 1,
-            "config": {
-                f.name: getattr(cfg, f.name)
-                for f in fields(cfg)
-                if f.name != "algorithm"
-            },
+            "config": {name: getattr(cfg, name) for name in cfg._fields if name != "algorithm"},
             "summary": self.summary,
             "methods_note": METHODS_NOTE,
         }
@@ -223,7 +216,7 @@ def _control(cfg, rep, score, pool):
     rng = RngSeed(cfg.seed, 1).child(rep.index)
     m = rng.choice(pool)
     nc, nc_values = _nc_values(score, cfg.nc_kind, rep.truth.d, m, rng, cfg.metrics)
-    return replace(rep, nc=nc, nc_values=nc_values)
+    return rep._replace(nc=nc, nc_values=nc_values)
 
 
 def run_study(cfg):

@@ -10,9 +10,8 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
-from dataclasses import dataclass
 
-from .graphs import _as_int, _built, _checked_d, _compelled, max_edges
+from .graphs import _as_int, _built, _checked_d, _compelled, _Record, max_edges
 
 _M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -188,8 +187,7 @@ def _as_numpy(rng):
     rng._load(gen)
 
 
-@dataclass(frozen=True)
-class RngSeed:
+class RngSeed(_Record):
     """Master seed plus stream index; distinct indices give independent streams.
 
     Entry points take an integer seed and every sampler a Stream (or a numpy
@@ -197,12 +195,9 @@ class RngSeed:
     from one to the other. Their streams are numpy's SeedSequence([seed,
     stream]) and SeedSequence([seed, stream, i]) under PCG64."""
 
-    seed: int
-    stream: int = 0
-
-    def __post_init__(self):
-        for name in ("seed", "stream"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name, ValueError))
+    def __init__(self, seed, stream=0):
+        for name, value in zip(self._fields, (seed, stream)):
+            object.__setattr__(self, name, _as_int(value, name, ValueError))
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.stream < 0:

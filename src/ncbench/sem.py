@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
-from .graphs import Dag, _as_int, _as_real, _nodes
+from .graphs import _as_int, _as_real, _nodes, _Record
 from .random_graphs import _as_numpy
 
 # Weight magnitudes bounded away from zero to avoid near-unfaithful models.
@@ -24,13 +23,13 @@ def check_range(name, pair):
     return lo, hi
 
 
-@dataclass(frozen=True)
-class SemModel:
-    """Edge weights and per-node noise variances for a linear Gaussian SEM."""
+class SemModel(_Record):
+    """Edge weights and per-node noise variances for a linear Gaussian SEM:
+    graph, a Dag; weights, (i, j) -> weight of i -> j; variances, one per node."""
 
-    graph: Dag
-    weights: dict  # (i, j) -> weight of i -> j
-    variances: tuple  # one per node
+    def __init__(self, graph, weights, variances):
+        for name, value in zip(self._fields, (graph, weights, variances)):
+            object.__setattr__(self, name, value)
 
 
 def draw_sem(g, rng, weight_range=DEFAULT_WEIGHT_RANGE, variance_range=DEFAULT_VARIANCE_RANGE):

@@ -12,6 +12,8 @@ The last check fails if some subcommand of the parser was never run.
 One check runs expect, fit-test, compare and sample again in a child process
 with numpy blocked: they must not need it, and must print the bytes that
 tests/golden/ holds for them, and write the same sample file as with numpy.
+Another imports ncbench and then ncbench.cli in a child process: neither
+import may load dataclasses, inspect or typing.
 
 CI runs this against a non-editable install in a venv holding numpy only;
 tests/test_cli.py runs it against src/ with PYTHONPATH=src.
@@ -202,6 +204,32 @@ def check_numpy_free_commands(root):
         assert a.read() == b.read()
 
 
+# Run in a child: per import, the modules it adds that a cold start must not load.
+COLD_IMPORT_CHILD = """
+import json, sys
+assert "ncbench" not in sys.modules
+added = []
+for module in ("ncbench", "ncbench.cli"):
+    before = set(sys.modules)
+    __import__(module)
+    added.append(sorted({"dataclasses", "inspect", "typing"} & (set(sys.modules) - before)))
+assert sys.modules["ncbench"].__file__ == sys.argv[1], sys.modules["ncbench"].__file__
+print(json.dumps(added))
+"""
+
+
+def check_cold_import(root):
+    # Each of these costs every CLI process milliseconds to import. Only what
+    # each import adds counts, so a module the site preloads (some sites load
+    # typing) neither hides nor fakes a hit.
+    proc = subprocess.run(
+        [sys.executable, "-B", "-W", "error", "-c", COLD_IMPORT_CHILD, ncbench.__file__],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert json.loads(proc.stdout) == [[], []], proc.stdout
+
+
 def check_every_subcommand_ran(root):
     [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert set(sub.choices) <= RAN, sorted(set(sub.choices) - RAN)
@@ -216,6 +244,7 @@ CHECKS = [
     check_empty_estimate,
     check_extension_cap,
     check_numpy_free_commands,
+    check_cold_import,
     check_every_subcommand_ran,
 ]
 

@@ -6,7 +6,6 @@ faster and never calls these.
 
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -209,4 +208,4 @@ def population_covariance(model):
 def with_labels(g, labels):
     """Same graph structure with a different label tuple, built through the
     checked constructor; None gives the defaults."""
-    return replace(g, labels=labels)
+    return g._replace(labels=labels)

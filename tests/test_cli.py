@@ -634,6 +634,18 @@ class TestPipeline:
         rc = main(["pipeline", "--config", cfg, "--out-dir", str(tmp_path / "o")])
         assert rc == EXIT_INPUT
 
+    def test_unknown_and_missing_keys_are_named(self, tmp_path, capsys):
+        # "algorithm" is a PipelineConfig field but no config key: a file
+        # cannot hold a callable. Missing keys come in field order.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"replications": 10, "algorithm": "pc", "d": 5, "n": 60}))
+        rc = main(["pipeline", "--config", str(path), "--out-dir", str(tmp_path / "o")])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {path}: unknown keys ['algorithm', 'replications'], "
+            "missing keys ['b', 'm_true']\n"
+        )
+
 
 class TestSampleAndSimulate:
     def test_sample_deterministic(self, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import re
 from collections import deque
 
@@ -26,8 +27,12 @@ from ncbench.graphs import (
     skeleton,
     v_structures,
 )
-from ncbench.pc import CiTestError, pc
+from ncbench.hypergeom import ConfusionCounts, HyperParams
+from ncbench.metrics import MetricReport, MetricValue, SidBounds
+from ncbench.pc import CiTestError, PcConfig, pc
+from ncbench.pipeline import PipelineConfig, Replication, StudyResult
 from ncbench.random_graphs import RngSeed, sample_er_cpdag, sample_er_dag
+from ncbench.sem import SemModel
 
 from conftest import simulate_seeded
 from reference import all_dags, all_extensions, d_connected_sets, with_labels
@@ -915,3 +920,94 @@ def test_cpdag_preserves_skeleton_and_vstructures(seed, m):
     cp = dag_to_cpdag(g)
     assert skeleton(cp) == skeleton(g)
     assert v_structures(cp) == v_structures(g)
+
+
+def test_vstructure_is_a_named_tuple():
+    v = VStructure._make((0, 2, 1))
+    assert isinstance(v, tuple) and v == (0, 2, 1)
+    assert VStructure._fields == ("a", "c", "b") and (v.a, v.c, v.b) == (0, 2, 1)
+    assert VStructure.__doc__.startswith("Collider a -> b <- c")
+
+
+_DAG = Dag(3, frozenset({(0, 1), (2, 1)}), ("a", "b", "c"))
+_CFG = PipelineConfig(b=2, d=3, m_true=1, seed=4)
+_CFG_REPR = (
+    "PipelineConfig(b=2, d=3, m_true=1, n=400, alpha=0.05, metrics=('shd', "
+    "'adjacency_precision', 'adjacency_recall', 'orientation_precision', "
+    "'orientation_recall', 'vstructure_recovery'), nc_kind='cpdag', seed=4, "
+    "weight_range=(0.5, 2.0), variance_range=(0.5, 1.5), sid_cap=10000, algorithm=None)"
+)
+_DAG_REPR = "Dag(d=3, edges=frozenset({(0, 1), (2, 1)}), labels=('a', 'b', 'c'))"
+
+# One instance of each record class; its repr as recorded when the records
+# were dataclasses; and a _replace, with the error its checks raise (None for
+# a class that checks nothing).
+RECORDS = [
+    (_DAG, _DAG_REPR, {"edges": {(0, 1), (1, 2), (2, 0)}},
+     (GraphError, "edge set contains a directed cycle")),
+    (Cpdag(3, frozenset({(0, 1)}), frozenset({(1, 2)})),
+     "Cpdag(d=3, directed=frozenset({(0, 1)}), undirected=frozenset({(1, 2)}), "
+     "labels=('X1', 'X2', 'X3'))",
+     {"labels": ("a", "a", "b")}, (GraphError, "labels must be d distinct strings")),
+    (HyperParams(10, 8, 7), "HyperParams(m_max=10, m_true=8, m_est=7)",
+     {"m_est": 11}, (ValueError, "m_true and m_est cannot exceed m_max")),
+    (ConfusionCounts(6, 1, 2, 1), "ConfusionCounts(tp=6, fp=1, fn=2, tn=1)",
+     {"fn": -1}, (ValueError, "confusion counts must be non-negative")),
+    (SidBounds(1, 3, False), "SidBounds(lower=1, upper=3, exact=False)",
+     {"exact": True}, (ValueError, "exact bounds must coincide")),
+    (MetricValue("shd", 2.0), "MetricValue(name='shd', value=2.0)", {"value": None}, None),
+    (MetricReport({"shd": MetricValue("shd", 2.0)}),
+     "MetricReport(values={'shd': MetricValue(name='shd', value=2.0)})", {"values": {}}, None),
+    (PcConfig(0.01, 2), "PcConfig(alpha=0.01, max_cond_size=2)",
+     {"alpha": 1.5}, (ValueError, "alpha must be in (0, 1)")),
+    (RngSeed(5, 1), "RngSeed(seed=5, stream=1)",
+     {"stream": -1}, (ValueError, "stream index must be non-negative")),
+    (SemModel(Dag(2, frozenset({(0, 1)})), {(0, 1): 0.5}, (1.0, 1.5)),
+     "SemModel(graph=Dag(d=2, edges=frozenset({(0, 1)}), labels=('X1', 'X2')), "
+     "weights={(0, 1): 0.5}, variances=(1.0, 1.5))",
+     {"variances": (2.0, 2.0)}, None),
+    (_CFG, _CFG_REPR, {"b": 0}, (ValueError, "b must be at least 1")),
+    (Replication(0, _DAG, None, None, None, {"shd": None}, {}),
+     f"Replication(index=0, truth={_DAG_REPR}, estimate=None, nc=None, m_est=None, "
+     "algo_values={'shd': None}, nc_values={}, error=None)",
+     {"nc_values": {"shd": 1.0}}, None),
+    (StudyResult(_CFG, [], {"m_est": {}}),
+     f"StudyResult(config={_CFG_REPR}, replications=[], summary={{'m_est': {{}}}})",
+     {"replications": [None]}, None),
+]
+
+
+@pytest.mark.parametrize(
+    "record, shown, changes, error", RECORDS, ids=[type(case[0]).__name__ for case in RECORDS]
+)
+def test_records_are_immutable_values(record, shown, changes, error):
+    cls = type(record)
+    fields = record._fields
+    kwargs = {name: getattr(record, name) for name in fields}
+    assert record == cls(**kwargs) and not record != cls(**kwargs)
+    other = type("Other", (cls,), {})(**kwargs)  # the same fields, another class
+    assert record != other and other != record
+    values = tuple(getattr(record, name) for name in fields)
+    try:
+        expected = hash(values)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == expected
+    assert repr(record) == shown
+    for name in fields:
+        with pytest.raises(AttributeError, match=re.escape(f"cannot assign to field {name!r}")):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError, match=re.escape(f"cannot delete field {name!r}")):
+            delattr(record, name)
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is cls and copy == record
+    if error is not None:
+        with pytest.raises(error[0], match=re.escape(error[1])):
+            record._replace(**changes)
+    else:
+        replaced = record._replace(**changes)
+        assert type(replaced) is cls and replaced != record
+        assert {name: getattr(replaced, name) for name in fields} == {**kwargs, **changes}
+    assert record._replace() == record and tuple(getattr(record, name) for name in fields) == values

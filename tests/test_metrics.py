@@ -377,15 +377,15 @@ class TestSidOverExtensionSearch:
 
     def test_builds_no_dag(self, five_node_truth, five_node_estimate, monkeypatch):
         built = []
-        post_init = Dag.__post_init__
+        init = Dag.__init__
 
-        def counting(self):
+        def counting(self, *args, **kwargs):
             built.append(self)
-            post_init(self)
+            init(self, *args, **kwargs)
 
         cp = dag_to_cpdag(five_node_truth)
         expected = _reference_bounds(five_node_truth, cp, SID_CAP)
-        monkeypatch.setattr(Dag, "__post_init__", counting)
+        monkeypatch.setattr(Dag, "__init__", counting)
         assert sid(five_node_truth, cp) == expected
         sid(five_node_truth, five_node_estimate)
         full_report(five_node_truth, cp, ("sid_lower", "sid_upper"))

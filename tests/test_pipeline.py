@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import json
 import math
@@ -312,7 +311,7 @@ class TestFailedReplication:
 
         cfg = PipelineConfig(b=6, d=6, m_true=7, n=80, seed=5)
         plain = run_study(cfg).replications
-        patched = run_study(dataclasses.replace(cfg, algorithm=fails_on_index_1))
+        patched = run_study(cfg._replace(algorithm=fails_on_index_1))
         failed = patched.replications[1]
         assert str(failed.error) == "injected"
         assert _step1(failed) == (plain[1].truth, None, None, dict.fromkeys(cfg.metrics))
