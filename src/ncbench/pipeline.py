@@ -198,8 +198,8 @@ def _replicate(cfg, i):
     rng = RngSeed(cfg.seed).child(i)
     truth = sample_er_dag(cfg.d, cfg.m_true, rng)
     score = _metrics._scorer(truth, cfg.metrics, cfg.sid_cap)
-    gen = rng.numpy()  # one hand-over: the SEM and its data draw on from the truth's state
-    data = simulate(draw_sem(truth, gen, cfg.weight_range, cfg.variance_range), cfg.n, gen)
+    # The SEM, then its data, draw on from the truth's state in the same stream.
+    data = simulate(draw_sem(truth, rng, cfg.weight_range, cfg.variance_range), cfg.n, rng)
     try:
         estimate = (cfg.algorithm or pc)(data, PcConfig(alpha=cfg.alpha))
     except CiTestError as exc:

@@ -141,28 +141,15 @@ class Stream:
         """Generator.choice(pool) on a non-empty list: one Lemire draw, sample's with m = 1."""
         return pool[self.sample(len(pool), 1)[0]]
 
-    def _state(self):
-        """This stream's state as numpy's PCG64 bit_generator.state."""
-        return {"bit_generator": "PCG64", "state": {"state": self.state, "inc": self.inc},
-                "has_uint32": self.has_uint32, "uinteger": self.uinteger}
-
     def numpy(self):
         """A numpy Generator at this stream's state; its draws leave the stream as it is."""
         import numpy as np
         from numpy.random.bit_generator import ISeedSequence
         ISeedSequence.register(_Unseeded)
         bits = np.random.PCG64(_Unseeded())
-        bits.state = self._state()
+        bits.state = {"bit_generator": "PCG64", "state": {"state": self.state, "inc": self.inc},
+                      "has_uint32": self.has_uint32, "uinteger": self.uinteger}
         return np.random.Generator(bits)
-
-    def _load(self, rng):
-        """Take the state of the PCG64 numpy Generator rng; TypeError for anything else."""
-        state = getattr(getattr(rng, "bit_generator", None), "state", None)
-        if not isinstance(state, dict) or state.get("bit_generator") != "PCG64":
-            raise TypeError(f"rng must be a Stream or a numpy Generator on PCG64, got {rng!r}")
-        self.state, self.inc = state["state"]["state"], state["state"]["inc"]
-        self.has_uint32, self.uinteger = state["has_uint32"], state["uinteger"]
-        return self
 
 
 class _Unseeded:
@@ -174,25 +161,31 @@ class _Unseeded:
         return np.zeros(n_words, dtype)
 
 
+def _stream(rng):
+    """rng, the one randomness type every sampler takes; TypeError for anything else."""
+    if not isinstance(rng, Stream):
+        raise TypeError(f"rng must be a Stream, got {rng!r}")
+    return rng
+
+
 @contextlib.contextmanager
 def _as_numpy(rng):
-    """rng for numpy's samplers: a PCG64 numpy Generator as it is; a Stream as
-    a Generator at its state, whose final state the Stream takes back."""
-    if not isinstance(rng, Stream):
-        Stream.__new__(Stream)._load(rng)  # the type check
-        yield rng
-        return
-    gen = rng.numpy()
+    """The Stream rng for numpy's samplers: a Generator at its state, whose
+    final state the stream takes back."""
+    gen = _stream(rng).numpy()
     yield gen
-    rng._load(gen)
+    state = gen.bit_generator.state
+    rng.state, rng.has_uint32, rng.uinteger = (
+        state["state"]["state"], state["has_uint32"], state["uinteger"])
 
 
 class RngSeed(_Record):
     """Master seed plus stream index; distinct indices give independent streams.
 
-    Entry points take an integer seed and every sampler a Stream (or a numpy
-    Generator on PCG64); generator() and child(i) are the only conversions
-    from one to the other. Their streams are numpy's SeedSequence([seed,
+    Entry points take an integer seed and every sampler a Stream, nothing
+    else; generator() and child(i) are the only conversions from one to the
+    other, and Stream.numpy() gives numpy's other distributions a Generator
+    at a stream's state. Their streams are numpy's SeedSequence([seed,
     stream]) and SeedSequence([seed, stream, i]) under PCG64."""
 
     def __init__(self, seed, stream=0):
@@ -232,11 +225,7 @@ def _draw(d, m, rng):
     d = _checked_d(d)
     if mmax >= 2**32:  # the stream's 32-bit door, before any draw
         raise ValueError(f"d={d} has {mmax} node pairs, too many to draw from (2**32 or more)")
-    # A PCG64 numpy Generator is only a state for the stream, and takes its state back.
-    stream = rng if isinstance(rng, Stream) else Stream.__new__(Stream)._load(rng)
-    order, picks = stream.permutation(d), stream.sample(mmax, m)
-    if stream is not rng:
-        rng.bit_generator.state = stream._state()
+    order, picks = _stream(rng).permutation(d), rng.sample(mmax, m)
     rank = [0] * d
     for pos, v in enumerate(order):
         rank[v] = pos

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 
-from .graphs import _as_int, _as_real, _nodes, _Record
+from .graphs import Dag, GraphError, _as_int, _as_real, _nodes, _Record
 from .random_graphs import _as_numpy
 
 # Weight magnitudes bounded away from zero to avoid near-unfaithful models.
@@ -34,10 +34,12 @@ class SemModel(_Record):
 
 def draw_sem(g, rng, weight_range=DEFAULT_WEIGHT_RANGE, variance_range=DEFAULT_VARIANCE_RANGE):
     """Random weights (uniform on +-[lo, hi]) and variances for each node,
-    drawn from rng, a Stream or a numpy Generator on PCG64: per edge in
-    sorted order a magnitude and then a sign (negative when its uniform is at
-    least 0.5), then the variances, all from one call for 2m + d uniforms.
-    Each value is numpy's uniform(lo, hi), lo + (hi - lo) * u, of its u."""
+    drawn from the Stream rng: per edge of the Dag g in sorted order a
+    magnitude and then a sign (negative when its uniform is at least 0.5),
+    then the variances, all from one call for 2m + d uniforms. Each value is
+    numpy's uniform(lo, hi), lo + (hi - lo) * u, of its u."""
+    if not isinstance(g, Dag):
+        raise GraphError("an SEM is drawn on a DAG")
     lo, hi = check_range("weight_range", weight_range)
     vlo, vhi = check_range("variance_range", variance_range)
     edges = sorted(g.edges)
@@ -53,8 +55,8 @@ def draw_sem(g, rng, weight_range=DEFAULT_WEIGHT_RANGE, variance_range=DEFAULT_V
 
 def simulate(model, n, rng):
     """n i.i.d. rows from the SEM, each node evaluated in topological order,
-    the noise drawn from rng, a Stream or a numpy Generator on PCG64, in one
-    call: n values per node, the nodes in that order."""
+    the noise drawn from the Stream rng in one call: n values per node, the
+    nodes in that order."""
     import numpy as np
     n = _as_int(n, "n", ValueError)
     if n < 1:

@@ -11,6 +11,7 @@ import numpy as np
 
 from ncbench.graphs import Dag, GraphError, _nodes, d_separated
 from ncbench.pc import CiTestError, _check_sample_size, _fisher_z_p
+from ncbench.random_graphs import Stream, _as_numpy
 from ncbench.sem import SemModel
 
 
@@ -209,3 +210,34 @@ def with_labels(g, labels):
     """Same graph structure with a different label tuple, built through the
     checked constructor; None gives the defaults."""
     return g._replace(labels=labels)
+
+
+class _SharedState(Stream):
+    """A Stream that also takes numpy's Generator methods, each run on a
+    Generator at its state that hands the final state back (_as_numpy):
+    choice is numpy's, for replace=False; permutation and sample stay the
+    stream's own, which draw the same bits."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+
+        def call(*args, **kwargs):
+            with _as_numpy(self) as gen:
+                return getattr(gen, name)(*args, **kwargs)
+        return call
+
+    def choice(self, *args, **kwargs):
+        return self.__getattr__("choice")(*args, **kwargs)
+
+
+def numpy_stream(stream):
+    """A copy of stream that the samplers and numpy's methods draw from in
+    turn, advancing one state as a shared numpy Generator did, so that a
+    corpus once drawn from a Generator draws the same values."""
+    out = _SharedState.__new__(_SharedState)
+    for name in Stream.__slots__:
+        setattr(out, name, getattr(stream, name))
+    return out

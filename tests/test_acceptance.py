@@ -35,7 +35,7 @@ from ncbench.pipeline import PipelineConfig, single_truth_nc
 from ncbench.random_graphs import RngSeed, max_edges, sample_er_dag
 
 from conftest import DATA_DIR, shared_study
-from reference import all_dags
+from reference import all_dags, numpy_stream
 
 FIG1A = frozenset({(0, 1), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (3, 4), (4, 2)})
 
@@ -183,7 +183,7 @@ def test_criterion_07_oracle_pc(capsys):
             cp = dag_to_cpdag(g)
             est = pc(g)
             ok = ok and est.directed == cp.directed and est.undirected == cp.undirected
-    gen = RngSeed(2718).generator().numpy()
+    gen = numpy_stream(RngSeed(2718).generator())
     for _ in range(200):
         g = sample_er_dag(8, int(gen.integers(8, 21)), gen)
         cp = dag_to_cpdag(g)

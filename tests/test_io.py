@@ -7,6 +7,7 @@ from ncbench.io import ParseError, align_to, parse_graph, write_graph
 from ncbench.random_graphs import RngSeed, max_edges, sample_er_cpdag, sample_er_dag
 
 from conftest import DATA_DIR
+from reference import numpy_stream
 
 
 def _write(tmp_path, text, name="g.csv"):
@@ -162,7 +163,7 @@ class TestAdjacencyMatrix:
 @pytest.mark.parametrize("fmt", ["edge-list", "adjacency-matrix"])
 def test_write_then_parse_is_the_identity(tmp_path, fmt):
     # Labels X1..Xd: past d = 9 their sorted order is not their index order.
-    gen = RngSeed(13).generator().numpy()
+    gen = numpy_stream(RngSeed(13).generator())
     for d in range(1, 31):
         for sample in (sample_er_dag, sample_er_cpdag):
             g = sample(d, int(gen.integers(0, max_edges(d) + 1)), gen)

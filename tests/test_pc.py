@@ -15,7 +15,9 @@ from ncbench.pc import CiTestError, FisherZTest, PcConfig, pc
 from ncbench.random_graphs import RngSeed, sample_er_dag
 
 from conftest import simulate_seeded
-from reference import all_dags, fisher_z_test, level_plan_by_pair, per_call_decide
+from reference import (
+    all_dags, fisher_z_test, level_plan_by_pair, numpy_stream, per_call_decide,
+)
 
 pc_module = importlib.import_module("ncbench.pc")
 
@@ -321,7 +323,7 @@ class TestOraclePc:
     def test_random_d8(self):
         for rep in range(60):
             rng = RngSeed(7, rep)
-            gen = rng.generator().numpy()
+            gen = numpy_stream(rng.generator())
             g = sample_er_dag(8, int(gen.integers(8, 21)), gen)
             est = pc(g)
             cp = dag_to_cpdag(g)
@@ -565,7 +567,7 @@ class TestMatchesReferencePc:
         levels = _record_levels(monkeypatch)
         cfg = PcConfig(alpha=alpha, max_cond_size=max_cond_size)
         for rep in range(4):
-            gen = RngSeed(23, 100 * d + rep).generator().numpy()
+            gen = numpy_stream(RngSeed(23, 100 * d + rep).generator())
             g = sample_er_dag(d, int(gen.integers(d, 2 * d + 1)), gen)
             data = simulate_seeded(g, n, RngSeed(24, 100 * d + rep))
             est = pc(data, cfg)
@@ -582,7 +584,7 @@ class TestMatchesReferencePc:
     def test_oracle(self, d, monkeypatch):
         levels = _record_levels(monkeypatch, pc_module.OracleTest)
         for rep in range(8 if d < 30 else 1):
-            gen = RngSeed(25, 100 * d + rep).generator().numpy()
+            gen = numpy_stream(RngSeed(25, 100 * d + rep).generator())
             g = sample_er_dag(d, int(gen.integers(d, 2 * d + 1)), gen)
             est = pc(g)
             got = _consulted(levels, d)
@@ -645,7 +647,7 @@ class TestMatchesReferencePc:
         removed = 0
         for d in range(3, 13):
             for rep in range(6):
-                gen = RngSeed(29, 100 * d + rep).generator().numpy()
+                gen = numpy_stream(RngSeed(29, 100 * d + rep).generator())
                 g = sample_er_dag(d, int(gen.integers(0, min(2 * d, d * (d - 1) // 2) + 1)), gen)
                 adj, masks = pc_module._skeleton_phase(pc_module.OracleTest(g), d, None)
                 _, reference = reference_skeleton_phase(DSeparationOracle(g), d, None)
@@ -716,7 +718,7 @@ class TestDecideContract:
         corpus = [(d, rep) for d in range(3, 21) for rep in range(max(8, 1500 // d**2))]
         assert len(corpus) >= 500
         for d, rep in corpus:
-            gen = RngSeed(27, 100 * d + rep).generator().numpy()
+            gen = numpy_stream(RngSeed(27, 100 * d + rep).generator())
             g = sample_er_dag(d, int(gen.integers(0, min(2 * d, d * (d - 1) // 2) + 1)), gen)
             got = decoded(pc_module._skeleton_phase(pc_module.OracleTest(g), d, None))
             assert got == reference_skeleton_phase(DSeparationOracle(g), d, None)

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from ncbench.graphs import Dag, GraphError, dag_to_cpdag, is_acyclic, skeleton
 from ncbench.hypergeom import HyperParams, pmf
 from ncbench.random_graphs import RngSeed, Stream, max_edges, sample_er_cpdag, sample_er_dag
-from ncbench.sem import draw_sem, simulate
+from ncbench.sem import DEFAULT_VARIANCE_RANGE, DEFAULT_WEIGHT_RANGE, draw_sem, simulate
+
+from reference import draw_sem_per_call, simulate_per_call
 
 
 class TestRngSeed:
@@ -202,14 +204,13 @@ class TestStreamMatchesNumpy:
             assert ours.choice([0, 1, 2]) == theirs.choice([0, 1, 2])
         assert theirs.bit_generator.state["has_uint32"] == words % 2
         assert ours.numpy().bit_generator.state == theirs.bit_generator.state
-        # A sampler given numpy's Generator leaves it where the stream ends.
-        g = sample_er_dag(6, 5, theirs)
-        assert g == sample_er_dag(6, 5, ours)
-        assert ours.numpy().bit_generator.state == theirs.bit_generator.state
-        # The SEM given the stream leaves it where numpy's Generator ends.
-        assert draw_sem(g, ours) == draw_sem(g, theirs)
-        assert simulate(draw_sem(g, ours), 3, ours).tolist() == simulate(
-            draw_sem(g, theirs), 3, theirs).tolist()
+        # The SEM given the stream leaves it where numpy's own Generator ends.
+        g = sample_er_dag(6, 5, ours)
+        theirs.permutation(6)
+        theirs.choice(15, 5, replace=False)
+        model = draw_sem(g, ours)
+        assert model == draw_sem_per_call(g, theirs, DEFAULT_WEIGHT_RANGE, DEFAULT_VARIANCE_RANGE)
+        assert simulate(model, 3, ours).tolist() == simulate_per_call(model, 3, theirs).tolist()
         assert ours.numpy().bit_generator.state == theirs.bit_generator.state
 
 
@@ -236,23 +237,27 @@ def test_seeds_give_streams():
 
 @pytest.mark.parametrize(
     "rng",
-    [np.random.Generator(np.random.MT19937(0)), np.random.RandomState(0), 7],
-    ids=["MT19937", "RandomState", "int"],
+    [np.random.default_rng(0), np.random.Generator(np.random.MT19937(0)),
+     np.random.RandomState(0), 7],
+    ids=["PCG64", "MT19937", "RandomState", "int"],
 )
 def test_other_generators_are_refused(rng):
-    message = "rng must be a Stream or a numpy Generator on PCG64"
-    with pytest.raises(TypeError, match=message):
-        sample_er_dag(4, 2, rng)
-    with pytest.raises(TypeError, match=message):
-        draw_sem(Dag(2, frozenset({(0, 1)})), rng)
+    # A Stream is the one randomness type; numpy's draws start from Stream.numpy().
+    g = Dag(2, frozenset({(0, 1)}))
+    model = draw_sem(g, RngSeed(0).generator())
+    draws = [lambda: sample_er_dag(4, 2, rng), lambda: sample_er_cpdag(4, 2, rng),
+             lambda: draw_sem(g, rng), lambda: simulate(model, 3, rng)]
+    for draw in draws:
+        with pytest.raises(TypeError, match="^rng must be a Stream, got"):
+            draw()
 
 
 def test_populations_of_2_to_the_32_are_refused():
     with pytest.raises(ValueError, match=r"^cannot take 1 of 4294967296 without replacement"):
         RngSeed(0).generator().sample(2**32, 1)
     # The first d with 2**32 node pairs fails before any pair is listed or drawn.
-    gen = RngSeed(0).generator().numpy()
-    before = gen.bit_generator.state
+    rng = RngSeed(0).generator()
+    before = (rng.state, rng.inc, rng.has_uint32, rng.uinteger)
     with pytest.raises(ValueError, match=r"^d=92683 has 4295022903 node pairs, too many"):
-        sample_er_dag(92683, 1, gen)
-    assert gen.bit_generator.state == before
+        sample_er_dag(92683, 1, rng)
+    assert (rng.state, rng.inc, rng.has_uint32, rng.uinteger) == before

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncbench.graphs import Dag
+from ncbench.graphs import Cpdag, Dag, GraphError
 from ncbench.random_graphs import RngSeed, sample_er_dag
 from ncbench.sem import draw_sem, simulate
 
@@ -46,6 +46,13 @@ class TestDrawSem:
         model = draw_sem(g, RngSeed(0).child(0), (1.0, 1.0), (1.0, 1.0))
         assert all(abs(w) == pytest.approx(1.0) for w in model.weights.values())
         assert model.variances == pytest.approx((1.0, 1.0, 1.0))
+
+    def test_a_cpdag_is_refused_before_any_draw(self):
+        rng = RngSeed(0).generator()
+        before = (rng.state, rng.has_uint32, rng.uinteger)
+        with pytest.raises(GraphError, match="an SEM is drawn on a DAG"):
+            draw_sem(Cpdag(3, frozenset({(0, 1)}), frozenset({(1, 2)})), rng)
+        assert (rng.state, rng.has_uint32, rng.uinteger) == before
 
 
 class TestSimulate:

@@ -125,6 +125,30 @@ def test_detects_a_second_real_rule():
     assert not _reads_numbers(ast.parse("import numbers\nnumbers.Integral\n"), "Real")
 
 
+def _hands_to_numpy(tree):
+    """True if the module hands a stream to numpy: calls .numpy() on it or
+    reads a Generator's bit_generator."""
+    return any(
+        isinstance(node, ast.Attribute) and node.attr in {"numpy", "bit_generator"}
+        for node in ast.walk(tree)
+    )
+
+
+def test_one_numpy_hand_over():
+    # random_graphs._as_numpy is the one bridge from a Stream to numpy's
+    # samplers; every other module passes the stream itself.
+    modules = sorted(SRC.glob("*.py"))
+    assert [p.name for p in modules if _hands_to_numpy(ast.parse(p.read_text()))] == [
+        "random_graphs.py"
+    ]
+
+
+def test_detects_a_second_numpy_hand_over():
+    assert _hands_to_numpy(ast.parse("gen = rng.numpy()\n"))
+    assert _hands_to_numpy(ast.parse("state = gen.bit_generator.state\n"))
+    assert not _hands_to_numpy(ast.parse("import numpy as np\nnp.random.default_rng(0)\n"))
+
+
 # The builders that set a graph's fields with no door check.
 UNCHECKED_BUILDERS = {"_built", "_compelled", "_fill"}
 
