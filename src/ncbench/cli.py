@@ -161,6 +161,11 @@ def cmd_pipeline(args):
     cfg = _pipeline_config_from_file(args.config)
     if args.seed is not None:
         cfg = cfg._replace(seed=args.seed)
+    ancestor = args.out_dir  # made after the study (a failed one leaves none), so checked first
+    while ancestor and not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if ancestor and not os.path.isdir(ancestor):
+        raise NotADirectoryError(f"--out-dir {args.out_dir}: {ancestor} is not a directory")
     result = run_study(cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     summary_path = os.path.join(args.out_dir, "summary.json")

@@ -7,7 +7,7 @@ check every graph in one pass (_checked) and keep what the checks compute,
 its skeleton and, for a Dag, its per-node parent and child bitmasks and its
 topological order. Only the random samplers and dag_to_cpdag, which build
 graphs from parts they already hold valid, skip the checks, through _built.
-Both builds set fields in one place, _fill, and keep the same fields.
+Both builds write fields in one place, _fill, and keep the same fields.
 Queries read these and never rebuild them, and check nodes with _node.
 An int bitmask is the one per-node form: bit u of a node's mask is set iff
 u is one of its parents (children, neighbours). _index builds every mask
@@ -24,10 +24,10 @@ orientations only; extensions are enumerated with two local checks per
 orientation, propagated to the open pairs at each new edge's ends.
 Every record of the package, Dag and Cpdag and the configs and results of
 the other modules, is a _Record, defined here as every module imports this
-one first: immutable, compared by its `_fields` and copied with `_replace`.
-Records are not dataclasses (dataclasses.fields and dataclasses.replace do
-not apply), and no module imports dataclasses or typing: they were most of
-a cold `import ncbench.cli`.
+one first: immutable, compared by its `_fields`, copied with `_replace` and
+written by its one writer, _Record._set. Records are not dataclasses
+(dataclasses.fields and dataclasses.replace do not apply), and no module
+imports dataclasses or typing: they were most of a cold `import ncbench.cli`.
 """
 
 from __future__ import annotations
@@ -63,8 +63,10 @@ class _Record:
     equals only a record of its own class with equal fields, hashes as the
     tuple of its fields, and shows them in its repr; `_replace(**changes)`
     builds a new one through __init__, so it is checked again. Each __init__
-    sets its fields with object.__setattr__ (a graph's through _fill), never
-    through the instance dict, whose creation would slow every later read."""
+    checks its arguments as locals, then writes its fields in one _set call
+    (a graph's in _fill). _set is the package's one object.__setattr__ call;
+    no record is written through its instance dict, whose creation would slow
+    every later read."""
 
     def __init_subclass__(cls):
         code = cls.__init__.__code__
@@ -93,6 +95,10 @@ class _Record:
 
     def _replace(self, **changes):
         return self.__class__(**dict(zip(self._fields, self._values()), **changes))
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
 
 @functools.cache
@@ -244,21 +250,16 @@ def _checked(d, labels, directed, undirected=()):
 
 
 def _fill(g, d, directed, skel, undirected, labels):
-    """Set g's fields from valid parts, the one place a graph's fields are
-    set, and return g. A Dag also keeps its edges, its parent and child
-    masks as tuples (a frozen graph hands out no list) and its Kahn order,
-    short iff it has a cycle; a Cpdag keeps `undirected`."""
-    object.__setattr__(g, "d", d)
-    object.__setattr__(g, "labels", labels)
-    object.__setattr__(g, "directed", directed)
-    object.__setattr__(g, "_skeleton", skel)
+    """Write g's fields from valid parts, the one _set call a graph gets, and
+    return g. A Dag also keeps its edges, its parent and child masks as
+    tuples (a frozen graph hands out no list) and its Kahn order, short iff
+    it has a cycle; a Cpdag keeps `undirected`."""
     if isinstance(g, Dag):
         parents, children = _index(directed, d)
-        object.__setattr__(g, "edges", directed)
-        object.__setattr__(g, "_index", (tuple(parents), tuple(children)))
-        object.__setattr__(g, "_order", tuple(_kahn(parents, children)))
+        g._set(d=d, labels=labels, directed=directed, _skeleton=skel, edges=directed,
+               _index=(tuple(parents), tuple(children)), _order=tuple(_kahn(parents, children)))
     else:
-        object.__setattr__(g, "undirected", undirected)
+        g._set(d=d, labels=labels, directed=directed, _skeleton=skel, undirected=undirected)
     return g
 
 

@@ -37,12 +37,13 @@ class HyperParams(_Record):
     """The conditioning triple of the exact null."""
 
     def __init__(self, m_max, m_true, m_est):
-        for name, value in zip(self._fields, (m_max, m_true, m_est)):
-            object.__setattr__(self, name, _as_int(value, name, ValueError))
-        if min(self.m_max, self.m_true, self.m_est) < 0:
+        m_max, m_true, m_est = (_as_int(value, name, ValueError)
+                                for name, value in zip(self._fields, (m_max, m_true, m_est)))
+        if min(m_max, m_true, m_est) < 0:
             raise ValueError("all edge counts must be non-negative")
-        if self.m_true > self.m_max or self.m_est > self.m_max:
+        if m_true > m_max or m_est > m_max:
             raise ValueError("m_true and m_est cannot exceed m_max")
+        self._set(m_max=m_max, m_true=m_true, m_est=m_est)
 
     @functools.cached_property
     def support(self):
@@ -60,10 +61,11 @@ class ConfusionCounts(_Record):
     """TP/FP/FN/TN quadruple for adjacency or endpoint classification."""
 
     def __init__(self, tp, fp, fn, tn):
-        for name, value in zip(self._fields, (tp, fp, fn, tn)):
-            object.__setattr__(self, name, _as_int(value, name, ValueError))
-        if min(self.tp, self.fp, self.fn, self.tn) < 0:
+        tp, fp, fn, tn = (_as_int(value, name, ValueError)
+                          for name, value in zip(self._fields, (tp, fp, fn, tn)))
+        if min(tp, fp, fn, tn) < 0:
             raise ValueError("confusion counts must be non-negative")
+        self._set(tp=tp, fp=fp, fn=fn, tn=tn)
 
     @property
     def total(self):

@@ -30,14 +30,14 @@ def _build(kind, labels, directed, undirected, path):
     d = len(labels)
     dir_idx = frozenset((index[a], index[b]) for a, b in directed)
     und_idx = frozenset((index[a], index[b]) for a, b in undirected)
-    if kind == "dag":
-        if und_idx:
-            raise ParseError(f"{path}: undirected edges not allowed in a dag file")
-        try:
+    if kind == "dag" and und_idx:
+        raise ParseError(f"{path}: undirected edges not allowed in a dag file")
+    try:
+        if kind == "dag":
             return Dag(d, dir_idx, tuple(labels))
-        except GraphError as exc:
-            raise ParseError(f"{path}: declared dag: {exc}") from exc
-    return Cpdag(d, dir_idx, und_idx, tuple(labels))
+        return Cpdag(d, dir_idx, und_idx, tuple(labels))
+    except GraphError as exc:
+        raise ParseError(f"{path}: declared {kind}: {exc}") from exc
 
 
 def _parse_edge_list(path):

@@ -47,27 +47,25 @@ def check_metric_names(names):
 
 class SidBounds(_Record):
     def __init__(self, lower, upper, exact):
-        for name, value in zip(self._fields, (lower, upper, exact)):
-            object.__setattr__(self, name, value)
         if not (0 <= lower <= upper):
             raise ValueError("need 0 <= lower <= upper")
         if exact and lower != upper:
             raise ValueError("exact bounds must coincide")
+        self._set(lower=lower, upper=upper, exact=exact)
 
 
 class MetricValue(_Record):
     """Named metric result; value None means MISSING (undefined)."""
 
     def __init__(self, name, value):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "value", value)
+        self._set(name=name, value=value)
 
 
 class MetricReport(_Record):
     """full_report's MetricValues for one truth/estimate pair, by name."""
 
     def __init__(self, values):
-        object.__setattr__(self, "values", values)
+        self._set(values=values)
 
     def __getitem__(self, name):
         return self.values[name]

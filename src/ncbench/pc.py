@@ -47,14 +47,13 @@ class PcConfig(_Record):
         alpha = _as_real(alpha, "alpha")
         if not (0 < alpha < 1):
             raise ValueError("alpha must be in (0, 1)")
-        object.__setattr__(self, "alpha", alpha)
         if max_cond_size is not None:
             max_cond_size = _as_int(max_cond_size, "max_cond_size", ValueError)
             if max_cond_size < 0:
                 raise ValueError(
                     f"max_cond_size must be None or a non-negative integer, got {max_cond_size}"
                 )
-        object.__setattr__(self, "max_cond_size", max_cond_size)
+        self._set(alpha=alpha, max_cond_size=max_cond_size)
 
 
 def _fisher_z_p(r, n, size):

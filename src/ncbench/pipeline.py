@@ -46,28 +46,27 @@ class PipelineConfig(_Record):
         weight_range=DEFAULT_WEIGHT_RANGE, variance_range=DEFAULT_VARIANCE_RANGE, sid_cap=SID_CAP,
         algorithm=None,
     ):
-        given = (b, d, m_true, n, alpha, metrics, nc_kind, seed, weight_range, variance_range,
-                 sid_cap, algorithm)
-        for name, value in zip(self._fields, given):
-            object.__setattr__(self, name, value)
-        for name in ("b", "d", "m_true", "n", "seed", "sid_cap"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name, ValueError))
-        for name, low in (("b", 1), ("d", 2), ("m_true", 0), ("n", 1), ("sid_cap", 1)):
-            if getattr(self, name) < low:
+        b, d, m_true, n, seed, sid_cap = (_as_int(value, name, ValueError) for name, value in zip(
+            ("b", "d", "m_true", "n", "seed", "sid_cap"), (b, d, m_true, n, seed, sid_cap)))
+        for name, value, low in (("b", b, 1), ("d", d, 2), ("m_true", m_true, 0), ("n", n, 1),
+                                 ("sid_cap", sid_cap, 1)):
+            if value < low:
                 raise ValueError(f"{name} must be at least {low}")
-        if self.m_true > max_edges(self.d):
-            raise ValueError(f"m_true must be at most d(d-1)/2 = {max_edges(self.d)}")
-        object.__setattr__(self, "alpha", _as_real(self.alpha, "alpha"))
-        for name in ("weight_range", "variance_range"):
-            object.__setattr__(self, name, check_range(name, getattr(self, name)))
-        if self.nc_kind not in ("dag", "cpdag"):
+        if m_true > max_edges(d):
+            raise ValueError(f"m_true must be at most d(d-1)/2 = {max_edges(d)}")
+        alpha = _as_real(alpha, "alpha")
+        weight_range = check_range("weight_range", weight_range)
+        variance_range = check_range("variance_range", variance_range)
+        if nc_kind not in ("dag", "cpdag"):
             raise ValueError("nc_kind must be 'dag' or 'cpdag'")
-        if not isinstance(self.metrics, (list, tuple)) or not self.metrics:
+        if not isinstance(metrics, (list, tuple)) or not metrics:
             raise ValueError("metrics must be a non-empty list of metric names")
-        check_metric_names(self.metrics)
-        object.__setattr__(self, "metrics", tuple(self.metrics))
-        PcConfig(alpha=self.alpha)
-        RngSeed(self.seed)
+        check_metric_names(metrics)
+        PcConfig(alpha=alpha)
+        RngSeed(seed)
+        self._set(b=b, d=d, m_true=m_true, n=n, alpha=alpha, metrics=tuple(metrics),
+                  nc_kind=nc_kind, seed=seed, weight_range=weight_range,
+                  variance_range=variance_range, sid_cap=sid_cap, algorithm=algorithm)
 
 
 class Replication(_Record):
@@ -77,9 +76,8 @@ class Replication(_Record):
     it raised one."""
 
     def __init__(self, index, truth, estimate, nc, m_est, algo_values, nc_values, error=None):
-        given = (index, truth, estimate, nc, m_est, algo_values, nc_values, error)
-        for name, value in zip(self._fields, given):
-            object.__setattr__(self, name, value)
+        self._set(index=index, truth=truth, estimate=estimate, nc=nc, m_est=m_est,
+                  algo_values=algo_values, nc_values=nc_values, error=error)
 
 
 METHODS_NOTE = (
@@ -93,8 +91,7 @@ class StudyResult(_Record):
     dict(mean/ci/p for algo and nc)."""
 
     def __init__(self, config, replications, summary):
-        for name, value in zip(self._fields, (config, replications, summary)):
-            object.__setattr__(self, name, value)
+        self._set(config=config, replications=replications, summary=summary)
 
     def to_dict(self):
         cfg = self.config
@@ -153,10 +150,8 @@ def _pairwise(x):
 
 def _mean(values):
     """np.mean on a list of floats or of ints, to the bit: 0.0 plus the pairwise sum.
-    numpy casts ints in 8192-element buffers, which splits the sum otherwise, but
-    below 2**53 every partial sum of ints is exact, so the plain sum is the same."""
-    if all(type(v) is int for v in values):
-        return sum(values) / len(values)
+    numpy sums ints cast in 8192-element buffers, another order, but below 2**53
+    every partial sum of ints is exact, so the order cannot change the bits."""
     return (0.0 + _pairwise([float(v) for v in values])) / len(values)
 
 

@@ -189,12 +189,12 @@ class RngSeed(_Record):
     stream]) and SeedSequence([seed, stream, i]) under PCG64."""
 
     def __init__(self, seed, stream=0):
-        for name, value in zip(self._fields, (seed, stream)):
-            object.__setattr__(self, name, _as_int(value, name, ValueError))
-        if not (0 <= self.seed < 2**64):
+        seed, stream = _as_int(seed, "seed", ValueError), _as_int(stream, "stream", ValueError)
+        if not (0 <= seed < 2**64):
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.stream < 0:
+        if stream < 0:
             raise ValueError("stream index must be non-negative")
+        self._set(seed=seed, stream=stream)
 
     def generator(self):
         return Stream([self.seed, self.stream])

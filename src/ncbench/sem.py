@@ -28,8 +28,7 @@ class SemModel(_Record):
     graph, a Dag; weights, (i, j) -> weight of i -> j; variances, one per node."""
 
     def __init__(self, graph, weights, variances):
-        for name, value in zip(self._fields, (graph, weights, variances)):
-            object.__setattr__(self, name, value)
+        self._set(graph=graph, weights=weights, variances=variances)
 
 
 def draw_sem(g, rng, weight_range=DEFAULT_WEIGHT_RANGE, variance_range=DEFAULT_VARIANCE_RANGE):

@@ -629,6 +629,26 @@ class TestPipeline:
         assert capsys.readouterr().err == "error: need n > |z| + 3 (n=4, |z|=1)\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "below", [(), ("sub",), ("sub", "deeper")], ids=["file", "child", "grandchild"]
+    )
+    def test_an_out_dir_under_a_file_is_refused_before_the_study(
+        self, tmp_path, capsys, monkeypatch, below
+    ):
+        # The path, or its nearest existing ancestor, is a file: exit 2 with
+        # no truth drawn, and the file left as it was.
+        cfg = self._config(tmp_path)
+        draws = []
+        monkeypatch.setattr(ncbench.pipeline, "sample_er_dag", lambda *args: draws.append(args))
+        blocker = tmp_path / "notadir"
+        blocker.write_text("kept\n")
+        out_dir = blocker.joinpath(*below)
+        assert main(["pipeline", "--config", cfg, "--out-dir", str(out_dir)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: --out-dir {out_dir}: {blocker} is not a directory\n"
+        )
+        assert draws == [] and blocker.read_text() == "kept\n"
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = self._config(tmp_path, replications=10)
         rc = main(["pipeline", "--config", cfg, "--out-dir", str(tmp_path / "o")])

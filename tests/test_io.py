@@ -205,6 +205,14 @@ def test_written_labels_come_back_as_written(tmp_path, fmt):
     assert back == g and back.labels == labels
 
 
+@pytest.mark.parametrize("kind", ["dag", "cpdag"])
+def test_graph_door_errors_name_the_file(tmp_path, kind):
+    # A file with no nodes fails the graph's own door, whichever kind it declares.
+    path = _write(tmp_path, "from,to,type\n", "empty.csv")
+    with pytest.raises(ParseError, match=f"^{re.escape(path)}: declared {kind}: d must be positive$"):
+        parse_graph(path, kind=kind)
+
+
 @pytest.mark.parametrize("fmt", ["edge-list", "adjacency-matrix"])
 def test_a_byte_order_mark_is_skipped(tmp_path, fmt):
     # Spreadsheet CSV exports start with a UTF-8 byte-order mark.

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from ncbench.graphs import Dag, GraphError, dag_to_cpdag, is_acyclic, skeleton
 from ncbench.hypergeom import HyperParams, pmf
-from ncbench.random_graphs import RngSeed, Stream, max_edges, sample_er_cpdag, sample_er_dag
+from ncbench.random_graphs import (
+    RngSeed, Stream, _as_numpy, max_edges, sample_er_cpdag, sample_er_dag
+)
 from ncbench.sem import DEFAULT_VARIANCE_RANGE, DEFAULT_WEIGHT_RANGE, draw_sem, simulate
 
 from reference import draw_sem_per_call, simulate_per_call
@@ -212,6 +214,25 @@ class TestStreamMatchesNumpy:
         assert model == draw_sem_per_call(g, theirs, DEFAULT_WEIGHT_RANGE, DEFAULT_VARIANCE_RANGE)
         assert simulate(model, 3, ours).tolist() == simulate_per_call(model, 3, theirs).tolist()
         assert ours.numpy().bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("words", [2, 3])
+    def test_a_hand_over_reads_back_the_buffered_half_word(self, words):
+        # One choice from three leaves the high half of a 64-bit draw
+        # buffered. Inside _as_numpy, numpy's 32-bit draws take that half and
+        # `words` more: an even count leaves none buffered, an odd one a new
+        # half. The stream must take back has_uint32 and uinteger with state.
+        ours, theirs = RngSeed(11).generator(), _numpy_generator(11, 0)
+        assert ours.choice([0, 1, 2]) == theirs.choice([0, 1, 2])
+        assert ours.has_uint32 == 1
+        with _as_numpy(ours) as gen:
+            for g in (gen, theirs):
+                g.choice(3)
+                g.integers(0, 7, size=words, dtype=np.uint32)
+        state = theirs.bit_generator.state
+        assert state["has_uint32"] == words % 2
+        assert (ours.state, ours.has_uint32, ours.uinteger) == (
+            state["state"]["state"], state["has_uint32"], state["uinteger"])
+        assert ours.permutation(10) == theirs.permutation(10).tolist()
 
 
 def test_stream_draws_are_pinned():

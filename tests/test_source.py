@@ -180,20 +180,15 @@ def test_detects_an_unchecked_build():
     assert not _reads_unchecked_builder(ast.parse("from .graphs import Dag\nDag(2)\n"))
 
 
-def _setattr_owners(tree):
-    """The innermost function each read of object.__setattr__ sits in, one
-    entry per read in source order ("<module>" outside any function)."""
+def _owners(tree, hit):
+    """The innermost function each node for which hit(node) holds sits in,
+    one entry per node in source order ("<module>" outside any function)."""
     owners = []
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if (
-            isinstance(node, ast.Attribute)
-            and node.attr == "__setattr__"
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "object"
-        ):
+        if hit(node):
             owners.append(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
@@ -202,11 +197,53 @@ def _setattr_owners(tree):
     return owners
 
 
-def test_graph_fields_have_one_setter():
-    # _fill is the one place a graph's fields are set, for the checked
-    # constructors and the unchecked builds alike.
-    owners = _setattr_owners(ast.parse((SRC / "graphs.py").read_text()))
-    assert owners and set(owners) == {"_fill"}
+def _setattr_owners(tree):
+    """The innermost function each read of object.__setattr__ sits in."""
+    return _owners(tree, lambda node: (
+        isinstance(node, ast.Attribute)
+        and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+    ))
+
+
+def _writer_callers(tree):
+    """The innermost function each call of a record's writer, `x._set(...)`, sits in."""
+    return _owners(tree, lambda node: (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "_set"
+    ))
+
+
+def _writer_breaches(modules):
+    """Where `modules` (file name -> parsed source) break the one-writer rule,
+    as "file: function ...": each read of object.__setattr__ but the one in
+    graphs._Record._set, and each call of the writer in graphs.py, whose
+    records are the graphs, outside _fill."""
+    breaches = []
+    for name, tree in sorted(modules.items()):
+        reads = _setattr_owners(tree)
+        if name == "graphs.py":
+            records = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Record"]
+            if records and _setattr_owners(records[0]) == ["_set"]:
+                reads.remove("_set")
+            breaches += [
+                f"graphs.py: {owner} writes a graph"
+                for owner in _writer_callers(tree) if owner != "_fill"
+            ]
+        breaches += [f"{name}: {owner} reads object.__setattr__" for owner in reads]
+    return breaches
+
+
+def test_records_have_one_writer():
+    # _Record._set is the one writer of every record's fields, and _fill the
+    # one place a graph's are written, for the checked constructors and the
+    # unchecked builds alike.
+    modules = {p.name: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    assert _writer_breaches(modules) == []
+    assert _setattr_owners(modules["graphs.py"]) == ["_set"]
+    assert set(_writer_callers(modules["graphs.py"])) == {"_fill"}
 
 
 def test_detects_a_second_field_setter():
@@ -219,6 +256,27 @@ def test_detects_a_second_field_setter():
         "g.__setattr__('d', 4)\n"
     )
     assert _setattr_owners(ast.parse(source)) == ["_fill", "inner", "__post_init__", "<module>"]
+
+
+def test_detects_a_second_record_writer():
+    graphs = ast.parse(
+        "class _Record:\n    def _set(self, **fields):\n"
+        "        object.__setattr__(self, 'd', 1)\n"
+        "def _fill(g):\n    g._set(d=1)\n"
+        "def _relabel(g):\n    g._set(labels=())\n"
+    )
+    pc = ast.parse(
+        "class PcConfig(_Record):\n    def __init__(self, alpha):\n"
+        "        self._set(alpha=alpha)\n"
+        "        object.__setattr__(self, 'alpha', alpha)\n"
+    )
+    assert _writer_breaches({"graphs.py": graphs, "pc.py": pc}) == [
+        "graphs.py: _relabel writes a graph",
+        "pc.py: __init__ reads object.__setattr__",
+    ]
+    # A function named _set outside _Record is not the writer.
+    stray = ast.parse("def _set(g):\n    object.__setattr__(g, 'd', 1)\n")
+    assert _writer_breaches({"graphs.py": stray}) == ["graphs.py: _set reads object.__setattr__"]
 
 
 # full_report's wrappers: inside the package a metric value is a plain float
