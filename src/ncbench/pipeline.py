@@ -5,13 +5,16 @@ edge count) and the single-truth variant for real-data applications.
 Each replication is one call per step on its own stream, independent of b and
 of the other replications: _replicate(cfg, i) on RngSeed(seed).child(i) and
 _control on RngSeed(seed, 1).child(i); draw i of single_truth_nc uses
-RngSeed(seed).child(i). _nc_values draws and scores every negative control,
-with a scorer (metrics._scorer) that has done the truth's share of the work
-once: its v-structures and its SID term memo. A score is a plain
-{name: float, or None when MISSING} dict. single_truth_nc builds one scorer
-per evaluation, for the estimate and all b draws; a study one per
-replication, built by _replicate and shared with _control. The scorer checks
-no pair: the estimate's is checked once where it enters, and a draw needs none."""
+RngSeed(seed).child(i). _nc_values draws every negative control through
+random_graphs._nc_draw, which spends only the randomness the graph reads, as
+the stream is dropped after the draw. It scores the control with a scorer
+(metrics._scorer) that has done the truth's share of the work once: its
+v-structures and its SID term memo. A score is a plain {name: float, or None
+when MISSING} dict. single_truth_nc builds one scorer per evaluation, for the
+estimate and all b draws; a study one per replication, built by _replicate
+and shared with _control. The scorer checks no pair, and _nc_draw only the
+stream's pair-count door: the truth and the estimate are checked once where
+they enter, and a draw needs nothing more."""
 
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from . import metrics as _metrics
 from .graphs import SID_CAP, _as_int, _as_real, _Record, skeleton
 from .metrics import SMALLER_IS_BETTER, check_metric_names
 from .pc import CiTestError, PcConfig, pc
-from .random_graphs import RngSeed, max_edges, sample_er_cpdag, sample_er_dag
+from .random_graphs import RngSeed, _nc_draw, max_edges, sample_er_dag
 from .sem import DEFAULT_VARIANCE_RANGE, DEFAULT_WEIGHT_RANGE, check_range, draw_sem, simulate
 
 DEFAULT_METRICS = (
@@ -169,8 +172,9 @@ def _summarize(values):
 
 def _nc_values(score, kind, d, m, rng, metrics):
     """(nc, values): one negative control of the given kind with m edges over
-    d nodes, drawn from rng, and its `metrics` values from the scorer `score`."""
-    nc = (sample_er_dag if kind == "dag" else sample_er_cpdag)(d, m, rng)
+    d nodes, drawn from rng by random_graphs._nc_draw, and its `metrics` values
+    from the scorer `score`."""
+    nc = _nc_draw(kind, d, m, rng)
     return nc, score(nc, metrics)
 
 

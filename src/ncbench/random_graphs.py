@@ -3,6 +3,14 @@
 A draw picks a uniform m-subset of the unordered node pairs as the skeleton
 and orients it along a uniformly random total order, so conditional on
 (d, m) every pair is included with probability m / m_max.
+
+The public samplers leave their stream where numpy's permutation and
+choice would, since a caller may draw on from it. A negative control in
+pipeline goes through _nc_draw instead: its stream ends with the draw and
+the graph reads only the set of pairs, so it takes Floyd's m picks without
+the shuffle choice puts them in, and its d and m, checked where the truth
+and the estimate enter, pass only the pair-count door. Both give the same
+graph from the same stream.
 """
 
 from __future__ import annotations
@@ -19,32 +27,52 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MIXES = [(i, i) for i in range(4)] + [(s, t) for s in range(4) for t in range(4) if s != t]
 
 
+def _hash_steps(h, mult, moves):
+    """(src, dst, h, h * mult) for each (src, dst) in moves, h stepping on: SeedSequence's
+    hash constant steps once per hash whatever is hashed, so its values are fixed."""
+    steps = []
+    for src, dst in moves:
+        h_next = h * mult & _M32
+        steps.append((src, dst, h, h_next))
+        h = h_next
+    return tuple(steps)
+
+
+@functools.cache
+def _mixing(n_words):
+    """The hashing steps that mix n_words entropy words into the pool: _MIXES, then each
+    word past the fourth into all four pool words."""
+    extra = [(s, t) for s in range(4, n_words) for t in range(4)]
+    return _hash_steps(0x43B0D7E5, 0x931E8875, _MIXES + extra)
+
+
+# generate_state's 8 output words, hashed from the pool words in turn.
+_OUTPUT = _hash_steps(0x8B51F9DD, 0x58F38DED, [(i % 4, i) for i in range(8)])
+
+
 def _seeded(entropy):
     """(state, inc) of numpy's PCG64(SeedSequence(entropy)) for non-negative ints: their
     little-endian 32-bit words into the pool, generate_state(4, np.uint64) out as
     (initstate, initseq), then state = 0, inc = initseq << 1 | 1, step, add initstate, step.
-    Each hash is v ^= h; h *= mult; v *= h; v ^= v >> 16, all mod 2**32."""
+    Each hash is v ^= h; h *= mult; v *= h; v ^= v >> 16, all mod 2**32, with h read
+    from the precomputed steps."""
     words = []
     for n in entropy:
         words.append(n & _M32)
         while n >> 32:
             n >>= 32
             words.append(n & _M32)
-    pool, h = words + [0] * (4 - len(words)), 0x43B0D7E5
-    for src, dst in _MIXES + [(s, t) for s in range(4, len(words)) for t in range(4)]:
-        v = pool[src] ^ h
-        h = h * 0x931E8875 & _M32
-        v = v * h & _M32
+    pool = words + [0] * (4 - len(words))
+    for src, dst, h, h_next in _mixing(len(words)):
+        v = (pool[src] ^ h) * h_next & _M32
         v ^= v >> 16
         if src != dst:  # mix into the pool word
             v = (0xCA01F9DD * pool[dst] - 0x4973F715 * v) & _M32
             v ^= v >> 16
         pool[dst] = v
-    out, h = [], 0x8B51F9DD
-    for i in range(8):
-        v = pool[i % 4] ^ h
-        h = h * 0x58F38DED & _M32
-        v = v * h & _M32
+    out = []
+    for src, _, h, h_next in _OUTPUT:
+        v = (pool[src] ^ h) * h_next & _M32
         out.append(v ^ v >> 16)
     initstate = (out[0] | out[1] << 32) << 64 | out[2] | out[3] << 32
     inc = ((out[4] | out[5] << 32) << 65 | (out[6] | out[7] << 32) << 1 | 1) & _M128
@@ -58,6 +86,28 @@ def _lemire_retry(word, span, m):
     while m & _M32 < threshold:
         m = word() * span
     return m
+
+
+def _floyd(word, n, m):
+    """Floyd's m picks from range(n) in draw order, the set Generator.choice(n, m,
+    replace=False) then shuffles, or None when n > 10000 and m > n // 50, where choice
+    takes the tail of a shuffle of range(n) instead. Each top from n - m up picks
+    Lemire's draw on range(top + 1), or top itself if that is taken; at m = n the
+    range of one gives 0 with no draw."""
+    if n > 10000 and m > n // 50:
+        return None
+    out = [0] if m == n > 0 else []
+    seen = set(out)
+    for top in range(max(n - m, 1), n):
+        v = word() * (top + 1)
+        if v & _M32 <= top:
+            v = _lemire_retry(word, top + 1, v)
+        v >>= 32
+        if v in seen:
+            v = top
+        seen.add(v)
+        out.append(v)
+    return out
 
 
 class Stream:
@@ -114,20 +164,9 @@ class Stream:
             raise ValueError(f"cannot take {m} of {n} without replacement (n < 2**32)")
         words = self._words()
         word = words.__next__
-        if n > 10000 and m > n // 50:
+        out, stop = _floyd(word, n, m), 1
+        if out is None:
             out, stop = list(range(n)), max(n - m, 1)
-        else:
-            out, stop = [0] if m == n > 0 else [], 1
-            seen = set(out)
-            for top in range(max(n - m, 1), n):
-                v = word() * (top + 1)
-                if v & _M32 <= top:
-                    v = _lemire_retry(word, top + 1, v)
-                v >>= 32
-                if v in seen:
-                    v = top
-                seen.add(v)
-                out.append(v)
         for i in range(len(out) - 1, stop - 1, -1):
             j = word() * (i + 1)
             if j & _M32 <= i:
@@ -214,35 +253,64 @@ def _pairs(d):
     return tuple(itertools.combinations(range(d), 2))
 
 
-def _draw(d, m, rng):
-    """The draw both samplers share: a uniform node order, then m of
-    _pairs(d) without replacement, each oriented along the order. Returns (d,
-    rank in the order, oriented edges, skeleton); d and m pass their doors first."""
+def _pair_door(d):
+    """The stream's 32-bit door on an int d >= 1, before any draw: ValueError when
+    its node pairs number 2**32 or more."""
+    if d * (d - 1) // 2 >= 2**32:
+        raise ValueError(
+            f"d={d} has {d * (d - 1) // 2} node pairs, too many to draw from (2**32 or more)")
+
+
+def _draw(kind, d, m, rng):
+    """The draw both samplers share, after d and m pass their doors: a uniform
+    node order, then m of _pairs(d) without replacement, as the graph of `kind`."""
     mmax = max_edges(d)
     m = _as_int(m, "m", ValueError)
     if not (0 <= m <= mmax):
         raise ValueError(f"m={m} out of range [0, {mmax}] for d={d}")
     d = _checked_d(d)
-    if mmax >= 2**32:  # the stream's 32-bit door, before any draw
-        raise ValueError(f"d={d} has {mmax} node pairs, too many to draw from (2**32 or more)")
-    order, picks = _stream(rng).permutation(d), rng.sample(mmax, m)
+    _pair_door(d)
+    order = _stream(rng).permutation(d)
+    return _oriented(kind, d, order, rng.sample(mmax, m))
+
+
+def _oriented(kind, d, order, picks):
+    """The graph of `kind` whose skeleton is the pairs _pairs(d)[i] for i in picks,
+    each oriented along `order`: the Dag, or the CPDAG of its Markov equivalence
+    class, labelled along the same order with no intermediate Dag. Only the set of
+    picks is read, never their order."""
     rank = [0] * d
     for pos, v in enumerate(order):
         rank[v] = pos
     pairs = _pairs(d)
     skel = [pairs[idx] for idx in picks]
     edges = [(i, j) if rank[i] < rank[j] else (j, i) for i, j in skel]
-    return d, rank, edges, frozenset(skel)
+    if kind == "dag":
+        return _built(d, frozenset(edges), frozenset(skel))
+    return _compelled(d, edges, rank, frozenset(skel), None)
+
+
+def _nc_draw(kind, d, m, rng):
+    """A negative control for pipeline: the graph _draw(kind, d, m, rng) gives, on a
+    stream the caller drops after the draw. Of _draw's doors it keeps only
+    _pair_door: d is a checked truth's and m an estimate's edge count over d nodes.
+    Since nothing reads the stream's final state or the picks' order, Floyd's picks
+    skip choice's shuffle of them; the tail of a shuffle is sample's whole."""
+    _pair_door(d)
+    n = d * (d - 1) // 2
+    order = rng.permutation(d)
+    words = rng._words()
+    picks = _floyd(words.__next__, n, m)
+    words.close()
+    return _oriented(kind, d, order, rng.sample(n, m) if picks is None else picks)
 
 
 def sample_er_dag(d, m, rng):
     """DAG with exactly m edges, drawn from rng: uniform skeleton, uniform-order orientation."""
-    d, _, edges, skel = _draw(d, m, rng)
-    return _built(d, frozenset(edges), skel)
+    return _draw("dag", d, m, rng)
 
 
 def sample_er_cpdag(d, m, rng):
     """CPDAG of the Markov equivalence class of a sample_er_dag draw: the same
     draw, labelled along its own order with no intermediate Dag."""
-    d, rank, edges, skel = _draw(d, m, rng)
-    return _compelled(d, edges, rank, skel, None)
+    return _draw("cpdag", d, m, rng)

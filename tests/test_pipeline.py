@@ -497,11 +497,19 @@ def test_single_truth_nc_rejects_a_repeated_metric_before_drawing(monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("a repeated metric reached the draws")
 
-    monkeypatch.setattr(ncbench.pipeline, "sample_er_cpdag", must_not_run)
-    monkeypatch.setattr(ncbench.pipeline, "sample_er_dag", must_not_run)
+    monkeypatch.setattr(ncbench.pipeline, "_nc_draw", must_not_run)
     truth = sample_er_dag(5, 4, RngSeed(0).generator())
     with pytest.raises(ValueError, match="metric 'vstructure_recovery' is repeated"):
         single_truth_nc(truth, truth, ("vstructure_recovery", "shd", "vstructure_recovery"), b=5)
+
+
+def test_single_truth_nc_checks_the_pair_count_at_the_first_draw():
+    # The stream's 32-bit door, with sample_er_dag's text, before the first
+    # draw, and nothing when no metric is defined and so nothing is drawn.
+    g = Dag(92683)
+    with pytest.raises(ValueError, match=r"^d=92683 has 4295022903 node pairs, too many"):
+        single_truth_nc(g, g, ("shd",), b=2)
+    assert single_truth_nc(g, g, ("adjacency_precision",), b=2)["adjacency_precision"]["p"] is None
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ncbench.graphs import Dag, GraphError, dag_to_cpdag, is_acyclic, skeleton
 from ncbench.hypergeom import HyperParams, pmf
 from ncbench.random_graphs import (
-    RngSeed, Stream, _as_numpy, max_edges, sample_er_cpdag, sample_er_dag
+    RngSeed, Stream, _as_numpy, _nc_draw, max_edges, sample_er_cpdag, sample_er_dag
 )
 from ncbench.sem import DEFAULT_VARIANCE_RANGE, DEFAULT_WEIGHT_RANGE, draw_sem, simulate
 
@@ -248,6 +248,72 @@ def test_stream_draws_are_pinned():
         draws.append([rng.state, rng.inc, rng.has_uint32, rng.uinteger])
     digest = hashlib.sha256(json.dumps(draws).encode()).hexdigest()
     assert digest == "ac796a4687f2edd2a198f44fd3f4e8385a529bc2b31e78db748c68c8cdccd123"
+
+
+class _CountingStream(Stream):
+    """RngSeed(seed).child(index)'s stream, counting the 32-bit words its draws take."""
+
+    __slots__ = ("taken",)
+
+    def __init__(self, seed, index):
+        super().__init__([seed, 0, index])
+        self.taken = 0
+
+    def _words(self):
+        words = super()._words()
+        try:
+            for word in words:
+                self.taken += 1
+                yield word
+        finally:
+            words.close()
+
+
+def _nc_corpus():
+    """(d, m) over both of choice's branches: m at 0, 1, m_max // 50 and one either
+    side of it, and m_max. At d = 143, m_max = 10153 > 10000, so m = 204 and up
+    take the tail of a shuffle; every other case takes Floyd's sample."""
+    for d in (1, 2, 11, 143):
+        mmax = max_edges(d)
+        for m in sorted({0, 1, mmax // 50 - 1, mmax // 50, mmax // 50 + 1, mmax}):
+            if 0 <= m <= mmax:
+                yield d, m
+
+
+class TestNcDraw:
+    """_nc_draw, the negative-control entry pipeline draws through."""
+
+    @pytest.mark.parametrize("kind, sampler", [("dag", sample_er_dag), ("cpdag", sample_er_cpdag)])
+    def test_draws_the_public_samplers_graph(self, kind, sampler):
+        for d, m in _nc_corpus():
+            for index in range(3):
+                g = _nc_draw(kind, d, m, RngSeed(5).child(index))
+                assert g == sampler(d, m, RngSeed(5).child(index)), (d, m, index)
+                assert g.kind == kind and len(skeleton(g)) == m
+
+    def test_takes_no_shuffle_of_floyds_picks(self):
+        # The public sampler's choice shuffles Floyd's m picks with m - 1 more
+        # words, which the entry does not take; the tail of a shuffle is
+        # sample's whole, word for word.
+        for d, m in _nc_corpus():
+            n = max_edges(d)
+            for index in range(3):
+                entry, public = _CountingStream(9, index), _CountingStream(9, index)
+                _nc_draw("cpdag", d, m, entry)
+                public.permutation(d)
+                public.sample(n, m)
+                floyd = not (n > 10000 and m > n // 50)
+                assert public.taken - entry.taken == (max(m - 1, 0) if floyd else 0), (d, m)
+
+    def test_a_draw_keeps_its_dags_own_order(self):
+        # sem.simulate draws noise rows in g._order, so a drawn Dag's order is
+        # its edges' own Kahn order, as for an equal Dag built from them, never
+        # the draw's rank: two equal Dags must simulate the same data.
+        for d, m in [(2, 1), (6, 7), (11, 24), (20, 60), (30, 200)]:
+            for index in range(10):
+                for g in (sample_er_dag(d, m, RngSeed(4).child(index)),
+                          _nc_draw("dag", d, m, RngSeed(4).child(index))):
+                    assert g._order == Dag(g.d, g.edges, g.labels)._order
 
 
 def test_seeds_give_streams():
